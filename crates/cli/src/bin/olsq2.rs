@@ -3,10 +3,10 @@
 //! ```text
 //! olsq2 --qasm <file|-> --device <name> [--objective depth|swaps|blocks]
 //!       [--swap-duration N] [--budget SECS] [--encoding int|bv|euf]
-//!       [--tool olsq2|tb|sabre|satmap|astar|portfolio|cube|bounds] [--output out.qasm]
+//!       [--tool olsq2|tb|sabre|satmap|astar|portfolio|cube] [--output out.qasm]
 //!       [--diversify N] [--portfolio-share] [--no-incremental] [--legacy-solver]
 //!       [--no-chrono] [--no-target-phase] [--no-glucose-restarts] [--no-structure-seeding]
-//!       [--no-fork] [--cube-workers N] [--cube-depth N] [--bound-workers N]
+//!       [--no-fork] [--cube-workers N] [--cube-depth N]
 //!       [--trace-out trace.jsonl] [--report]
 //!       [--flight-out flight.jsonl] [--flight-every N] [--flight-capacity N]
 //!
@@ -45,14 +45,6 @@
 //! Synthesis with `--tool cube` (or `--tool olsq2` plus a `--cube-*`
 //! flag, depth objective only) routes the optimality-proving UNSAT
 //! queries through the same cube engine.
-//!
-//! Synthesis with `--tool bounds` (or `--tool olsq2` plus
-//! `--bound-workers`) runs the speculative bound-race scheduler: the
-//! depth decrement and each SWAP descent become live [lo, hi] brackets
-//! raced by `--bound-workers` solver forks with shared learnts (the
-//! cohort is clamped to the machine's cores, so a small box degrades to
-//! the warm sequential walk that still reuses the depth cohort for the
-//! SWAP phase).
 //!
 //! The `serve-batch` form reads a JSONL job manifest (see the
 //! `olsq2-service` crate docs for the line format), drives the synthesis
@@ -128,11 +120,11 @@ fn emit_flight() {
 fn usage() -> ! {
     eprintln!(
         "usage: olsq2 --qasm <file|-> --device <name> \\
-          [--objective depth|swaps] [--tool olsq2|tb|sabre|satmap|astar|portfolio|cube|bounds] \\
+          [--objective depth|swaps] [--tool olsq2|tb|sabre|satmap|astar|portfolio|cube] \\
           [--swap-duration N] [--budget SECS] [--encoding int|bv|euf] [--output out.qasm] \\
           [--diversify N] [--portfolio-share] [--no-incremental] [--legacy-solver] \\
           [--no-chrono] [--no-target-phase] [--no-glucose-restarts] [--no-structure-seeding] \\
-          [--no-fork] [--cube-workers N] [--cube-depth N] [--bound-workers N] \\
+          [--no-fork] [--cube-workers N] [--cube-depth N] \\
           [--trace-out trace.jsonl] [--report] \\
           [--flight-out flight.jsonl] [--flight-every N] [--flight-capacity N]
        olsq2 serve-batch --manifest <file|-> [--output <file|->] \\
@@ -818,7 +810,6 @@ fn main() {
     let mut flight_capacity = 4096usize;
     let mut cube_workers: Option<usize> = None;
     let mut cube_depth: Option<usize> = None;
-    let mut bound_workers: Option<usize> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -880,15 +871,6 @@ fn main() {
             }
             "--cube-depth" => {
                 cube_depth = Some(
-                    val(&mut args)
-                        .parse()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--bound-workers" => {
-                bound_workers = Some(
                     val(&mut args)
                         .parse()
                         .ok()
@@ -999,13 +981,6 @@ fn main() {
     } else {
         tool
     };
-    // Likewise, `--bound-workers` on the exact tool opts into the
-    // bound-race scheduler without having to spell `--tool bounds`.
-    let tool = if tool == "olsq2" && bound_workers.is_some() {
-        "bounds".to_string()
-    } else {
-        tool
-    };
 
     let result: LayoutResult = match (tool.as_str(), objective.as_str()) {
         ("cube", "depth") => {
@@ -1032,39 +1007,6 @@ fn main() {
                 cs.resplits
             );
             out.outcome.result
-        }
-        ("bounds", "depth") => {
-            let race = olsq2::BoundRaceConfig {
-                workers: bound_workers.unwrap_or(4),
-                ..olsq2::BoundRaceConfig::default()
-            };
-            let out = olsq2::BoundScheduler::new(config, race)
-                .optimize_depth(&circuit, &device)
-                .unwrap_or_else(|e| fail(&e));
-            describe_bound_probes(
-                out.outcome.proven_optimal,
-                out.outcome.iterations,
-                &out.probes,
-                out.sharing.as_ref(),
-            );
-            out.outcome.result
-        }
-        ("bounds", "swaps") => {
-            let race = olsq2::BoundRaceConfig {
-                workers: bound_workers.unwrap_or(4),
-                ..olsq2::BoundRaceConfig::default()
-            };
-            let out = olsq2::BoundScheduler::new(config, race)
-                .optimize_swaps(&circuit, &device)
-                .unwrap_or_else(|e| fail(&e));
-            describe_bound_probes(
-                out.outcome.best.proven_optimal,
-                out.outcome.best.iterations,
-                &out.probes,
-                out.sharing.as_ref(),
-            );
-            eprintln!("pareto points: {:?}", out.outcome.pareto);
-            out.outcome.best.result
         }
         ("olsq2", "depth") => {
             let out = Olsq2Synthesizer::new(config)
@@ -1179,30 +1121,6 @@ fn main() {
             });
             eprintln!("wrote physical circuit to {path}");
         }
-    }
-}
-
-fn describe_bound_probes(
-    proven: bool,
-    iterations: usize,
-    probes: &olsq2::BoundProbeStats,
-    sharing: Option<&olsq2::SharingStats>,
-) {
-    eprintln!(
-        "optimal: {proven} ({iterations} probes: {} sat, {} unsat, {} cancelled, \
-         {} unknown; {} speculative, {} bracket jumps)",
-        probes.sat,
-        probes.unsat,
-        probes.cancelled,
-        probes.unknown,
-        probes.speculative,
-        probes.bracket_jumps
-    );
-    if let Some(s) = sharing {
-        eprintln!(
-            "clause sharing: {} exported, {} imported ({} cross-bound), {} filtered",
-            s.exported, s.imported, s.cross_bound, s.filtered
-        );
     }
 }
 

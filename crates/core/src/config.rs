@@ -309,10 +309,12 @@ pub struct SynthesisConfig {
     pub solver_features: SolverFeatures,
     /// Record clausal proofs on every solver this run builds (enabled
     /// *before* the first clause, as the log requires). UNSAT iterations
-    /// can then justify themselves — the cube-and-conquer path stitches
-    /// the per-worker logs into one checkable refutation. Incompatible
-    /// with [`Self::clause_exchange`]: imported clauses carry no
-    /// derivation, so proof-mode runs must not share.
+    /// can then justify themselves: [`crate::Olsq2Synthesizer`] seals
+    /// the UNSAT probe that proves its optimum into
+    /// [`crate::SynthesisOutcome::refutation`], and the cube-and-conquer
+    /// path stitches its per-worker logs into one checkable refutation.
+    /// Incompatible with [`Self::clause_exchange`]: imported clauses
+    /// carry no derivation, so proof-mode runs must not share.
     pub proof_log: bool,
     /// Spawn cohort members by forking an already-encoded base solver
     /// ([`crate::FlatModel::fork`]) instead of re-encoding per member.

@@ -25,12 +25,14 @@
 
 use crate::config::{SolverDiversification, SynthesisConfig};
 use crate::model::FlatModel;
-use crate::optimize::{result_str, FirstSat, Olsq2Synthesizer, SynthesisError, SynthesisOutcome};
+use crate::optimize::{
+    result_str, seal_refutation, FirstSat, Olsq2Synthesizer, SynthesisError, SynthesisOutcome,
+};
 use crate::sharing::{CohortEndpoint, SharedClausePool};
 use olsq2_arch::CouplingGraph;
 use olsq2_circuit::Circuit;
 use olsq2_cube::{solve_cubes, CubeConfig, CubeRun, CubeSolvable, CubeStats, SplitGroup};
-use olsq2_sat::{ClauseExchange, Lit, Proof, ProofStep, SolveResult, Solver};
+use olsq2_sat::{ClauseExchange, Lit, Proof, SolveResult, Solver};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -326,6 +328,7 @@ impl CubeSynthesizer {
                     formula_size: phase1_model.formula_size(),
                     solver_stats: phase1_model.solver_mut().stats(),
                     extensions: phase1_model.extensions(),
+                    refutation: None,
                 },
                 cube_stats,
                 proof,
@@ -403,11 +406,7 @@ impl CubeSynthesizer {
                     solver.set_conflict_budget(Some(
                         config.conflict_budget.map_or(gate, |c| c.min(gate)),
                     ));
-                    let mut stops = Vec::new();
-                    if let Some(global) = &config.stop_flag {
-                        stops.push(global.clone());
-                    }
-                    solver.set_stop_flags(stops);
+                    solver.set_stop_flag(config.stop_flag.clone());
                 }
                 let gate_start = Instant::now();
                 let res = host.solve(&[act]);
@@ -423,12 +422,7 @@ impl CubeSynthesizer {
                         // as units closes to the empty clause. (Prove
                         // mode never defers, so the host here is always
                         // a proof-logging cohort member.)
-                        let core: Vec<Lit> = host.solver_mut().final_conflict().to_vec();
-                        if let Some(mut p) = host.solver_mut().clone_proof() {
-                            for a in core {
-                                p.push(ProofStep::Original(vec![a]));
-                            }
-                            p.push(ProofStep::Empty);
+                        if let Some(p) = seal_refutation(host.solver_mut()) {
                             proof = Some(p);
                         }
                     }
@@ -551,6 +545,7 @@ impl CubeSynthesizer {
                 formula_size,
                 solver_stats,
                 extensions,
+                refutation: None,
             },
             cube_stats,
             proof,

@@ -39,7 +39,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod bounds;
 pub mod config;
 pub mod cube;
 pub mod incumbent;
@@ -50,9 +49,6 @@ pub mod sharing;
 pub mod transition;
 pub mod vars;
 
-pub use bounds::{
-    BoundDepthOutcome, BoundProbeStats, BoundRaceConfig, BoundScheduler, BoundSwapOutcome,
-};
 pub use config::{
     EncodingConfig, MappingEncoding, SolverDiversification, SynthesisConfig, TimeEncoding,
 };

@@ -1174,30 +1174,6 @@ impl FlatModel {
         act
     }
 
-    /// Pre-materializes depth-bound activators for every depth in
-    /// `lo..=hi`, lowest first. Used by the bound-race scheduler to arm a
-    /// whole bracket on the template model *before* forking worker
-    /// snapshots: every fork then resolves any bound in the bracket from
-    /// its cloned cache without allocating variables, so the forks'
-    /// clause-sharing fences stay aligned for the entire race.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`FlatModel::depth_bound`] for each bound.
-    pub fn depth_bracket(&mut self, lo: usize, hi: usize) -> Vec<Lit> {
-        assert!(lo <= hi, "bracket must be ordered: lo <= hi");
-        (lo..=hi).map(|d| self.depth_bound(d)).collect()
-    }
-
-    /// Pre-materializes SWAP-bound activators for every count in
-    /// `lo..=hi` (capacity semantics as in [`FlatModel::swap_bound`]),
-    /// lowest first. Same fence-alignment purpose as
-    /// [`FlatModel::depth_bracket`].
-    pub fn swap_bracket(&mut self, lo: usize, hi: usize, max_bound: usize) -> Vec<Lit> {
-        assert!(lo <= hi, "bracket must be ordered: lo <= hi");
-        (lo..=hi).map(|k| self.swap_bound(k, max_bound)).collect()
-    }
-
     /// Number of in-place window extensions performed on this model.
     pub fn extensions(&self) -> usize {
         self.extensions

@@ -1,7 +1,8 @@
-//! The optimization strategies of §III-B: depth optimization by geometric
-//! relaxation + decrement, and SWAP-count optimization by iterative descent
-//! along a two-dimensional (depth, swaps) Pareto search — all incremental
-//! over one solver via activation-literal bounds.
+//! The optimization strategies of §III-B as one incremental bound search
+//! over one solver: depth optimization by geometric relaxation +
+//! decrement, then (for the SWAP objective) iterative descent of the SWAP
+//! bound along a two-dimensional (depth, swaps) Pareto search on the same
+//! warm model — every probe an activation-literal assumption.
 
 use crate::config::SynthesisConfig;
 use crate::model::{FlatModel, ModelError, ModelSeed};
@@ -9,7 +10,7 @@ use olsq2_arch::CouplingGraph;
 use olsq2_circuit::{Circuit, DependencyGraph};
 use olsq2_layout::LayoutResult;
 use olsq2_obs::SpanGuard;
-use olsq2_sat::{SolveResult, Stats};
+use olsq2_sat::{Proof, ProofStep, SolveResult, Solver, Stats};
 use std::time::{Duration, Instant};
 
 /// Stable trace-field value for a solve result.
@@ -19,6 +20,21 @@ pub(crate) fn result_str(r: SolveResult) -> &'static str {
         SolveResult::Unsat => "unsat",
         SolveResult::Unknown => "unknown",
     }
+}
+
+/// Seals the refutation of the UNSAT probe `solver` just answered: a copy
+/// of its (still recording) proof log, closed by the failed-assumption
+/// core ([`Solver::final_conflict`]) as units and the empty clause. With
+/// core lemmas on, the solver logged the negated core at the UNSAT, so
+/// the units propagate to a contradiction and the checker accepts the
+/// proof. `None` when the solver records no proof.
+pub(crate) fn seal_refutation(solver: &Solver) -> Option<Proof> {
+    let mut proof = solver.clone_proof()?;
+    for &a in solver.final_conflict() {
+        proof.push(ProofStep::Original(vec![a]));
+    }
+    proof.push(ProofStep::Empty);
+    Some(proof)
 }
 
 /// Errors from the synthesis drivers.
@@ -77,6 +93,11 @@ pub struct SynthesisOutcome {
     /// Number of in-place window extensions performed on the final model
     /// (zero when the incremental path is disabled or never triggered).
     pub extensions: usize,
+    /// With [`SynthesisConfig::proof_log`] and an optimum proven by an
+    /// UNSAT probe (rather than by reaching the structural bound): the
+    /// sealed, RUP-checkable refutation of that decisive probe. Set by
+    /// [`Olsq2Synthesizer`]; the other synthesizers leave it `None`.
+    pub refutation: Option<Proof>,
 }
 
 /// Result of SWAP optimization: the Pareto frontier explored.
@@ -127,6 +148,20 @@ pub(crate) struct FirstSat {
     pub iterations: usize,
 }
 
+/// Where a bound walk stands: the warm model, its best layout, and what
+/// the walk has proven. The depth walk's end state is what
+/// [`Olsq2Synthesizer::optimize_depth`] reports and
+/// [`Olsq2Synthesizer::optimize_swaps`] carries into its SWAP phase.
+struct Walk {
+    model: FlatModel,
+    result: LayoutResult,
+    iterations: usize,
+    proven: bool,
+    /// The sealed refutation of the UNSAT probe that proved `result`
+    /// optimal (proof mode only).
+    refutation: Option<Proof>,
+}
+
 impl Olsq2Synthesizer {
     /// Creates a synthesizer with the given configuration.
     pub fn new(config: SynthesisConfig) -> Olsq2Synthesizer {
@@ -158,21 +193,16 @@ impl Olsq2Synthesizer {
         if self.config.fork_spawn {
             if let Some(seed) = &self.config.model_seed {
                 let instance = ModelSeed::instance_fingerprint(circuit, graph, &self.config);
-                if let Some(mut model) = seed.fork_for(&self.config, circuit, graph, instance, t_ub)
-                {
+                if let Some(model) = seed.fork_for(&self.config, circuit, graph, instance, t_ub) {
                     let span = self.config.recorder.span("fork");
                     span.set("t_ub", t_ub);
-                    model
-                        .solver_mut()
-                        .set_recorder(self.config.recorder.clone());
-                    model.solver_mut().set_probe(self.config.probe.clone());
-                    return Ok(model);
+                    return Ok(self.attach(model));
                 }
             }
         }
         let span = self.config.recorder.span("encode");
         span.set("t_ub", t_ub);
-        let mut model = FlatModel::build(circuit, graph, &self.config, t_ub)?;
+        let model = FlatModel::build(circuit, graph, &self.config, t_ub)?;
         if self.config.recorder.is_enabled() {
             let (vars, clauses) = model.formula_size();
             span.set("vars", vars);
@@ -182,11 +212,21 @@ impl Olsq2Synthesizer {
                 span.set(fam.clauses_key(), c.clauses);
             }
         }
+        Ok(self.attach(model))
+    }
+
+    /// Wires a built or forked model to this run's telemetry. Under
+    /// [`SynthesisConfig::proof_log`] its solver also logs every
+    /// assumption core as a lemma, so any UNSAT probe can be sealed
+    /// ([`seal_refutation`]).
+    fn attach(&self, mut model: FlatModel) -> FlatModel {
+        let solver = model.solver_mut();
+        solver.set_recorder(self.config.recorder.clone());
+        solver.set_probe(self.config.probe.clone());
+        if self.config.proof_log {
+            solver.set_core_lemmas(true);
+        }
         model
-            .solver_mut()
-            .set_recorder(self.config.recorder.clone());
-        model.solver_mut().set_probe(self.config.probe.clone());
-        Ok(model)
     }
 
     /// Grows `model` to the depth window `t_ub` — in place via
@@ -301,6 +341,73 @@ impl Olsq2Synthesizer {
         span.set("restarts", after.restarts - before.restarts);
     }
 
+    /// One bound probe on `model`: `depth ≤ t_bound`, plus `swaps ≤ k`
+    /// (cardinality network of capacity `capacity`) when `swap_bound` is
+    /// `Some((k, capacity))`. Arms the bound's activators and the run's
+    /// budgets and solves, all inside one `iteration` span carrying the
+    /// bounds, the arm and solve times, the verdict and the solver-stat
+    /// deltas.
+    fn probe(
+        &self,
+        model: &mut FlatModel,
+        deadline: Option<Instant>,
+        t_bound: usize,
+        swap_bound: Option<(usize, usize)>,
+    ) -> SolveResult {
+        let span = match swap_bound {
+            None => self.iteration_span("depth", &[("t_bound", t_bound)]),
+            Some((k, _)) => {
+                self.iteration_span("swaps", &[("t_bound", t_bound), ("swap_bound", k)])
+            }
+        };
+        let encode_start = Instant::now();
+        let act_d = model.depth_bound(t_bound);
+        let acts = match swap_bound {
+            None => vec![act_d],
+            Some((k, capacity)) => vec![act_d, model.swap_bound(k, capacity)],
+        };
+        span.set("encode_us", encode_start.elapsed().as_micros() as u64);
+        self.arm_budgets(model, deadline);
+        let stats_before = model.solver_mut().stats();
+        let solve_start = Instant::now();
+        let res = model.solve(&acts);
+        span.set("solve_us", solve_start.elapsed().as_micros() as u64);
+        span.set("result", result_str(res));
+        Self::set_iteration_deltas(&span, stats_before, model.solver_mut().stats());
+        res
+    }
+
+    /// Ends a run on its final walk: snapshots the model when the run was
+    /// cut before optimality was proven, and reports the walk.
+    fn finish(
+        &self,
+        circuit: &Circuit,
+        graph: &CouplingGraph,
+        start: Instant,
+        walk: Walk,
+    ) -> SynthesisOutcome {
+        let Walk {
+            mut model,
+            result,
+            iterations,
+            proven,
+            refutation,
+        } = walk;
+        if !proven {
+            self.capture_snapshot(circuit, graph, &mut model);
+        }
+        SynthesisOutcome {
+            result,
+            proven_optimal: proven,
+            iterations,
+            elapsed: start.elapsed(),
+            formula_size: model.formula_size(),
+            solver_stats: model.solver_mut().stats(),
+            extensions: model.extensions(),
+            refutation: refutation.filter(|_| proven),
+        }
+    }
+
     /// Builds the model and solves *once* with the full window and no
     /// objective bound — the Fig. 1 / Table I "solving time" measurement.
     ///
@@ -338,6 +445,7 @@ impl Olsq2Synthesizer {
                     formula_size: model.formula_size(),
                     solver_stats: model.solver_mut().stats(),
                     extensions: model.extensions(),
+                    refutation: None,
                 }))
             }
             SolveResult::Unsat => Err(SynthesisError::WindowExhausted),
@@ -347,8 +455,8 @@ impl Olsq2Synthesizer {
 
     /// Phase 1 of depth optimization (§III-B-1): start from
     /// `T_B = T_LB`, relax geometrically (`r = 1.3` below 100, else
-    /// `1.1`) until the first SAT. Shared between the sequential
-    /// decrement loop below and the cube-and-conquer optimizer
+    /// `1.1`) until the first SAT. Shared between the decrement loop
+    /// below and the cube-and-conquer optimizer
     /// ([`crate::cube::CubeSynthesizer`]), which replaces only phase 2.
     pub(crate) fn first_feasible_depth(
         &self,
@@ -371,20 +479,8 @@ impl Olsq2Synthesizer {
                 }
                 self.grow_model(circuit, graph, &mut model, t_ub)?;
             }
-            let span = self.iteration_span("depth", &[("t_bound", t_b)]);
-            let encode_start = Instant::now();
-            let act = model.depth_bound(t_b);
-            span.set("encode_us", encode_start.elapsed().as_micros() as u64);
-            self.arm_budgets(&mut model, deadline);
             iterations += 1;
-            let stats_before = model.solver_mut().stats();
-            let solve_start = Instant::now();
-            let res = model.solve(&[act]);
-            span.set("solve_us", solve_start.elapsed().as_micros() as u64);
-            span.set("result", result_str(res));
-            Self::set_iteration_deltas(&span, stats_before, model.solver_mut().stats());
-            drop(span);
-            match res {
+            match self.probe(&mut model, deadline, t_b, None) {
                 SolveResult::Sat => {
                     let result = model.extract();
                     self.publish_incumbent(&result);
@@ -410,6 +506,58 @@ impl Olsq2Synthesizer {
         }
     }
 
+    /// The depth walk of §III-B-1 under one `optimize_depth` span: phase 1
+    /// ([`Self::first_feasible_depth`]), then decrement until UNSAT, the
+    /// structural lower bound, or the budget. Seals the decisive UNSAT
+    /// under [`SynthesisConfig::proof_log`].
+    fn depth_phase(
+        &self,
+        circuit: &Circuit,
+        graph: &CouplingGraph,
+        deadline: Option<Instant>,
+    ) -> Result<Walk, SynthesisError> {
+        let outer = self.config.recorder.span("optimize_depth");
+        let FirstSat {
+            mut model,
+            result: mut current,
+            t_lb,
+            mut iterations,
+        } = self.first_feasible_depth(circuit, graph, deadline)?;
+        outer.set("t_lb", t_lb);
+
+        // Phase 2: decrement until UNSAT (or the lower bound is reached).
+        let mut proven = false;
+        let mut refutation = None;
+        loop {
+            if current.depth <= t_lb {
+                proven = true;
+                break;
+            }
+            iterations += 1;
+            match self.probe(&mut model, deadline, current.depth - 1, None) {
+                SolveResult::Sat => {
+                    current = model.extract();
+                    self.publish_incumbent(&current);
+                }
+                SolveResult::Unsat => {
+                    proven = true;
+                    refutation = seal_refutation(model.solver_mut());
+                    break;
+                }
+                SolveResult::Unknown => break, // budget: keep best-so-far
+            }
+        }
+        outer.set("iterations", iterations);
+        outer.set("proven_optimal", proven);
+        Ok(Walk {
+            model,
+            result: current,
+            iterations,
+            proven,
+            refutation,
+        })
+    }
+
     /// Depth optimization (§III-B-1): start from `T_B = T_LB`, relax
     /// geometrically (`r = 1.3` below 100, else `1.1`) until SAT, then
     /// decrement until UNSAT.
@@ -424,65 +572,8 @@ impl Olsq2Synthesizer {
         graph: &CouplingGraph,
     ) -> Result<SynthesisOutcome, SynthesisError> {
         let start = Instant::now();
-        let deadline = self.deadline();
-        let outer = self.config.recorder.span("optimize_depth");
-        let FirstSat {
-            mut model,
-            result: first,
-            t_lb,
-            mut iterations,
-        } = self.first_feasible_depth(circuit, graph, deadline)?;
-        outer.set("t_lb", t_lb);
-
-        // Phase 2: decrement until UNSAT (or the lower bound is reached).
-        let mut proven_optimal = false;
-        let mut current = first;
-        loop {
-            if current.depth <= t_lb {
-                proven_optimal = true;
-                break;
-            }
-            let k = current.depth - 1;
-            let span = self.iteration_span("depth", &[("t_bound", k)]);
-            let encode_start = Instant::now();
-            let act = model.depth_bound(k);
-            span.set("encode_us", encode_start.elapsed().as_micros() as u64);
-            self.arm_budgets(&mut model, deadline);
-            iterations += 1;
-            let stats_before = model.solver_mut().stats();
-            let solve_start = Instant::now();
-            let res = model.solve(&[act]);
-            span.set("solve_us", solve_start.elapsed().as_micros() as u64);
-            span.set("result", result_str(res));
-            Self::set_iteration_deltas(&span, stats_before, model.solver_mut().stats());
-            drop(span);
-            match res {
-                SolveResult::Sat => {
-                    current = model.extract();
-                    self.publish_incumbent(&current);
-                }
-                SolveResult::Unsat => {
-                    proven_optimal = true;
-                    break;
-                }
-                SolveResult::Unknown => break, // budget: keep best-so-far
-            }
-        }
-
-        outer.set("iterations", iterations);
-        outer.set("proven_optimal", proven_optimal);
-        if !proven_optimal {
-            self.capture_snapshot(circuit, graph, &mut model);
-        }
-        Ok(SynthesisOutcome {
-            result: current,
-            proven_optimal,
-            iterations,
-            elapsed: start.elapsed(),
-            formula_size: model.formula_size(),
-            solver_stats: model.solver_mut().stats(),
-            extensions: model.extensions(),
-        })
+        let walk = self.depth_phase(circuit, graph, self.deadline())?;
+        Ok(self.finish(circuit, graph, start, walk))
     }
 
     /// SWAP-count optimization (§III-B-2): obtain a depth-optimal solution
@@ -490,6 +581,10 @@ impl Olsq2Synthesizer {
     /// under the current depth is proven, relax depth by one step and
     /// retry. Terminates when relaxing the depth brings no reduction
     /// (Pareto-optimal), the count reaches zero, or the budget expires.
+    ///
+    /// The SWAP phase runs on the depth phase's warm model — its learned
+    /// clauses and cached depth activators carry over, and nothing is
+    /// re-encoded — so `solver_stats` covers every probe of the run.
     ///
     /// # Errors
     ///
@@ -502,18 +597,19 @@ impl Olsq2Synthesizer {
         let start = Instant::now();
         let deadline = self.deadline();
         let outer = self.config.recorder.span("optimize_swaps");
-        let depth_outcome = self.optimize_depth(circuit, graph)?;
-        let mut iterations = depth_outcome.iterations;
-        let mut current = depth_outcome.result.clone();
+        let Walk {
+            mut model,
+            result: mut current,
+            mut iterations,
+            ..
+        } = self.depth_phase(circuit, graph, deadline)?;
         let mut current_depth = current.depth;
         let capacity = current.swap_count().max(1);
-
-        let dag = self.dependency_graph(circuit);
-        let t_lb = dag.longest_chain().max(1);
-        let mut t_ub = self.initial_t_ub(t_lb).max(current_depth);
-        let mut model = self.build_model(circuit, graph, t_ub)?;
+        let mut t_ub = model.t_ub();
         let mut pareto = vec![(current.depth, current.swap_count())];
         let mut proven;
+        // The seal of the last UNSAT probe; a relaxed SAT supersedes it.
+        let mut refutation = None;
         let mut relax_rounds = 0usize;
 
         'outer: loop {
@@ -524,24 +620,8 @@ impl Olsq2Synthesizer {
                     proven = true;
                     break 'outer;
                 }
-                let span = self.iteration_span(
-                    "swaps",
-                    &[("t_bound", current_depth), ("swap_bound", s - 1)],
-                );
-                let encode_start = Instant::now();
-                let act_d = model.depth_bound(current_depth);
-                let act_s = model.swap_bound(s - 1, capacity);
-                span.set("encode_us", encode_start.elapsed().as_micros() as u64);
-                self.arm_budgets(&mut model, deadline);
                 iterations += 1;
-                let stats_before = model.solver_mut().stats();
-                let solve_start = Instant::now();
-                let res = model.solve(&[act_d, act_s]);
-                span.set("solve_us", solve_start.elapsed().as_micros() as u64);
-                span.set("result", result_str(res));
-                Self::set_iteration_deltas(&span, stats_before, model.solver_mut().stats());
-                drop(span);
-                match res {
+                match self.probe(&mut model, deadline, current_depth, Some((s - 1, capacity))) {
                     SolveResult::Sat => {
                         current = model.extract();
                         self.publish_incumbent(&current);
@@ -549,6 +629,7 @@ impl Olsq2Synthesizer {
                     }
                     SolveResult::Unsat => {
                         proven = true; // optimal under this depth
+                        refutation = seal_refutation(model.solver_mut());
                         break;
                     }
                     SolveResult::Unknown => {
@@ -574,32 +655,20 @@ impl Olsq2Synthesizer {
                 }
                 self.grow_model(circuit, graph, &mut model, t_ub)?;
             }
-            let span =
-                self.iteration_span("swaps", &[("t_bound", new_depth), ("swap_bound", s - 1)]);
-            let encode_start = Instant::now();
-            let act_d = model.depth_bound(new_depth);
-            let act_s = model.swap_bound(s - 1, capacity);
-            span.set("encode_us", encode_start.elapsed().as_micros() as u64);
-            self.arm_budgets(&mut model, deadline);
             iterations += 1;
-            let stats_before = model.solver_mut().stats();
-            let solve_start = Instant::now();
-            let res = model.solve(&[act_d, act_s]);
-            span.set("solve_us", solve_start.elapsed().as_micros() as u64);
-            span.set("result", result_str(res));
-            Self::set_iteration_deltas(&span, stats_before, model.solver_mut().stats());
-            drop(span);
-            match res {
+            match self.probe(&mut model, deadline, new_depth, Some((s - 1, capacity))) {
                 SolveResult::Sat => {
                     current = model.extract();
                     self.publish_incumbent(&current);
                     current_depth = new_depth;
                     pareto.push((current.depth, current.swap_count()));
+                    refutation = None;
                 }
                 SolveResult::Unsat => {
                     // No reduction from relaxing: Pareto-optimal (paper's
                     // termination condition 2).
                     proven = true;
+                    refutation = seal_refutation(model.solver_mut());
                     break;
                 }
                 SolveResult::Unknown => {
@@ -609,23 +678,17 @@ impl Olsq2Synthesizer {
             }
         }
 
-        let formula_size = model.formula_size();
-        let solver_stats = model.solver_mut().stats();
         outer.set("iterations", iterations);
         outer.set("proven_optimal", proven);
-        if !proven {
-            self.capture_snapshot(circuit, graph, &mut model);
-        }
+        let walk = Walk {
+            model,
+            result: current,
+            iterations,
+            proven,
+            refutation,
+        };
         Ok(SwapOptimizationOutcome {
-            best: SynthesisOutcome {
-                result: current,
-                proven_optimal: proven,
-                iterations,
-                elapsed: start.elapsed(),
-                formula_size,
-                solver_stats,
-                extensions: model.extensions(),
-            },
+            best: self.finish(circuit, graph, start, walk),
             pareto,
         })
     }
@@ -804,6 +867,39 @@ mod tests {
         assert!(
             snap.counters.get("sat.solves").copied().unwrap_or(0) >= out.best.iterations as u64
         );
+    }
+
+    #[test]
+    fn swap_phase_reuses_the_depth_model_and_counts_every_probe() {
+        let circuit = olsq2_circuit::generators::qaoa_circuit(4, 42);
+        let graph = line(4);
+        let rec = olsq2_obs::Recorder::new();
+        let mut config = SynthesisConfig::with_swap_duration(1);
+        config.recorder = rec.clone();
+        let out = Olsq2Synthesizer::new(config)
+            .optimize_swaps(&circuit, &graph)
+            .expect("solves");
+        assert!(out.best.proven_optimal);
+        let snap = rec.snapshot();
+        let encodes = snap.spans.iter().filter(|s| s.name == "encode").count();
+        assert_eq!(encodes, 1, "the SWAP phase must not encode a second model");
+        // One solver ran every probe, so its cumulative stats are the sum
+        // of the per-probe deltas.
+        let probe_conflicts: u64 = snap
+            .spans
+            .iter()
+            .filter(|s| s.name == "iteration")
+            .map(|s| {
+                s.fields
+                    .iter()
+                    .find_map(|(k, v)| match (k.as_str(), v) {
+                        ("conflicts", olsq2_obs::FieldValue::U64(c)) => Some(*c),
+                        _ => None,
+                    })
+                    .expect("iteration spans carry their conflicts")
+            })
+            .sum();
+        assert_eq!(out.best.solver_stats.conflicts, probe_conflicts);
     }
 
     #[test]

@@ -504,7 +504,6 @@ impl PortfolioSynthesizer {
                                         exported: acc.exported + s.exported,
                                         imported: acc.imported + s.imported,
                                         filtered: acc.filtered + s.filtered,
-                                        cross_bound: acc.cross_bound + s.cross_bound,
                                     }
                                 })
                         }),

@@ -53,12 +53,6 @@ pub struct SharingStats {
     /// Clauses dropped by the fence: unbound/foreign variable space,
     /// post-build variables, or evicted from a ring before delivery.
     pub filtered: u64,
-    /// Delivered clauses whose producer was probing a *different*
-    /// objective bound than the consumer at publish time (both tagged via
-    /// [`ClauseExchange::note_bound`]). Nonzero means the bound race is
-    /// actually warm-starting probes across bounds — e.g. a probe at T+2
-    /// feeding the probe at T+1.
-    pub cross_bound: u64,
 }
 
 /// One producer's ring buffer.
@@ -66,11 +60,8 @@ pub struct SharingStats {
 struct Shard {
     /// Sequence number of `items.front()`.
     start_seq: u64,
-    /// `(space fingerprint, producer's objective bound, clause)` in
-    /// publication order. The bound tag (0 = untagged) is pure metadata —
-    /// the fingerprint alone fences delivery; the tag only feeds the
-    /// cross-bound accounting.
-    items: VecDeque<(u64, u64, Arc<[Lit]>)>,
+    /// `(space fingerprint, clause)` in publication order.
+    items: VecDeque<(u64, Arc<[Lit]>)>,
     /// Clauses pushed out by capacity overflow.
     evicted: u64,
     /// Overflow evictions that some *active* consumer had not yet seen —
@@ -170,9 +161,8 @@ impl SharedClausePool {
             .unwrap_or(u64::MAX)
     }
 
-    /// Publishes a clause from `member` tagged with its space fingerprint
-    /// and the objective bound it was probing (0 = untagged).
-    fn publish(&self, member: usize, space: u64, bound: u64, lits: &[Lit]) {
+    /// Publishes a clause from `member` tagged with its space fingerprint.
+    fn publish(&self, member: usize, space: u64, lits: &[Lit]) {
         let horizon = self.seen_horizon(member);
         let cell = &self.shards[member];
         let mut ring = cell.ring.lock().expect("pool shard poisoned");
@@ -194,7 +184,7 @@ impl SharedClausePool {
             ring.start_seq += 1;
             ring.evicted += 1;
         }
-        ring.items.push_back((space, bound, Arc::from(lits)));
+        ring.items.push_back((space, Arc::from(lits)));
         let next = ring.start_seq + ring.items.len() as u64;
         drop(ring);
         cell.seq.store(next, Ordering::Release);
@@ -202,20 +192,17 @@ impl SharedClausePool {
 
     /// Collects unseen clauses for `consumer` whose fingerprint matches
     /// `space`, advancing `cursors` (one per shard). Returns
-    /// `(delivered, dropped, cross_bound)` counts, where `cross_bound` is
-    /// the subset of delivered clauses whose producer's bound tag differs
-    /// from `my_bound` (both nonzero); delivered clauses are appended to
+    /// `(delivered, dropped)` counts; delivered clauses are appended to
     /// `out`.
     fn collect(
         &self,
         consumer: usize,
         space: u64,
-        my_bound: u64,
         cursors: &mut [u64],
         out: &mut Vec<Vec<Lit>>,
-    ) -> (u64, u64, u64) {
+    ) -> (u64, u64) {
         debug_assert_eq!(cursors.len(), self.shards.len());
-        let (mut delivered, mut dropped, mut cross) = (0u64, 0u64, 0u64);
+        let (mut delivered, mut dropped) = (0u64, 0u64);
         for (i, cell) in self.shards.iter().enumerate() {
             if i == consumer {
                 continue;
@@ -231,13 +218,10 @@ impl SharedClausePool {
                 cursors[i] = ring.start_seq;
             }
             let skip = (cursors[i] - ring.start_seq) as usize;
-            for (tag, bound, clause) in ring.items.iter().skip(skip) {
+            for (tag, clause) in ring.items.iter().skip(skip) {
                 if *tag == space {
                     out.push(clause.to_vec());
                     delivered += 1;
-                    if *bound != 0 && my_bound != 0 && *bound != my_bound {
-                        cross += 1;
-                    }
                 } else {
                     dropped += 1;
                 }
@@ -248,7 +232,7 @@ impl SharedClausePool {
             // Stored after consumption, so the mirror only ever lags.
             self.consumers[consumer].cursors[i].store(cursors[i], Ordering::Release);
         }
-        (delivered, dropped, cross)
+        (delivered, dropped)
     }
 
     /// Total clauses pushed out of rings by capacity overflow.
@@ -299,13 +283,9 @@ pub struct CohortEndpoint {
     cursors: Mutex<Vec<u64>>,
     /// Set once the member exits; exports and imports become no-ops.
     retired: AtomicBool,
-    /// Objective bound this member is currently probing (0 = untagged);
-    /// set by [`ClauseExchange::note_bound`], stamped onto exports.
-    bound: AtomicU64,
     exported: AtomicU64,
     imported: AtomicU64,
     filtered: AtomicU64,
-    cross_imported: AtomicU64,
     recorder: Recorder,
     /// Flight-recorder probe; sharing-flow samples are tagged
     /// [`SampleSource::Sharing`].
@@ -324,11 +304,9 @@ impl CohortEndpoint {
             base_vars: AtomicUsize::new(0),
             cursors: Mutex::new(vec![0; shards]),
             retired: AtomicBool::new(false),
-            bound: AtomicU64::new(0),
             exported: AtomicU64::new(0),
             imported: AtomicU64::new(0),
             filtered: AtomicU64::new(0),
-            cross_imported: AtomicU64::new(0),
             recorder,
             probe: Probe::disabled(),
         }
@@ -365,7 +343,6 @@ impl CohortEndpoint {
             exported: self.exported.load(Ordering::Relaxed),
             imported: self.imported.load(Ordering::Relaxed),
             filtered: self.filtered.load(Ordering::Relaxed),
-            cross_bound: self.cross_imported.load(Ordering::Relaxed),
         }
     }
 
@@ -412,8 +389,7 @@ impl ClauseExchange for CohortEndpoint {
             }
             return;
         }
-        self.pool
-            .publish(self.member, space, self.bound.load(Ordering::Relaxed), lits);
+        self.pool.publish(self.member, space, lits);
         self.exported.fetch_add(1, Ordering::Relaxed);
         if self.recorder.is_enabled() {
             self.recorder.add("portfolio.clauses_exported", 1);
@@ -429,24 +405,17 @@ impl ClauseExchange for CohortEndpoint {
         if space == 0 {
             return;
         }
-        let my_bound = self.bound.load(Ordering::Relaxed);
         let mut cursors = self.cursors.lock().expect("cursor lock poisoned");
-        let (delivered, dropped, cross) =
-            self.pool
-                .collect(self.member, space, my_bound, &mut cursors, out);
+        let (delivered, dropped) = self.pool.collect(self.member, space, &mut cursors, out);
         drop(cursors);
         self.imported.fetch_add(delivered, Ordering::Relaxed);
         self.filtered.fetch_add(dropped, Ordering::Relaxed);
-        self.cross_imported.fetch_add(cross, Ordering::Relaxed);
         if self.recorder.is_enabled() {
             if delivered > 0 {
                 self.recorder.add("portfolio.clauses_imported", delivered);
             }
             if dropped > 0 {
                 self.recorder.add("portfolio.clauses_filtered", dropped);
-            }
-            if cross > 0 {
-                self.recorder.add("bound.clauses_cross_imported", cross);
             }
         }
         if delivered > 0 {
@@ -457,10 +426,6 @@ impl ClauseExchange for CohortEndpoint {
     fn bind_space(&self, fingerprint: u64, num_vars: usize) {
         self.base_vars.store(num_vars, Ordering::Release);
         self.space.store(fingerprint, Ordering::Release);
-    }
-
-    fn note_bound(&self, bound: u64) {
-        self.bound.store(bound, Ordering::Relaxed);
     }
 }
 
@@ -641,38 +606,6 @@ mod tests {
         assert_eq!(pool.pruned(), 2);
         assert_eq!(pool.evicted(), 1);
         assert_eq!(pool.evicted_unseen(), 1);
-    }
-
-    #[test]
-    fn cross_bound_deliveries_are_counted_but_never_fenced() {
-        let pool = Arc::new(SharedClausePool::new(2, 16));
-        let a = CohortEndpoint::new(pool.clone(), 0, Recorder::disabled());
-        let b = CohortEndpoint::new(pool, 1, Recorder::disabled());
-        a.bind_space(0x7, 10);
-        b.bind_space(0x7, 10);
-        // Untagged producers: clauses flow, nothing counts as cross-bound.
-        a.export(&[lit(0)], 1);
-        let mut got = Vec::new();
-        b.import_into(&mut got);
-        assert_eq!(got.len(), 1);
-        assert_eq!(b.stats().cross_bound, 0);
-        // a probes T=9 while b probes T=8: delivery still happens (the
-        // fingerprint alone fences), and the cross-bound counter ticks.
-        a.note_bound(9);
-        b.note_bound(8);
-        a.export(&[lit(1)], 1);
-        got.clear();
-        b.import_into(&mut got);
-        assert_eq!(got, vec![vec![lit(1)]]);
-        assert_eq!(b.stats().imported, 2);
-        assert_eq!(b.stats().cross_bound, 1);
-        // Same bound on both sides: delivered, not cross.
-        b.note_bound(9);
-        a.export(&[lit(2)], 1);
-        got.clear();
-        b.import_into(&mut got);
-        assert_eq!(got.len(), 1);
-        assert_eq!(b.stats().cross_bound, 1);
     }
 
     #[test]

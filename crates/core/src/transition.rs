@@ -960,6 +960,7 @@ impl TbOlsq2Synthesizer {
                             formula_size: (model.solver.num_vars(), model.solver.num_clauses()),
                             solver_stats: model.solver.stats(),
                             extensions: model.extensions,
+                            refutation: None,
                         },
                         block_count: sol.used_blocks(),
                     });
@@ -1127,6 +1128,7 @@ impl TbOlsq2Synthesizer {
                 formula_size: (model.solver.num_vars(), model.solver.num_clauses()),
                 solver_stats: model.solver.stats(),
                 extensions: model.extensions,
+                refutation: None,
             },
             block_count,
         })
@@ -1175,6 +1177,7 @@ impl TbOlsq2Synthesizer {
                     formula_size: (model.solver.num_vars(), model.solver.num_clauses()),
                     solver_stats: model.solver.stats(),
                     extensions: model.extensions,
+                    refutation: None,
                 }))
             }
             SolveResult::Unsat => Err(SynthesisError::WindowExhausted),

@@ -214,22 +214,6 @@ impl CardinalityNetwork {
             }
         }
     }
-
-    /// Materializes activation literals for every bound in `lo..=hi` in
-    /// one pass, returning them lowest bound first.
-    ///
-    /// Semantically each returned literal is exactly what
-    /// [`Self::at_most`] returns for that bound — the point of the batch
-    /// form is *placement*: a bracketed bound search (parallel binary
-    /// search over [lo, hi]) can pre-arm the whole bracket on a template
-    /// model **before** forking solver snapshots from it, so every fork
-    /// sees identical activator numbering from its clone and never
-    /// allocates bound machinery of its own. Bounds at or above the input
-    /// count come back as the sink's true literal, same as `at_most`.
-    pub fn at_most_bracket<S: CnfSink>(&mut self, sink: &mut S, lo: usize, hi: usize) -> Vec<Lit> {
-        assert!(lo <= hi, "bracket must be ordered: lo <= hi");
-        (lo..=hi).map(|k| self.at_most(sink, k)).collect()
-    }
 }
 
 /// Sinz sequential counter, one direction, `capacity` columns.
@@ -448,28 +432,6 @@ mod tests {
         let a = card.at_most(&mut s, 2);
         let b = card.at_most(&mut s, 2);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn bracket_activators_match_pointwise_at_most() {
-        for enc in ENCODINGS {
-            let mut s = Solver::new();
-            let xs: Vec<Lit> = (0..6).map(|_| Lit::positive(s.new_var())).collect();
-            let mut card = CardinalityNetwork::new(&mut s, &xs, 6, enc);
-            let bracket = card.at_most_bracket(&mut s, 1, 4);
-            assert_eq!(bracket.len(), 4);
-            // Identical literals to the pointwise calls (cache hits — the
-            // bracket pre-arms, it never duplicates machinery).
-            for (i, k) in (1..=4).enumerate() {
-                assert_eq!(bracket[i], card.at_most(&mut s, k), "enc={enc:?} k={k}");
-            }
-            // And each enforces its own bound: fix 3 inputs true.
-            for &x in &xs[..3] {
-                s.add_clause([x]);
-            }
-            assert_eq!(s.solve(&[bracket[1]]), SolveResult::Unsat, "enc={enc:?}");
-            assert_eq!(s.solve(&[bracket[2]]), SolveResult::Sat, "enc={enc:?}");
-        }
     }
 
     #[test]

@@ -47,8 +47,8 @@ use std::time::Instant;
 
 /// Current flight-dump format version (the `flight_meta` line).
 /// Version 2 added the `chrono_backtracks` and `blocked_restarts`
-/// search-policy counters. Version 3 added the `bound` sample source
-/// (bound-race scheduler probe lifecycle).
+/// search-policy counters. Version 3 added a `bound` sample source,
+/// since retired with the bound-race scheduler that wrote it.
 pub const FLIGHT_VERSION: u64 = 3;
 
 /// Which subsystem emitted a sample.
@@ -61,8 +61,6 @@ pub enum SampleSource {
     Sharing,
     /// The cube scheduler (pool occupancy).
     Cube,
-    /// The bound-race scheduler (probe lifecycle: launch/verdict/bracket).
-    Bound,
 }
 
 impl SampleSource {
@@ -72,7 +70,6 @@ impl SampleSource {
             SampleSource::Search => "search",
             SampleSource::Sharing => "sharing",
             SampleSource::Cube => "cube",
-            SampleSource::Bound => "bound",
         }
     }
 
@@ -82,7 +79,6 @@ impl SampleSource {
             "search" => Some(SampleSource::Search),
             "sharing" => Some(SampleSource::Sharing),
             "cube" => Some(SampleSource::Cube),
-            "bound" => Some(SampleSource::Bound),
             _ => None,
         }
     }
@@ -92,7 +88,6 @@ impl SampleSource {
             SampleSource::Search => 0,
             SampleSource::Sharing => 1,
             SampleSource::Cube => 2,
-            SampleSource::Bound => 3,
         }
     }
 
@@ -100,7 +95,6 @@ impl SampleSource {
         match w {
             1 => SampleSource::Sharing,
             2 => SampleSource::Cube,
-            3 => SampleSource::Bound,
             _ => SampleSource::Search,
         }
     }

@@ -106,17 +106,6 @@ pub trait ClauseExchange: Send + Sync + std::fmt::Debug {
     fn bind_space(&self, fingerprint: u64, num_vars: usize) {
         let _ = (fingerprint, num_vars);
     }
-
-    /// Notifies the medium which *objective bound* the attached solver is
-    /// currently probing (a makespan T or SWAP count k in the bound-race
-    /// scheduler). Purely metadata: exported clauses are bound-independent
-    /// by the fencing contract, but tagging them with the producer's bound
-    /// lets the medium count cross-bound deliveries — the observable that
-    /// shows a probe at T+2 warm-starting the probe at T+1. The default
-    /// implementation ignores it.
-    fn note_bound(&self, bound: u64) {
-        let _ = bound;
-    }
 }
 
 #[cfg(test)]

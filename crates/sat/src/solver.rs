@@ -123,37 +123,6 @@ pub struct Stats {
     pub target_rephases: u64,
 }
 
-impl Stats {
-    /// Accumulates `other` into `self` field-by-field — aggregate search
-    /// work across a cohort of solvers (bound-race workers, portfolio
-    /// members). `learnts` sums too: the total is "retained learnts
-    /// across the cohort", matching how the per-solver field reads.
-    pub fn absorb(&mut self, other: &Stats) {
-        self.conflicts += other.conflicts;
-        self.decisions += other.decisions;
-        self.propagations += other.propagations;
-        self.restarts += other.restarts;
-        self.learnts += other.learnts;
-        self.reduces += other.reduces;
-        self.minimized_lits += other.minimized_lits;
-        self.exported += other.exported;
-        self.imported += other.imported;
-        self.import_dropped += other.import_dropped;
-        self.simplifies += other.simplifies;
-        self.simplify_removed += other.simplify_removed;
-        self.simplify_strengthened += other.simplify_strengthened;
-        self.vivified += other.vivified;
-        self.strengthened += other.strengthened;
-        self.binary_props += other.binary_props;
-        self.ternary_props += other.ternary_props;
-        self.tier_demotions += other.tier_demotions;
-        self.rephases += other.rephases;
-        self.chrono_backtracks += other.chrono_backtracks;
-        self.blocked_restarts += other.blocked_restarts;
-        self.target_rephases += other.target_rephases;
-    }
-}
-
 /// Feature toggles for the propagation kernel and the inprocessing engine.
 ///
 /// The default is everything on; [`SolverFeatures::legacy`] reproduces the
@@ -382,12 +351,9 @@ pub struct Solver {
     stats: Stats,
     conflict_budget: Option<u64>,
     deadline: Option<Instant>,
-    /// Cooperative interrupts for portfolio/bound-race solving. Any flag
-    /// being `true` aborts the next conflict boundary; an empty list costs
-    /// one length check per conflict. Multiple flags let a global
-    /// cancellation (job abort) and a per-probe cancellation (dominated
-    /// bound) coexist without either clobbering the other.
-    stops: Vec<Arc<AtomicBool>>,
+    /// Cooperative interrupt for portfolio and cube solving: the flag
+    /// being `true` aborts the next conflict boundary.
+    stop: Option<Arc<AtomicBool>>,
     next_reduce: u64,
     reduce_inc: u64,
     /// Root-trail length at the last `simplify`, to skip redundant passes.
@@ -520,7 +486,7 @@ impl Solver {
             stats: Stats::default(),
             conflict_budget: None,
             deadline: None,
-            stops: Vec::new(),
+            stop: None,
             next_reduce: 2000,
             reduce_inc: 300,
             simp_trail_len: usize::MAX,
@@ -618,23 +584,9 @@ impl Solver {
     /// Installs a cooperative interrupt: while the flag is `true`, `solve`
     /// aborts with [`SolveResult::Unknown`] at the next conflict boundary.
     /// Used by portfolio solving to cancel losing configurations.
-    /// Replaces any previously installed flags (see [`Self::set_stop_flags`]
-    /// to install several at once).
+    /// Replaces any previously installed flag.
     pub fn set_stop_flag(&mut self, stop: Option<Arc<AtomicBool>>) {
-        self.stops.clear();
-        if let Some(stop) = stop {
-            self.stops.push(stop);
-        }
-    }
-
-    /// Installs several cooperative interrupts at once; `solve` aborts with
-    /// [`SolveResult::Unknown`] while *any* of them is `true`. The
-    /// bound-race scheduler uses this to combine a job-global abort flag
-    /// with a per-probe cancellation flag, so cancelling a dominated probe
-    /// does not disturb the job-level contract and vice versa. Replaces any
-    /// previously installed flags.
-    pub fn set_stop_flags(&mut self, stops: Vec<Arc<AtomicBool>>) {
-        self.stops = stops;
+        self.stop = stop;
     }
 
     /// Installs a telemetry sink. The solver emits `sat.restart` and
@@ -838,7 +790,7 @@ impl Solver {
             stats: Stats::default(),
             conflict_budget: None,
             deadline: None,
-            stops: Vec::new(),
+            stop: None,
             next_reduce: 2000,
             reduce_inc: 300,
             simp_trail_len: self.simp_trail_len,
@@ -2427,13 +2379,19 @@ impl Solver {
         1u64 << seq
     }
 
+    fn stop_requested(&self) -> bool {
+        self.stop
+            .as_ref()
+            .is_some_and(|stop| stop.load(Ordering::Relaxed))
+    }
+
     fn out_of_budget(&self) -> bool {
         if let Some(limit) = self.conflict_budget {
             if self.stats.conflicts >= limit {
                 return true;
             }
         }
-        if self.stops.iter().any(|stop| stop.load(Ordering::Relaxed)) {
+        if self.stop_requested() {
             return true;
         }
         if let Some(deadline) = self.deadline {
@@ -2507,7 +2465,7 @@ impl Solver {
         // A cooperative stop may have been raised between incremental
         // solves (e.g. by a portfolio winner); honor it before searching so
         // cancellation works even for solves that would finish conflict-free.
-        if self.stops.iter().any(|stop| stop.load(Ordering::Relaxed)) {
+        if self.stop_requested() {
             return SolveResult::Unknown;
         }
 

@@ -271,16 +271,6 @@ pub fn parse_request(line: &str) -> Result<SynthesisRequest, String> {
             Some(params)
         }
     };
-    // `bound_workers` opts the job into the bound-race scheduler
-    // (depth — unless `cube_workers` claims it — and swaps objectives).
-    let bound_workers = match value.get("bound_workers") {
-        None => None,
-        Some(w) => Some(
-            w.as_u64()
-                .filter(|&n| (1..=64).contains(&n))
-                .ok_or("bound_workers must be in 1..=64")? as usize,
-        ),
-    };
     Ok(SynthesisRequest {
         name,
         tenant,
@@ -291,7 +281,6 @@ pub fn parse_request(line: &str) -> Result<SynthesisRequest, String> {
         deadline,
         priority,
         cube,
-        bound_workers,
     })
 }
 

@@ -421,27 +421,7 @@ pub fn prometheus_text(m: &ServiceMetrics, recorder: &olsq2_obs::Recorder) -> St
     }
     if recorder.is_enabled() {
         let snap = recorder.snapshot();
-        // The bound-race probe counters fold into one labeled family,
-        // `olsq2_bound_probes{verdict="..."}`, so dashboards can stack
-        // verdicts; everything else renders generically below.
-        let verdicts = ["sat", "unsat", "cancelled", "unknown", "speculative"];
-        for verdict in verdicts {
-            if let Some(value) = snap.counters.get(&format!("bound.probes.{verdict}")) {
-                prom.counter_labeled(
-                    "olsq2_bound_probes",
-                    "Bound-race probes, by verdict",
-                    &[("verdict", verdict)],
-                    *value as f64,
-                );
-            }
-        }
         for (name, value) in &snap.counters {
-            if name
-                .strip_prefix("bound.probes.")
-                .is_some_and(|v| verdicts.contains(&v))
-            {
-                continue;
-            }
             prom.counter(
                 &format!("olsq2_{name}"),
                 "Recorder counter (olsq2-obs)",
@@ -535,11 +515,6 @@ mod tests {
         recorder.add("cube.cubes_pruned_by_core", 1);
         recorder.add("cube.steals", 3);
         recorder.add("cube.resplits", 2);
-        recorder.add("bound.probes.sat", 7);
-        recorder.add("bound.probes.unsat", 9);
-        recorder.add("bound.probes.cancelled", 1);
-        recorder.add("bound.bracket_jumps", 2);
-        recorder.gauge_set("bound.bracket_width", 4);
         let text = prometheus_text(&metrics, &recorder);
         assert!(text.contains("# TYPE olsq2_jobs_submitted counter"));
         assert!(text.contains("olsq2_jobs_submitted 3"));
@@ -556,16 +531,6 @@ mod tests {
         assert!(text.contains("olsq2_cube_cubes_pruned_by_core 1"));
         assert!(text.contains("olsq2_cube_steals 3"));
         assert!(text.contains("olsq2_cube_resplits 2"));
-        // Bound-race probe verdicts render as one labeled family, not as
-        // per-verdict counter names, and the bracket width rides the
-        // generic gauge path.
-        assert!(text.contains("olsq2_bound_probes{verdict=\"sat\"} 7"));
-        assert!(text.contains("olsq2_bound_probes{verdict=\"unsat\"} 9"));
-        assert!(text.contains("olsq2_bound_probes{verdict=\"cancelled\"} 1"));
-        assert!(!text.contains("olsq2_bound_probes_sat"));
-        assert!(text.contains("olsq2_bound_bracket_jumps 2"));
-        assert!(text.contains("# TYPE olsq2_bound_bracket_width gauge"));
-        assert!(text.contains("olsq2_bound_bracket_width 4"));
         // Disabled recorder: service metrics only, no panic.
         let plain = prometheus_text(&metrics, &olsq2_obs::Recorder::disabled());
         assert!(plain.contains("olsq2_jobs_done 2"));

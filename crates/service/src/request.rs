@@ -111,13 +111,6 @@ pub struct SynthesisRequest {
     /// occupying a single sequential solver. Ignored for the other
     /// objectives (they fall back to the sequential path).
     pub cube: Option<CubeParams>,
-    /// Bound-race worker count. When set, [`Objective::Depth`] (unless
-    /// `cube` claims it first) and [`Objective::Swaps`] run through
-    /// [`olsq2::BoundScheduler`]: the decrement loops become live
-    /// `[lo, hi]` brackets raced on this many solver forks with shared
-    /// learnts. The scheduler clamps the cohort to the machine's cores,
-    /// so an over-provisioned manifest degrades gracefully.
-    pub bound_workers: Option<usize>,
 }
 
 impl SynthesisRequest {
@@ -138,7 +131,6 @@ impl SynthesisRequest {
             deadline: None,
             priority: Priority::Normal,
             cube: None,
-            bound_workers: None,
         }
     }
 
@@ -155,14 +147,6 @@ impl SynthesisRequest {
     #[must_use]
     pub fn with_cube(mut self, params: CubeParams) -> SynthesisRequest {
         self.cube = Some(params);
-        self
-    }
-
-    /// Races objective bounds on this many solver forks (see
-    /// [`SynthesisRequest::bound_workers`]).
-    #[must_use]
-    pub fn with_bound_workers(mut self, workers: usize) -> SynthesisRequest {
-        self.bound_workers = Some(workers);
         self
     }
 }

@@ -14,8 +14,8 @@ use crate::request::{
     JobHandle, JobOutput, JobShared, JobStatus, Objective, Priority, SynthesisRequest,
 };
 use olsq2::{
-    BoundRaceConfig, BoundScheduler, CubeSynthesizer, IncumbentSlot, ModelSeed, Olsq2Synthesizer,
-    SnapshotSlot, SynthesisError, TbOlsq2Synthesizer,
+    CubeSynthesizer, IncumbentSlot, ModelSeed, Olsq2Synthesizer, SnapshotSlot, SynthesisError,
+    TbOlsq2Synthesizer,
 };
 use olsq2_layout::LayoutResult;
 use olsq2_sat::Stats;
@@ -683,21 +683,6 @@ fn solve(
                 out.extensions,
             ))
         }
-        Objective::Depth if request.bound_workers.is_some() => {
-            let race = BoundRaceConfig {
-                workers: request.bound_workers.expect("checked by guard"),
-                ..BoundRaceConfig::default()
-            };
-            let out = BoundScheduler::new(config, race)
-                .optimize_depth(&request.circuit, &request.device)?
-                .outcome;
-            Ok((
-                out.result,
-                out.proven_optimal,
-                out.solver_stats,
-                out.extensions,
-            ))
-        }
         Objective::Depth => {
             let out =
                 Olsq2Synthesizer::new(config).optimize_depth(&request.circuit, &request.device)?;
@@ -706,21 +691,6 @@ fn solve(
                 out.proven_optimal,
                 out.solver_stats,
                 out.extensions,
-            ))
-        }
-        Objective::Swaps if request.bound_workers.is_some() => {
-            let race = BoundRaceConfig {
-                workers: request.bound_workers.expect("checked by guard"),
-                ..BoundRaceConfig::default()
-            };
-            let out = BoundScheduler::new(config, race)
-                .optimize_swaps(&request.circuit, &request.device)?
-                .outcome;
-            Ok((
-                out.best.result,
-                out.best.proven_optimal,
-                out.best.solver_stats,
-                out.best.extensions,
             ))
         }
         Objective::Swaps => {

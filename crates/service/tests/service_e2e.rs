@@ -400,64 +400,12 @@ fn cube_jobs_run_through_the_service_and_expose_cube_metrics() {
 }
 
 #[test]
-fn bound_race_jobs_run_through_the_service_and_expose_bound_metrics() {
-    let recorder = olsq2::Recorder::new();
-    let mut service = SynthesisService::start(ServiceConfig {
-        workers: 1,
-        queue_capacity: 8,
-        cache_capacity: 0, // no cache: both jobs must actually solve
-        recorder: recorder.clone(),
-        ..ServiceConfig::default()
-    });
-    let circuit = qaoa_circuit(4, 0xA5);
-    let device = line(4);
-
-    // The same instance, sequentially and through the bound scheduler.
-    let mut seq = SynthesisRequest::new("seq", circuit.clone(), device.clone(), Objective::Swaps);
-    seq.config.swap_duration = 1;
-    let mut raced =
-        SynthesisRequest::new("race", circuit.clone(), device.clone(), Objective::Swaps)
-            .with_bound_workers(2);
-    raced.config.swap_duration = 1;
-
-    let seq_handle = service.submit(seq).expect("room");
-    let raced_handle = service.submit(raced).expect("room");
-    let seq_out = match seq_handle.wait() {
-        JobStatus::Done(out) => out,
-        other => panic!("sequential job should finish, got {other:?}"),
-    };
-    let raced_out = match raced_handle.wait() {
-        JobStatus::Done(out) => out,
-        other => panic!("bound-race job should finish, got {other:?}"),
-    };
-
-    // Same optimum, both proven, and the raced result verifies.
-    assert!(seq_out.proven_optimal && raced_out.proven_optimal);
-    assert_eq!(seq_out.result.swap_count(), raced_out.result.swap_count());
-    assert_eq!(verify(&circuit, &device, &raced_out.result), Ok(()));
-
-    // Probe verdicts surface as a labeled family, plus the bracket gauge.
-    let prom = service.prometheus_text();
-    assert!(prom.contains("olsq2_bound_probes{verdict="));
-    assert!(prom.contains("olsq2_bound_bracket_width"));
-    assert!(prom.contains("olsq2_jobs_done 2"));
-    service.shutdown();
-}
-
-#[test]
-fn manifest_parses_bound_workers() {
+fn manifest_ignores_the_retired_bound_workers_key() {
+    // Manifests written for the removed bound-race scheduler still parse:
+    // the key is ignored like any other unknown key.
     let line = r#"{"name":"r","device":"line4","objective":"swaps","bound_workers":4,"circuit":{"num_qubits":3,"gates":[["cx",0,1],["cx",1,2]]}}"#;
     let req = manifest::parse_request(line).expect("parses");
-    assert_eq!(req.bound_workers, Some(4));
-
-    // Out-of-range worker counts are rejected; plain jobs stay sequential.
-    let bad = r#"{"name":"b","device":"line3","bound_workers":0,"circuit":{"num_qubits":2,"gates":[["cx",0,1]]}}"#;
-    assert!(manifest::parse_request(bad).is_err());
-    let plain = r#"{"name":"p","device":"line3","circuit":{"num_qubits":2,"gates":[["cx",0,1]]}}"#;
-    assert!(manifest::parse_request(plain)
-        .expect("parses")
-        .bound_workers
-        .is_none());
+    assert_eq!(req.objective, Objective::Swaps);
 }
 
 #[test]
