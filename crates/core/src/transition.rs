@@ -786,6 +786,17 @@ pub struct TbOutcome {
     pub block_count: usize,
 }
 
+/// Where a TB walk stands: the warm model, its best witness, and whether
+/// the walk has proven it optimal. The block walk's end state is what
+/// [`TbOlsq2Synthesizer::optimize_blocks`] reports and
+/// [`TbOlsq2Synthesizer::optimize_swaps`] carries into its SWAP phase.
+struct TbWalk {
+    model: TransitionModel,
+    best: TbSolution,
+    iterations: usize,
+    proven: bool,
+}
+
 /// The TB-OLSQ2 synthesizer (transition-based, near-optimal SWAP count).
 ///
 /// # Examples
@@ -906,6 +917,111 @@ impl TbOlsq2Synthesizer {
         }
     }
 
+    /// One bound probe on `model`: exactly `blocks` blocks, plus
+    /// `swaps ≤ k` (cardinality network of capacity `capacity`) when
+    /// `swap_bound` is `Some((k, capacity))`. Arms the activators and the
+    /// run's budgets and solves inside one `iteration` span carrying the
+    /// bounds, the arm and solve times, the verdict and the solver-stat
+    /// deltas.
+    fn probe(
+        &self,
+        model: &mut TransitionModel,
+        deadline: Option<Instant>,
+        blocks: usize,
+        swap_bound: Option<(usize, usize)>,
+    ) -> SolveResult {
+        let span = match swap_bound {
+            None => self.iteration_span("blocks", &[("block_bound", blocks)]),
+            Some((k, _)) => {
+                self.iteration_span("swaps", &[("block_bound", blocks), ("swap_bound", k)])
+            }
+        };
+        let encode_start = Instant::now();
+        let mut acts = vec![model.block_bound(blocks)];
+        if let Some((k, capacity)) = swap_bound {
+            acts.push(model.swap_bound(k, capacity, self.config.encoding.cardinality));
+        }
+        span.set("encode_us", encode_start.elapsed().as_micros() as u64);
+        self.arm(model, deadline);
+        let stats_before = model.solver.stats();
+        let solve_start = Instant::now();
+        let res = model.solve(&acts);
+        span.set("solve_us", solve_start.elapsed().as_micros() as u64);
+        span.set("result", result_str(res));
+        Olsq2Synthesizer::set_iteration_deltas(&span, stats_before, model.solver.stats());
+        res
+    }
+
+    /// Decodes the SAT witness on `model` and publishes it as an incumbent.
+    fn take_witness(&self, circuit: &Circuit, model: &TransitionModel) -> TbSolution {
+        let sol = model.decode(circuit);
+        self.publish_incumbent(&sol.lower(circuit, self.config.swap_duration));
+        sol
+    }
+
+    /// The block walk of §III-D under one `tb_optimize_blocks` span: probe
+    /// `k = 1, 2, …` blocks until the first SAT, on a window that starts at
+    /// 4 blocks and doubles when `k` outgrows it. Every `k − 1` was refuted
+    /// first, so the witness is block-optimal.
+    fn block_walk(
+        &self,
+        circuit: &Circuit,
+        graph: &CouplingGraph,
+        deadline: Option<Instant>,
+    ) -> Result<TbWalk, SynthesisError> {
+        let outer = self.config.recorder.span("tb_optimize_blocks");
+        let mut model = self.build_model(circuit, graph, 4)?;
+        let mut iterations = 0usize;
+        let mut k = 1usize;
+        loop {
+            if k > model.blocks {
+                let window = (model.blocks * 2).min(circuit.num_gates().max(4));
+                if k > window {
+                    return Err(SynthesisError::WindowExhausted);
+                }
+                self.grow_model(circuit, graph, &mut model, window)?;
+            }
+            iterations += 1;
+            match self.probe(&mut model, deadline, k, None) {
+                SolveResult::Sat => {
+                    let best = self.take_witness(circuit, &model);
+                    outer.set("iterations", iterations);
+                    return Ok(TbWalk {
+                        model,
+                        best,
+                        iterations,
+                        proven: true,
+                    });
+                }
+                SolveResult::Unsat => k += 1,
+                SolveResult::Unknown => return Err(SynthesisError::BudgetExhausted),
+            }
+        }
+    }
+
+    /// Reports a walk's end state.
+    fn finish(&self, circuit: &Circuit, start: Instant, walk: TbWalk) -> TbOutcome {
+        let TbWalk {
+            model,
+            best,
+            iterations,
+            proven,
+        } = walk;
+        TbOutcome {
+            outcome: SynthesisOutcome {
+                result: best.lower(circuit, self.config.swap_duration),
+                proven_optimal: proven,
+                iterations,
+                elapsed: start.elapsed(),
+                formula_size: (model.solver.num_vars(), model.solver.num_clauses()),
+                solver_stats: model.solver.stats(),
+                extensions: model.extensions,
+                refutation: None,
+            },
+            block_count: best.used_blocks(),
+        }
+    }
+
     /// Minimizes the block count: start at 1 block, increase by 1 until
     /// SAT (§III-D).
     ///
@@ -918,63 +1034,20 @@ impl TbOlsq2Synthesizer {
         graph: &CouplingGraph,
     ) -> Result<TbOutcome, SynthesisError> {
         let start = Instant::now();
-        let deadline = self.deadline();
-        let outer = self.config.recorder.span("tb_optimize_blocks");
-        let mut window = 4usize;
-        let mut model = self.build_model(circuit, graph, window)?;
-        let mut iterations = 0usize;
-        let mut k = 1usize;
-        loop {
-            if k > window {
-                window = (window * 2).min(circuit.num_gates().max(4));
-                if k > window {
-                    return Err(SynthesisError::WindowExhausted);
-                }
-                self.grow_model(circuit, graph, &mut model, window)?;
-            }
-            let span = self.iteration_span("blocks", &[("block_bound", k)]);
-            let encode_start = Instant::now();
-            let act = model.block_bound(k);
-            span.set("encode_us", encode_start.elapsed().as_micros() as u64);
-            self.arm(&mut model, deadline);
-            iterations += 1;
-            let stats_before = model.solver.stats();
-            let solve_start = Instant::now();
-            let res = model.solve(&[act]);
-            span.set("solve_us", solve_start.elapsed().as_micros() as u64);
-            span.set("result", result_str(res));
-            Olsq2Synthesizer::set_iteration_deltas(&span, stats_before, model.solver.stats());
-            drop(span);
-            match res {
-                SolveResult::Sat => {
-                    let sol = model.decode(circuit);
-                    let result = sol.lower(circuit, self.config.swap_duration);
-                    self.publish_incumbent(&result);
-                    outer.set("iterations", iterations);
-                    return Ok(TbOutcome {
-                        outcome: SynthesisOutcome {
-                            result,
-                            proven_optimal: true, // monotone: k-1 was UNSAT
-                            iterations,
-                            elapsed: start.elapsed(),
-                            formula_size: (model.solver.num_vars(), model.solver.num_clauses()),
-                            solver_stats: model.solver.stats(),
-                            extensions: model.extensions,
-                            refutation: None,
-                        },
-                        block_count: sol.used_blocks(),
-                    });
-                }
-                SolveResult::Unsat => k += 1,
-                SolveResult::Unknown => return Err(SynthesisError::BudgetExhausted),
-            }
-        }
+        let walk = self.block_walk(circuit, graph, self.deadline())?;
+        Ok(self.finish(circuit, start, walk))
     }
 
     /// SWAP-count optimization over the transition model: block-optimal
     /// first, then iterative descent; relax the block count when the
     /// optimum under the current count is proven; stop early when
     /// `S = blocks - 1` (each transition needs at least one SWAP).
+    ///
+    /// The SWAP phase runs on the block walk's warm model, under the same
+    /// deadline: its learned clauses, saved phases and cached block
+    /// activators carry over, and the window grows only when relaxation
+    /// needs a block beyond it. One solver runs every probe, so
+    /// `solver_stats` covers the whole run.
     ///
     /// # Errors
     ///
@@ -987,15 +1060,11 @@ impl TbOlsq2Synthesizer {
         let start = Instant::now();
         let deadline = self.deadline();
         let outer = self.config.recorder.span("tb_optimize_swaps");
-        let first = self.optimize_blocks(circuit, graph)?;
-        let mut iterations = first.outcome.iterations;
-        let mut blocks = first.block_count;
-        let mut window = blocks.max(2);
-        let mut model = self.build_model(circuit, graph, window)?;
-        let mut best_sol: Option<TbSolution> = None;
-        let mut best_count = first.outcome.result.swap_count();
+        let mut walk = self.block_walk(circuit, graph, deadline)?;
+        let model = &mut walk.model;
+        let mut blocks = walk.best.used_blocks();
+        let mut best_count = walk.best.swap_count();
         let capacity = best_count.max(1);
-        let mut proven;
         let mut relax_rounds = 0usize;
 
         'outer: loop {
@@ -1009,56 +1078,28 @@ impl TbOlsq2Synthesizer {
             // `swap_bound`/`block_bound` activators — no re-encode per
             // candidate count.
             let mut lo = blocks.saturating_sub(1);
-            loop {
-                if best_count <= lo {
-                    // Bracket closed: everything below `best_count` is
-                    // refuted or structurally impossible here.
-                    proven = true;
-                    break;
-                }
+            while best_count > lo {
                 let k = lo + (best_count - 1 - lo) / 2;
-                let span = self.iteration_span(
-                    "swaps",
-                    &[("block_bound", blocks.min(window)), ("swap_bound", k)],
-                );
-                span.set("strategy", "bracket");
-                let encode_start = Instant::now();
-                let act_b = model.block_bound(blocks.min(window));
-                let act_s = model.swap_bound(k, capacity, self.config.encoding.cardinality);
-                span.set("encode_us", encode_start.elapsed().as_micros() as u64);
-                self.arm(&mut model, deadline);
-                iterations += 1;
-                let stats_before = model.solver.stats();
-                let solve_start = Instant::now();
-                let res = model.solve(&[act_b, act_s]);
-                span.set("solve_us", solve_start.elapsed().as_micros() as u64);
-                span.set("result", result_str(res));
-                Olsq2Synthesizer::set_iteration_deltas(&span, stats_before, model.solver.stats());
-                drop(span);
-                match res {
+                walk.iterations += 1;
+                match self.probe(model, deadline, blocks, Some((k, capacity))) {
                     SolveResult::Sat => {
                         // The witness may beat the probed bound: jump the
                         // upper end straight to its achieved count.
-                        let sol = model.decode(circuit);
-                        best_count = sol.swap_count();
-                        self.publish_incumbent(&sol.lower(circuit, self.config.swap_duration));
-                        best_sol = Some(sol);
+                        walk.best = self.take_witness(circuit, model);
+                        best_count = walk.best.swap_count();
                     }
                     SolveResult::Unsat => lo = k + 1,
                     SolveResult::Unknown => {
-                        proven = false;
+                        walk.proven = false;
                         break 'outer;
                     }
                 }
             }
-            if best_count == 0 {
-                break;
-            }
-            // Early termination (§III-D): at b+1 blocks every solution has
-            // at least b SWAPs (one per transition), so relaxing cannot
-            // beat a count of ≤ b.
+            // Bracket closed: everything below `best_count` is refuted or
+            // structurally impossible here. Early termination (§III-D):
+            // at b+1 blocks every solution has at least b SWAPs (one per
+            // transition), so relaxing cannot beat a count of ≤ b.
             if best_count <= blocks {
-                proven = true;
                 break;
             }
             if let Some(limit) = self.config.pareto_relax_limit {
@@ -1069,69 +1110,32 @@ impl TbOlsq2Synthesizer {
             relax_rounds += 1;
             // Relax the block count by one and try to do better.
             let new_blocks = blocks + 1;
-            if new_blocks > window {
-                window = new_blocks;
-                self.grow_model(circuit, graph, &mut model, window)?;
+            if new_blocks > model.blocks {
+                self.grow_model(circuit, graph, model, new_blocks)?;
             }
-            let span = self.iteration_span(
-                "swaps",
-                &[("block_bound", new_blocks), ("swap_bound", best_count - 1)],
-            );
-            let encode_start = Instant::now();
-            let act_b = model.block_bound(new_blocks);
-            let act_s =
-                model.swap_bound(best_count - 1, capacity, self.config.encoding.cardinality);
-            span.set("encode_us", encode_start.elapsed().as_micros() as u64);
-            self.arm(&mut model, deadline);
-            iterations += 1;
-            let stats_before = model.solver.stats();
-            let solve_start = Instant::now();
-            let res = model.solve(&[act_b, act_s]);
-            span.set("solve_us", solve_start.elapsed().as_micros() as u64);
-            span.set("result", result_str(res));
-            Olsq2Synthesizer::set_iteration_deltas(&span, stats_before, model.solver.stats());
-            drop(span);
-            match res {
+            walk.iterations += 1;
+            match self.probe(
+                model,
+                deadline,
+                new_blocks,
+                Some((best_count - 1, capacity)),
+            ) {
                 SolveResult::Sat => {
-                    let sol = model.decode(circuit);
-                    best_count = sol.swap_count();
-                    self.publish_incumbent(&sol.lower(circuit, self.config.swap_duration));
-                    best_sol = Some(sol);
+                    walk.best = self.take_witness(circuit, model);
+                    best_count = walk.best.swap_count();
                     blocks = new_blocks;
                 }
-                SolveResult::Unsat => {
-                    proven = true;
-                    break;
-                }
+                SolveResult::Unsat => break,
                 SolveResult::Unknown => {
-                    proven = false;
+                    walk.proven = false;
                     break;
                 }
             }
         }
 
-        let (result, block_count) = match best_sol {
-            Some(sol) => {
-                let bc = sol.used_blocks();
-                (sol.lower(circuit, self.config.swap_duration), bc)
-            }
-            None => (first.outcome.result.clone(), first.block_count),
-        };
-        outer.set("iterations", iterations);
-        outer.set("proven_optimal", proven);
-        Ok(TbOutcome {
-            outcome: SynthesisOutcome {
-                result,
-                proven_optimal: proven,
-                iterations,
-                elapsed: start.elapsed(),
-                formula_size: (model.solver.num_vars(), model.solver.num_clauses()),
-                solver_stats: model.solver.stats(),
-                extensions: model.extensions,
-                refutation: None,
-            },
-            block_count,
-        })
+        outer.set("iterations", walk.iterations);
+        outer.set("proven_optimal", walk.proven);
+        Ok(self.finish(circuit, start, walk))
     }
 
     /// Builds a model with a fixed block window and solves once under the
@@ -1258,5 +1262,50 @@ mod tests {
             .expect("in budget");
         assert!(out.result.swap_count() <= 2);
         assert_eq!(verify(&triangle(), &line(3), &out.result), Ok(()));
+    }
+
+    #[test]
+    fn swap_phase_reuses_the_block_model_and_counts_every_probe() {
+        let circuit = olsq2_circuit::generators::qaoa_circuit(6, 42);
+        let graph = grid(2, 3);
+        let rec = olsq2_obs::Recorder::new();
+        let mut config = SynthesisConfig::with_swap_duration(1);
+        config.recorder = rec.clone();
+        let out = TbOlsq2Synthesizer::new(config)
+            .optimize_swaps(&circuit, &graph)
+            .expect("solves");
+        assert!(out.outcome.proven_optimal);
+        assert_eq!(out.outcome.result.swap_count(), 2);
+        let snap = rec.snapshot();
+        let encodes = snap.spans.iter().filter(|s| s.name == "encode").count();
+        assert_eq!(encodes, 1, "the SWAP phase must not encode a second model");
+        let field = |s: &olsq2_obs::SpanData, key: &str| {
+            s.fields
+                .iter()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v.clone())
+        };
+        let iters: Vec<_> = snap
+            .spans
+            .iter()
+            .filter(|s| s.name == "iteration")
+            .collect();
+        assert_eq!(iters.len(), out.outcome.iterations);
+        assert!(
+            iters
+                .iter()
+                .any(|s| field(s, "objective") == Some("swaps".into())),
+            "the SWAP phase must probe"
+        );
+        // One solver ran every probe, so its cumulative stats are the sum
+        // of the per-probe deltas.
+        let probe_conflicts: u64 = iters
+            .iter()
+            .map(|s| match field(s, "conflicts") {
+                Some(olsq2_obs::FieldValue::U64(c)) => c,
+                other => panic!("iteration spans carry their conflicts, got {other:?}"),
+            })
+            .sum();
+        assert_eq!(out.outcome.solver_stats.conflicts, probe_conflicts);
     }
 }

@@ -79,7 +79,6 @@ struct State {
     spans: Vec<SpanData>,
     events: Vec<EventData>,
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, u64>,
     histograms: BTreeMap<String, Histogram>,
     /// Per-thread stack of open span ids — the implicit parent chain.
     stacks: HashMap<ThreadId, Vec<u64>>,
@@ -125,7 +124,6 @@ impl Recorder {
                     spans: Vec::new(),
                     events: Vec::new(),
                     counters: BTreeMap::new(),
-                    gauges: BTreeMap::new(),
                     histograms: BTreeMap::new(),
                     stacks: HashMap::new(),
                 }),
@@ -202,15 +200,6 @@ impl Recorder {
         }
     }
 
-    /// Sets a gauge to `value` (last write wins). Unlike counters, gauges
-    /// carry instantaneous state — a bracket width, an in-flight probe
-    /// count — that can move in both directions.
-    pub fn gauge_set(&self, gauge: &str, value: u64) {
-        let Some(inner) = &self.inner else { return };
-        let mut state = inner.state.lock().expect("obs state lock");
-        state.gauges.insert(gauge.to_string(), value);
-    }
-
     /// Records one sample into a log₂-bucketed histogram.
     pub fn observe(&self, histogram: &str, value: u64) {
         let Some(inner) = &self.inner else { return };
@@ -236,7 +225,6 @@ impl Recorder {
             spans: state.spans.clone(),
             events: state.events.clone(),
             counters: state.counters.clone(),
-            gauges: state.gauges.clone(),
             histograms: state
                 .histograms
                 .iter()
@@ -370,27 +358,14 @@ mod tests {
         span.set("y", 1u64);
         assert_eq!(span.id(), None);
         rec.add("c", 5);
-        rec.gauge_set("g", 5);
         rec.observe("h", 10);
         rec.event("e", &[]);
         drop(span);
         let snap = rec.snapshot();
         assert!(snap.spans.is_empty());
         assert!(snap.counters.is_empty());
-        assert!(snap.gauges.is_empty());
         assert!(snap.histograms.is_empty());
         assert!(snap.events.is_empty());
-    }
-
-    #[test]
-    fn gauges_keep_the_last_written_value() {
-        let rec = Recorder::new();
-        rec.gauge_set("bracket_width", 9);
-        rec.gauge_set("bracket_width", 3);
-        rec.gauge_set("bracket_width", 5);
-        let snap = rec.snapshot();
-        assert_eq!(snap.gauges["bracket_width"], 5);
-        assert!(snap.to_jsonl().contains("\"type\":\"gauge\""));
     }
 
     #[test]

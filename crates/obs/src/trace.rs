@@ -157,8 +157,6 @@ pub struct TraceSnapshot {
     pub events: Vec<EventData>,
     /// Counter totals by name.
     pub counters: BTreeMap<String, u64>,
-    /// Last-written gauge values by name.
-    pub gauges: BTreeMap<String, u64>,
     /// Histogram summaries by name.
     pub histograms: BTreeMap<String, HistogramSummary>,
 }
@@ -200,11 +198,6 @@ impl TraceSnapshot {
         }
         for (name, value) in &self.counters {
             out.push_str("{\"type\":\"counter\",\"name\":");
-            write_json_string(name, &mut out);
-            let _ = writeln!(out, ",\"value\":{value}}}");
-        }
-        for (name, value) in &self.gauges {
-            out.push_str("{\"type\":\"gauge\",\"name\":");
             write_json_string(name, &mut out);
             let _ = writeln!(out, ",\"value\":{value}}}");
         }

@@ -428,13 +428,6 @@ pub fn prometheus_text(m: &ServiceMetrics, recorder: &olsq2_obs::Recorder) -> St
                 *value as f64,
             );
         }
-        for (name, value) in &snap.gauges {
-            prom.gauge(
-                &format!("olsq2_{name}"),
-                "Recorder gauge (olsq2-obs)",
-                *value as f64,
-            );
-        }
         for (name, summary) in &snap.histograms {
             prom.histogram(
                 &format!("olsq2_{name}"),
