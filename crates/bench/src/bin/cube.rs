@@ -1,35 +1,23 @@
-//! A/B harness for the cube-and-conquer subsystem: the cube engine
-//! versus a single solver versus the portfolio, written to
-//! `BENCH_cube.json` at the repo root.
-//!
-//! Two sections:
-//!
-//! * **unsat** — raw UNSAT instances (pigeonhole, XOR-chain parity):
-//!   `solve_cubes` over a worker pool versus one `Solver::solve` call.
-//!   Each row also re-runs the cube engine in prove mode (untimed) and
-//!   checks the stitched refutation.
-//! * **synthesis** — `optimize_depth` end to end on routing-heavy
-//!   instances: `CubeSynthesizer` versus the sequential
-//!   `Olsq2Synthesizer` versus the diversified portfolio. Optima must
-//!   agree across all three on every row.
+//! A/B harness for the cube-and-conquer engine: `solve_cubes` over a
+//! worker pool versus one `Solver::solve` call on raw UNSAT instances
+//! (pigeonhole, XOR-chain parity), written to `BENCH_cube.json` at the
+//! repo root. Workers are built the way `olsq2 sat --cube-workers` builds
+//! them: one independent solver each. Each row also re-runs the cube
+//! engine in prove mode (untimed) and checks the stitched refutation.
 //!
 //! Methodology: the JSON records the machine's available parallelism,
 //! read at run time. With fewer cores than workers, a speedup here is
-//! mostly **total-work reduction** — lemmas retained across cubes and
-//! bounds, plus assumption cores pruning sibling cubes — not
-//! parallelism. Strategies are interleaved per trial (A, B, C, then again), and each
-//! row reports the **median of paired per-trial ratios**, which cancels
-//! drift that would bias a mean of separately-averaged times.
+//! mostly **total-work reduction** — lemmas each worker's solver retains
+//! from one cube to the next, plus assumption cores pruning sibling
+//! cubes — not parallelism. The two strategies are interleaved per trial
+//! (A, B, then again), and each row reports the **median of paired
+//! per-trial ratios**, which cancels drift that would bias a mean of
+//! separately-averaged times.
 
-use olsq2::{CubeParams, CubeSynthesizer, Olsq2Synthesizer, SynthesisConfig};
-use olsq2_arch::{grid, line, CouplingGraph};
 use olsq2_bench::BenchOpts;
-use olsq2_circuit::generators::{qaoa_circuit, qft_decomposed, tof_circuit};
-use olsq2_circuit::Circuit;
 use olsq2_cube::{solve_cubes, CubeConfig, SatCubeSolver, SplitGroup};
 use olsq2_sat::{Lit, SolveResult, Solver, Var};
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::Instant;
 
 const WORKERS: usize = 4;
@@ -94,16 +82,6 @@ struct UnsatRow {
     proof_checked: bool,
 }
 
-struct SynthRow {
-    case: String,
-    device: String,
-    seq_us: Vec<u128>,
-    cube_us: Vec<u128>,
-    portfolio_us: Vec<u128>,
-    depth: usize,
-    agree: bool,
-}
-
 /// Median of the per-trial paired ratios `base[i] / this[i]`.
 fn median_paired_ratio(base: &[u128], this: &[u128]) -> f64 {
     let mut ratios: Vec<f64> = base
@@ -148,17 +126,8 @@ fn unsat_case(
         conflict_budget: 5_000,
         ..CubeConfig::default()
     };
-    // Each worker couples to the cohort's shared clause pool, so a lemma
-    // learned refuting one cube prunes the search in every other —
-    // prove mode runs bare (imported clauses are unverifiable in a
-    // stitched log), mirroring `CubeSynthesizer`.
-    let make_worker = |i: usize, pool: Option<&Arc<olsq2::SharedClausePool>>, prove: bool| {
-        use olsq2_cube::CubeSolvable as _;
+    let make_worker = |prove: bool| {
         let mut w = SatCubeSolver::new(num_vars, clauses, prove);
-        if let Some(pool) = pool {
-            let ep = olsq2::CohortEndpoint::new(pool.clone(), i, olsq2_obs::Recorder::disabled());
-            w.solver_mut().set_exchange(Some(Arc::new(ep)));
-        }
         for g in groups {
             w.add_hint(g.clone());
         }
@@ -184,9 +153,8 @@ fn unsat_case(
         assert_eq!(single, SolveResult::Unsat, "{case}: single not UNSAT");
 
         let start = Instant::now();
-        let pool = Arc::new(olsq2::SharedClausePool::new(WORKERS, 4096));
         let run = solve_cubes(
-            |i| make_worker(i, Some(&pool), false),
+            |_| make_worker(false),
             &cube_cfg,
             &olsq2_obs::Recorder::disabled(),
         );
@@ -202,7 +170,7 @@ fn unsat_case(
         ..cube_cfg
     };
     let run = solve_cubes(
-        |i| make_worker(i, None, true),
+        |_| make_worker(true),
         &prove_cfg,
         &olsq2_obs::Recorder::disabled(),
     );
@@ -228,77 +196,11 @@ fn unsat_case(
     });
 }
 
-fn synth_case(
-    case: &str,
-    circuit: &Circuit,
-    graph: &CouplingGraph,
-    swap_duration: usize,
-    trials: usize,
-    opts: &BenchOpts,
-    rows: &mut Vec<SynthRow>,
-) {
-    let mut config = SynthesisConfig::with_swap_duration(swap_duration);
-    config.time_budget = Some(opts.budget);
-    let params = CubeParams {
-        workers: WORKERS,
-        ..CubeParams::default()
-    };
-
-    let mut seq_us = Vec::new();
-    let mut cube_us = Vec::new();
-    let mut portfolio_us = Vec::new();
-    let mut depths = Vec::new();
-    for _ in 0..trials {
-        let start = Instant::now();
-        let seq = Olsq2Synthesizer::new(config.clone())
-            .optimize_depth(circuit, graph)
-            .expect("sequential run");
-        seq_us.push(start.elapsed().as_micros());
-
-        let start = Instant::now();
-        let cube = CubeSynthesizer::new(config.clone(), params.clone())
-            .optimize_depth(circuit, graph)
-            .expect("cube run");
-        cube_us.push(start.elapsed().as_micros());
-
-        let start = Instant::now();
-        let pcfg = olsq2::PortfolioConfig::standard();
-        let (port, _winner) = olsq2::PortfolioSynthesizer::with_config(config.clone(), &pcfg)
-            .optimize_depth(circuit, graph)
-            .expect("portfolio run");
-        portfolio_us.push(start.elapsed().as_micros());
-
-        assert!(seq.proven_optimal && cube.outcome.proven_optimal && port.proven_optimal);
-        depths.push((
-            seq.result.depth,
-            cube.outcome.result.depth,
-            port.result.depth,
-        ));
-        assert_eq!(
-            olsq2_layout::verify(circuit, graph, &cube.outcome.result),
-            Ok(()),
-            "{case}: cube layout failed verification"
-        );
-    }
-    let (d_seq, d_cube, d_port) = depths[0];
-    let agree = depths.iter().all(|&(a, b, c)| a == b && b == c);
-    rows.push(SynthRow {
-        case: case.to_string(),
-        device: graph.name().to_string(),
-        seq_us,
-        cube_us,
-        portfolio_us,
-        depth: d_seq,
-        agree: agree && d_seq == d_cube && d_cube == d_port,
-    });
-}
-
 fn main() {
     let opts = BenchOpts::from_args();
     let trials = if opts.full { 5 } else { 3 };
 
     let mut unsat: Vec<UnsatRow> = Vec::new();
-    let mut synth: Vec<SynthRow> = Vec::new();
 
     // UNSAT rows: the cube engine against one solver on the same CNF.
     let php_sizes: &[usize] = if opts.full { &[7, 8, 9] } else { &[6, 7] };
@@ -324,26 +226,6 @@ fn main() {
             trials,
             &mut unsat,
         );
-    }
-
-    // Synthesis rows: depth optimization end to end, optima enforced
-    // equal across all three strategies.
-    let synth_cases: Vec<(String, Circuit, CouplingGraph, usize)> = if opts.full {
-        vec![
-            ("qaoa-6".into(), qaoa_circuit(6, opts.seed), line(6), 1),
-            ("qaoa-8".into(), qaoa_circuit(8, opts.seed), grid(3, 3), 1),
-            ("qft-5".into(), qft_decomposed(5), line(5), 3),
-            ("tof-4".into(), tof_circuit(4), line(7), 3),
-        ]
-    } else {
-        vec![
-            ("qaoa-4".into(), qaoa_circuit(4, opts.seed), line(4), 1),
-            ("qaoa-6".into(), qaoa_circuit(6, opts.seed), grid(2, 3), 1),
-            ("qft-4".into(), qft_decomposed(4), line(4), 3),
-        ]
-    };
-    for (case, circuit, graph, sd) in &synth_cases {
-        synth_case(case, circuit, graph, *sd, trials, &opts, &mut synth);
     }
 
     println!("UNSAT instances: cube engine vs single solver ({WORKERS} workers, {trials} paired trials)\n");
@@ -379,27 +261,6 @@ fn main() {
          ({excluded} sub-ms row(s) excluded)"
     );
 
-    println!("\nDepth synthesis: cube vs sequential vs portfolio\n");
-    println!(
-        "{:<10} {:<9} {:>12} {:>12} {:>12} {:>9} {:>6}",
-        "case", "device", "seq", "cube", "portfolio", "spd/seq", "depth"
-    );
-    for r in &synth {
-        println!(
-            "{:<10} {:<9} {:>10}us {:>10}us {:>10}us {:>8.2}x {:>6}{}",
-            r.case,
-            r.device,
-            r.seq_us.iter().min().expect("trials"),
-            r.cube_us.iter().min().expect("trials"),
-            r.portfolio_us.iter().min().expect("trials"),
-            median_paired_ratio(&r.seq_us, &r.cube_us),
-            r.depth,
-            if r.agree { "" } else { "  OPTIMUM MISMATCH" },
-        );
-    }
-
-    let mismatches = synth.iter().filter(|r| !r.agree).count();
-
     let us_list = |xs: &[u128]| {
         let items: Vec<String> = xs.iter().map(u128::to_string).collect();
         format!("[{}]", items.join(", "))
@@ -413,7 +274,6 @@ fn main() {
     let _ = writeln!(json, "  \"trials\": {trials},");
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let _ = writeln!(json, "  \"available_parallelism\": {cores},");
-    let _ = writeln!(json, "  \"mismatches\": {mismatches},");
     let _ = writeln!(
         json,
         "  \"unsat_geomean_speedup_vs_single\": {unsat_geomean:.4},"
@@ -436,24 +296,6 @@ fn main() {
             if i + 1 < unsat.len() { "," } else { "" }
         );
     }
-    json.push_str("  ],\n  \"synthesis\": [\n");
-    for (i, r) in synth.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"case\": \"{}\", \"device\": \"{}\", \"seq_us\": {}, \"cube_us\": {}, \
-             \"portfolio_us\": {}, \"median_paired_speedup_vs_seq\": {:.4}, \
-             \"depth\": {}, \"agree\": {}}}{}",
-            r.case,
-            r.device,
-            us_list(&r.seq_us),
-            us_list(&r.cube_us),
-            us_list(&r.portfolio_us),
-            median_paired_ratio(&r.seq_us, &r.cube_us),
-            r.depth,
-            r.agree,
-            if i + 1 < synth.len() { "," } else { "" }
-        );
-    }
     json.push_str("  ]\n}\n");
 
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_cube.json");
@@ -461,8 +303,4 @@ fn main() {
         Ok(()) => println!("\nwrote {out}"),
         Err(e) => eprintln!("\nfailed to write {out}: {e}"),
     }
-    assert_eq!(
-        mismatches, 0,
-        "strategies disagreed on an optimum; see table above"
-    );
 }

@@ -3,16 +3,15 @@
 //! ```text
 //! olsq2 --qasm <file|-> --device <name> [--objective depth|swaps|blocks]
 //!       [--swap-duration N] [--budget SECS] [--encoding int|bv|euf]
-//!       [--tool olsq2|tb|sabre|satmap|astar|portfolio|cube] [--output out.qasm]
-//!       [--diversify N] [--portfolio-share] [--no-incremental] [--legacy-solver]
+//!       [--tool olsq2|tb|sabre|satmap|astar] [--output out.qasm]
+//!       [--no-incremental] [--legacy-solver]
 //!       [--no-chrono] [--no-target-phase] [--no-glucose-restarts] [--no-structure-seeding]
-//!       [--no-fork] [--cube-workers N] [--cube-depth N]
 //!       [--trace-out trace.jsonl] [--report]
 //!       [--flight-out flight.jsonl] [--flight-every N] [--flight-capacity N]
 //!
 //! olsq2 serve-batch --manifest <file|-> [--output <file|->]
 //!       [--workers N] [--queue N] [--cache N] [--no-incremental]
-//!       [--no-fork] [--snapshot-on-preempt]
+//!       [--snapshot-on-preempt]
 //!       [--trace-out trace.jsonl] [--prom-out metrics.prom] [--prom-every SECS]
 //!       [--http ADDR] [--flight-dir DIR] [--flight-every N] [--flight-capacity N]
 //!       [--report]
@@ -42,10 +41,6 @@
 //! assumption cubes solved on a work-stealing pool (any `--assume`
 //! literals become the shared base of every cube).
 //!
-//! Synthesis with `--tool cube` (or `--tool olsq2` plus a `--cube-*`
-//! flag, depth objective only) routes the optimality-proving UNSAT
-//! queries through the same cube engine.
-//!
 //! The `serve-batch` form reads a JSONL job manifest (see the
 //! `olsq2-service` crate docs for the line format), drives the synthesis
 //! service with a worker pool and canonicalizing result cache, and writes
@@ -70,11 +65,9 @@
 //! `--no-*` flags peel one policy at a time off the modern default for
 //! ablations.
 //!
-//! `--no-fork` disables encode-once cohort forking: every portfolio
-//! member, cube worker, and service job then pays its own encode instead
-//! of forking a shared template solver. In `serve-batch`,
-//! `--snapshot-on-preempt` lets deadline-cut jobs stash an O(memcpy)
-//! solver snapshot so an identical resubmission resumes from it.
+//! In `serve-batch`, `--snapshot-on-preempt` lets deadline-cut jobs stash
+//! an O(memcpy) solver snapshot so an identical resubmission resumes from
+//! it.
 //!
 //! `trace-diff` aligns two saved traces by their (objective, bound)
 //! iteration schedule and attributes every per-iteration time delta to
@@ -83,10 +76,7 @@
 //! lines embedded in (or dumped next to) either trace feed a post-mortem
 //! footer per side.
 
-use olsq2::{
-    EncodingConfig, Olsq2Synthesizer, PortfolioConfig, PortfolioReport, PortfolioSynthesizer,
-    SynthesisConfig, TbOlsq2Synthesizer,
-};
+use olsq2::{EncodingConfig, Olsq2Synthesizer, SynthesisConfig, TbOlsq2Synthesizer};
 use olsq2_arch::device_by_name;
 use olsq2_circuit::{parse_qasm, write_qasm};
 use olsq2_layout::{emit_physical_circuit, verify, LayoutResult};
@@ -120,16 +110,15 @@ fn emit_flight() {
 fn usage() -> ! {
     eprintln!(
         "usage: olsq2 --qasm <file|-> --device <name> \\
-          [--objective depth|swaps] [--tool olsq2|tb|sabre|satmap|astar|portfolio|cube] \\
+          [--objective depth|swaps] [--tool olsq2|tb|sabre|satmap|astar] \\
           [--swap-duration N] [--budget SECS] [--encoding int|bv|euf] [--output out.qasm] \\
-          [--diversify N] [--portfolio-share] [--no-incremental] [--legacy-solver] \\
+          [--no-incremental] [--legacy-solver] \\
           [--no-chrono] [--no-target-phase] [--no-glucose-restarts] [--no-structure-seeding] \\
-          [--no-fork] [--cube-workers N] [--cube-depth N] \\
           [--trace-out trace.jsonl] [--report] \\
           [--flight-out flight.jsonl] [--flight-every N] [--flight-capacity N]
        olsq2 serve-batch --manifest <file|-> [--output <file|->] \\
           [--workers N] [--queue N] [--cache N] [--no-incremental] \\
-          [--no-fork] [--snapshot-on-preempt] \\
+          [--snapshot-on-preempt] \\
           [--trace-out trace.jsonl] [--prom-out metrics.prom] [--prom-every SECS] \\
           [--http ADDR] [--flight-dir DIR] [--flight-every N] [--flight-capacity N] \\
           [--report]
@@ -170,7 +159,6 @@ fn serve_batch(args: impl Iterator<Item = String>) {
     let mut flight_capacity = 1024usize;
     let mut flight = false;
     let mut report = false;
-    let mut no_fork = false;
     let mut config = ServiceConfig::default();
     let mut args = args;
     while let Some(a) = args.next() {
@@ -184,7 +172,6 @@ fn serve_batch(args: impl Iterator<Item = String>) {
             "--queue" => config.queue_capacity = val(&mut args).parse().unwrap_or_else(|_| usage()),
             "--cache" => config.cache_capacity = val(&mut args).parse().unwrap_or_else(|_| usage()),
             "--no-incremental" => config.incremental = false,
-            "--no-fork" => no_fork = true,
             "--snapshot-on-preempt" => config.snapshot_on_preempt = true,
             "--trace-out" => trace_out = Some(val(&mut args)),
             "--prom-out" => prom_out = Some(val(&mut args)),
@@ -246,15 +233,10 @@ fn serve_batch(args: impl Iterator<Item = String>) {
         });
     }
     let text = read_input(&manifest_path);
-    let mut requests = manifest::parse_manifest(&text).unwrap_or_else(|e| {
+    let requests = manifest::parse_manifest(&text).unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(2);
     });
-    if no_fork {
-        for req in &mut requests {
-            req.config.fork_spawn = false;
-        }
-    }
     let total = requests.len();
     eprintln!(
         "serve-batch: {total} job(s), {} worker(s), queue {}, cache {}",
@@ -796,20 +778,15 @@ fn main() {
     let mut output: Option<String> = None;
     let mut trace_out: Option<String> = None;
     let mut report = false;
-    let mut diversify = 1usize;
-    let mut portfolio_share = false;
     let mut incremental = true;
     let mut legacy = false;
     let mut no_chrono = false;
     let mut no_target_phase = false;
     let mut no_glucose = false;
     let mut no_structure_seeding = false;
-    let mut fork_spawn = true;
     let mut flight_out: Option<String> = None;
     let mut flight_every = 128u64;
     let mut flight_capacity = 4096usize;
-    let mut cube_workers: Option<usize> = None;
-    let mut cube_depth: Option<usize> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -831,20 +808,12 @@ fn main() {
             "--output" => output = Some(val(&mut args)),
             "--trace-out" => trace_out = Some(val(&mut args)),
             "--report" => report = true,
-            "--diversify" => {
-                diversify = val(&mut args).parse().unwrap_or_else(|_| usage());
-                if diversify == 0 {
-                    usage();
-                }
-            }
-            "--portfolio-share" => portfolio_share = true,
             "--no-incremental" => incremental = false,
             "--legacy-solver" => legacy = true,
             "--no-chrono" => no_chrono = true,
             "--no-target-phase" => no_target_phase = true,
             "--no-glucose-restarts" => no_glucose = true,
             "--no-structure-seeding" => no_structure_seeding = true,
-            "--no-fork" => fork_spawn = false,
             "--flight-out" => flight_out = Some(val(&mut args)),
             "--flight-every" => {
                 flight_every = val(&mut args)
@@ -859,24 +828,6 @@ fn main() {
                     .ok()
                     .filter(|&n| n >= 1)
                     .unwrap_or_else(|| usage())
-            }
-            "--cube-workers" => {
-                cube_workers = Some(
-                    val(&mut args)
-                        .parse()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--cube-depth" => {
-                cube_depth = Some(
-                    val(&mut args)
-                        .parse()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| usage()),
-                )
             }
             "--help" | "-h" => usage(),
             _ => usage(),
@@ -943,7 +894,6 @@ fn main() {
         recorder: recorder.clone(),
         probe: probe.clone(),
         incremental,
-        fork_spawn,
         solver_features: {
             // `--legacy-solver` wins outright (including the new search
             // policies); the `--no-*` knobs peel single features off the
@@ -971,43 +921,7 @@ fn main() {
         ..SynthesisConfig::default()
     };
 
-    // A `--cube-*` flag on the exact tool opts depth optimization into
-    // the cube engine without having to spell `--tool cube`.
-    let tool = if tool == "olsq2"
-        && objective == "depth"
-        && (cube_workers.is_some() || cube_depth.is_some())
-    {
-        "cube".to_string()
-    } else {
-        tool
-    };
-
     let result: LayoutResult = match (tool.as_str(), objective.as_str()) {
-        ("cube", "depth") => {
-            let mut params = olsq2::CubeParams::default();
-            if let Some(w) = cube_workers {
-                params.workers = w;
-            }
-            if let Some(d) = cube_depth {
-                params.depth = d;
-            }
-            let out = olsq2::CubeSynthesizer::new(config, params)
-                .optimize_depth(&circuit, &device)
-                .unwrap_or_else(|e| fail(&e));
-            let cs = &out.cube_stats;
-            eprintln!(
-                "optimal: {} ({} solver calls; cubes: {} split, {} refuted, \
-                 {} pruned by cores, {} steals, {} resplits)",
-                out.outcome.proven_optimal,
-                out.outcome.iterations,
-                cs.cubes_split,
-                cs.cubes_refuted,
-                cs.cubes_pruned_by_core,
-                cs.steals,
-                cs.resplits
-            );
-            out.outcome.result
-        }
         ("olsq2", "depth") => {
             let out = Olsq2Synthesizer::new(config)
                 .optimize_depth(&circuit, &device)
@@ -1047,28 +961,6 @@ fn main() {
                 out.outcome.proven_optimal, out.block_count, out.outcome.extensions
             );
             out.outcome.result
-        }
-        ("portfolio", "depth") => {
-            let mut cfg = PortfolioConfig::standard().diversify(diversify);
-            if portfolio_share {
-                cfg = cfg.with_sharing();
-            }
-            let report = PortfolioSynthesizer::with_config(config, &cfg)
-                .optimize_depth_report(&circuit, &device)
-                .unwrap_or_else(|e| fail(&e));
-            describe_portfolio(&report);
-            report.outcome.result
-        }
-        ("portfolio", "swaps") => {
-            let mut cfg = PortfolioConfig::standard().diversify(diversify);
-            if portfolio_share {
-                cfg = cfg.with_sharing();
-            }
-            let report = PortfolioSynthesizer::with_config(config, &cfg)
-                .optimize_swaps_report(&circuit, &device)
-                .unwrap_or_else(|e| fail(&e));
-            describe_portfolio(&report);
-            report.outcome.result
         }
         ("sabre", _) => {
             let cfg = olsq2_heuristic::SabreConfig {
@@ -1121,20 +1013,6 @@ fn main() {
             });
             eprintln!("wrote physical circuit to {path}");
         }
-    }
-}
-
-fn describe_portfolio(report: &PortfolioReport) {
-    eprintln!(
-        "portfolio winner: member {} of {}",
-        report.winner,
-        report.members.len()
-    );
-    if let Some(s) = &report.sharing {
-        eprintln!(
-            "clause sharing: {} exported, {} imported, {} filtered",
-            s.exported, s.imported, s.filtered
-        );
     }
 }
 

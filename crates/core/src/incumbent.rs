@@ -4,9 +4,9 @@
 //! step; when a caller imposes a wall-clock deadline, the loop may be cut
 //! off between improvements. An [`IncumbentSlot`] is a small shared cell
 //! the synthesizers publish every intermediate solution into, so an outer
-//! driver (the portfolio, the service layer's deadline enforcement) can
-//! recover the best solution found so far instead of losing the whole run
-//! — graceful degradation rather than an error.
+//! caller (the service layer's deadline enforcement) can recover the best
+//! solution found so far instead of losing the whole run — graceful
+//! degradation rather than an error.
 //!
 //! The slot is cheap to clone and thread-safe; install one via
 //! [`crate::SynthesisConfig::incumbent`].

@@ -40,30 +40,18 @@
 #![warn(missing_debug_implementations)]
 
 pub mod config;
-pub mod cube;
 pub mod incumbent;
 pub mod model;
 pub mod optimize;
-pub mod portfolio;
-pub mod sharing;
 pub mod transition;
 pub mod vars;
 
-pub use config::{
-    EncodingConfig, MappingEncoding, SolverDiversification, SynthesisConfig, TimeEncoding,
-};
-pub use cube::{CubeModel, CubeOutcome, CubeParams, CubeSynthesizer};
+pub use config::{EncodingConfig, MappingEncoding, SynthesisConfig, TimeEncoding};
 // Re-exported so downstream users can enable tracing without naming the
 // obs crate explicitly.
 pub use incumbent::IncumbentSlot;
 pub use model::{FlatModel, ModelError, ModelSeed, ModelStyle, SnapshotSlot};
 pub use olsq2_obs::{Probe, Recorder};
-// Re-exported so portfolio users can tune sharing without naming the sat
-// crate explicitly.
-pub use olsq2_sat::{ClauseExchange, ExchangeFilter, SolverFeatures};
+pub use olsq2_sat::SolverFeatures;
 pub use optimize::{Olsq2Synthesizer, SwapOptimizationOutcome, SynthesisError, SynthesisOutcome};
-pub use portfolio::{
-    MemberOutcome, MemberStrategy, PortfolioConfig, PortfolioReport, PortfolioSynthesizer,
-};
-pub use sharing::{CohortEndpoint, SharedClausePool, SharingStats};
 pub use transition::{TbOlsq2Synthesizer, TbOutcome};

@@ -103,20 +103,6 @@ pub struct FlatModel {
     window_guard: Option<Lit>,
     /// Number of in-place window extensions performed.
     extensions: usize,
-    /// Running hash of post-build lazy allocations (bound activation
-    /// literals, cardinality machinery). Folded into the clause-sharing
-    /// fingerprint after an extension: clause *counts* diverge across
-    /// cohort members (each learns and simplifies differently), so the
-    /// variable space is pinned by variable count + allocation history
-    /// instead.
-    alloc_history: u64,
-    /// The clause-sharing fence that is (or would be) in force for this
-    /// model: the exact `(fingerprint, num_vars)` pair last passed to
-    /// [`olsq2_sat::ClauseExchange::bind_space`]. Tracked even without an
-    /// exchange so a fork can be re-bound later — a fork's variable space
-    /// is bit-identical to its base's, so the pair carries over verbatim.
-    bound_fingerprint: u64,
-    bound_vars: usize,
 }
 
 impl FlatModel {
@@ -232,21 +218,6 @@ impl FlatModel {
             }
         }
         drop(batch);
-
-        // Initial-mapping one-hot groups are the natural cube-splitting
-        // axis: asserting each selector of π_q^0 in turn partitions the
-        // space exactly, and the unguarded at-least-one clause makes the
-        // split certifiable in stitched proofs. (Binary mappings have no
-        // such group; t > 0 columns are weaker split candidates and are
-        // left out.)
-        if matches!(
-            enc.mapping,
-            MappingEncoding::OneHot | MappingEncoding::InverseOneHot
-        ) {
-            for q in 0..nq {
-                tally.register_split_group(ConstraintFamily::Mapping, mapping[q][0].raw_lits());
-            }
-        }
 
         mark = tally.credit_since(ConstraintFamily::Mapping, &solver, mark);
 
@@ -564,13 +535,12 @@ impl FlatModel {
         // the all-false polarity starts the search inside the layout
         // structure instead of fighting the at-most-one constraints. The
         // t = 0 activity bump nudges the first decisions toward the
-        // initial placement — the same groups the cube splitter branches
-        // on. It must stay a *nudge*: at full VSIDS weight (1.0) it
-        // fixates routing-heavy searches on placement long after the
-        // conflict analysis has better candidates (qaoa-8: 3.3× slower,
-        // tof-3: 1.3× slower), while 0.25 keeps the placement-first
-        // ordering on instances it helps (qaoa-10, qft-4/5) without the
-        // fixation.
+        // initial placement. It must stay a *nudge*: at full VSIDS weight
+        // (1.0) it fixates routing-heavy searches on placement long after
+        // the conflict analysis has better candidates (qaoa-8: 3.3×
+        // slower, tof-3: 1.3× slower), while 0.25 keeps the
+        // placement-first ordering on instances it helps (qaoa-10,
+        // qft-4/5) without the fixation.
         if config.solver_features.structure_seeding {
             if matches!(
                 enc.mapping,
@@ -616,28 +586,11 @@ impl FlatModel {
             }
         }
 
-        config.diversification.apply(&mut solver);
         // Everything past the build is bound-machinery: activation
         // literals, cardinality counters, window-growth variables. Clauses
-        // over them encode cross-solve (and, under sharing, cross-member)
-        // contracts, so inprocessing must leave them exactly as written.
+        // over them encode cross-solve contracts, so inprocessing must
+        // leave them exactly as written.
         solver.set_inprocess_floor(solver.num_vars());
-        // Computed whether or not an exchange is present: forks re-bind
-        // from this stored pair.
-        let bound_fingerprint = Self::space_fingerprint(style, t_ub, sd, &enc, &solver);
-        let bound_vars = solver.num_vars();
-        if let Some(exchange) = &config.clause_exchange {
-            // Fence clauses to this exact formula build: identical
-            // (style, window, encoding, size) builds — and only those —
-            // share a fingerprint, so cohort members exchange clauses
-            // while their variable spaces provably coincide. Variables
-            // allocated after this point (activation literals, bound
-            // machinery) are member-local and excluded via the
-            // build-time variable count.
-            exchange.bind_space(bound_fingerprint, bound_vars);
-            solver.set_exchange_filter(config.exchange_filter);
-            solver.set_exchange(Some(exchange.clone()));
-        }
 
         Ok(FlatModel {
             solver,
@@ -654,32 +607,20 @@ impl FlatModel {
             tally,
             window_guard,
             extensions: 0,
-            alloc_history: 0,
-            bound_fingerprint,
-            bound_vars,
         })
     }
 
-    /// Forks this model into a new cohort member without re-encoding: the
-    /// underlying solver state is snapshotted via [`Solver::fork`]
-    /// (O(memcpy) — clause arena, watch lists, root trail, phases,
-    /// activities, proof prefix), the encoding handles (variable maps,
-    /// bound activators, cardinality network, window guard) are cloned,
-    /// and only the per-member knobs from `config` are re-applied:
-    /// diversification, the clause exchange (re-bound with this model's
-    /// stored fence, since the fork's variable space is bit-identical),
-    /// and the exchange filter.
-    ///
-    /// The `(fingerprint, num_vars)` fence pair — including the
-    /// allocation-history chain accumulated by bound requests and
-    /// [`FlatModel::extend_window`] — carries over verbatim, so a forked
-    /// member keeps sharing (and keeps *extending*) exactly as a freshly
-    /// encoded member with the same history would.
+    /// Forks this model without re-encoding: the underlying solver state
+    /// is snapshotted via [`Solver::fork`] (O(memcpy) — clause arena,
+    /// watch lists, root trail, phases, activities, proof prefix), the
+    /// encoding handles (variable maps, bound activators, cardinality
+    /// network, window guard) are cloned, and the fork runs under
+    /// `config` from then on.
     ///
     /// `config` must agree with the base model on everything that shapes
     /// the formula (encoding, swap duration, style, proof logging);
     /// callers that cannot guarantee that should fall back to a fresh
-    /// build. Diversification is free to differ — it changes no clauses.
+    /// build.
     pub fn fork(&mut self, config: &SynthesisConfig) -> FlatModel {
         debug_assert_eq!(config.encoding, self.config.encoding);
         debug_assert_eq!(
@@ -691,15 +632,8 @@ impl FlatModel {
             config.proof_log, self.config.proof_log,
             "proof logging is decided at encode time"
         );
-        let mut solver = self.solver.fork();
-        config.diversification.apply(&mut solver);
-        if let Some(exchange) = &config.clause_exchange {
-            exchange.bind_space(self.bound_fingerprint, self.bound_vars);
-            solver.set_exchange_filter(config.exchange_filter);
-            solver.set_exchange(Some(exchange.clone()));
-        }
         FlatModel {
-            solver,
+            solver: self.solver.fork(),
             mapping: self.mapping.clone(),
             time: self.time.clone(),
             swap_lits: self.swap_lits.clone(),
@@ -713,9 +647,6 @@ impl FlatModel {
             tally: self.tally.clone(),
             window_guard: self.window_guard,
             extensions: self.extensions,
-            alloc_history: self.alloc_history,
-            bound_fingerprint: self.bound_fingerprint,
-            bound_vars: self.bound_vars,
         }
     }
 
@@ -1010,69 +941,7 @@ impl FlatModel {
         self.window_guard = Some(new_guard);
         self.t_ub = new_t_ub;
         self.extensions += 1;
-        self.note_alloc(3, new_t_ub);
-        self.rebind_exchange();
         true
-    }
-
-    /// Folds a post-build lazy allocation event into the running history
-    /// hash (see the `alloc_history` field).
-    fn note_alloc(&mut self, tag: u64, key: usize) {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.alloc_history.hash(&mut h);
-        tag.hash(&mut h);
-        key.hash(&mut h);
-        self.alloc_history = h.finish();
-    }
-
-    /// Re-binds the clause-sharing fence after an extension: cohort members
-    /// that performed the identical build + bound-request + extension
-    /// sequence provably share a variable numbering, so sharing stays live
-    /// across grown windows. Clause counts are deliberately excluded — they
-    /// diverge per member (different learned units, different
-    /// simplifications) without affecting variable meanings.
-    fn rebind_exchange(&mut self) {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        "olsq2.flat.extended".hash(&mut h);
-        self.style.hash(&mut h);
-        self.t_ub.hash(&mut h);
-        self.sd.hash(&mut h);
-        self.config.encoding.hash(&mut h);
-        self.extensions.hash(&mut h);
-        self.solver.num_vars().hash(&mut h);
-        self.alloc_history.hash(&mut h);
-        // Stored unconditionally so later forks inherit the exact fence.
-        self.bound_fingerprint = h.finish() | 1;
-        self.bound_vars = self.solver.num_vars();
-        if let Some(exchange) = &self.config.clause_exchange {
-            exchange.bind_space(self.bound_fingerprint, self.bound_vars);
-        }
-    }
-
-    /// Hash identifying one formula build for the clause-sharing fence.
-    /// Model construction is deterministic, so equal inputs yield equal
-    /// variable numberings; the formula size is folded in as a guard
-    /// against accidental collisions across circuits/devices.
-    fn space_fingerprint(
-        style: ModelStyle,
-        t_ub: usize,
-        sd: usize,
-        enc: &crate::EncodingConfig,
-        solver: &Solver,
-    ) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        "olsq2.flat".hash(&mut h);
-        style.hash(&mut h);
-        t_ub.hash(&mut h);
-        sd.hash(&mut h);
-        enc.hash(&mut h);
-        solver.num_vars().hash(&mut h);
-        solver.num_clauses().hash(&mut h);
-        // 0 means "unbound" to the endpoint; steer clear of it.
-        h.finish() | 1
     }
 
     /// The depth window `T_UB` the model was built for.
@@ -1095,13 +964,6 @@ impl FlatModel {
     /// Mutable access to the underlying solver (budgets, statistics).
     pub fn solver_mut(&mut self) -> &mut Solver {
         &mut self.solver
-    }
-
-    /// The active window guard, when the model was built incrementally.
-    /// Callers that bypass [`FlatModel::solve`] (the cube engine solves
-    /// through the raw solver) must assume it themselves.
-    pub fn window_guard(&self) -> Option<Lit> {
-        self.window_guard
     }
 
     /// Activation literal enforcing depth ≤ `depth` (all `t_g ≤ depth-1`,
@@ -1134,7 +996,6 @@ impl FlatModel {
         self.tally
             .credit_since(ConstraintFamily::Cardinality, &self.solver, mark);
         self.depth_bounds.insert(depth, act);
-        self.note_alloc(1, depth);
         act
     }
 
@@ -1143,7 +1004,6 @@ impl FlatModel {
     /// (later calls may use any `k ≤ max_bound` of the *first* call).
     pub fn swap_bound(&mut self, k: usize, max_bound: usize) -> Lit {
         let mark = self.tally.mark(&self.solver);
-        let vars_before = self.solver.num_vars();
         if self.swap_card.is_none() {
             let inputs: Vec<Lit> = self
                 .swap_lits
@@ -1164,13 +1024,6 @@ impl FlatModel {
             .at_most(&mut self.solver, k);
         self.tally
             .credit_since(ConstraintFamily::Cardinality, &self.solver, mark);
-        // Only *allocating* requests enter the fence history: a cached
-        // bound changes no variable numbering, so cohort members probing
-        // different (pre-armed) bounds still agree on the post-extension
-        // sharing fingerprint.
-        if self.solver.num_vars() != vars_before {
-            self.note_alloc(2, k.wrapping_mul(65_537).wrapping_add(max_bound));
-        }
         act
     }
 
@@ -1242,11 +1095,11 @@ impl FlatModel {
     }
 }
 
-/// A shareable encoded-model template for O(memcpy) cohort spawning.
+/// A shareable encoded-model template for O(memcpy) resumes.
 ///
-/// Wraps one built [`FlatModel`] behind a mutex so several spawners
-/// (portfolio members, cube workers, service resumes) can fork members
-/// from a single encode. The seed remembers the exact instance it
+/// Wraps one built [`FlatModel`] behind a mutex so a later run (the
+/// service's snapshot-on-preempt resume) can fork it instead of
+/// encoding again. The seed remembers the exact instance it
 /// encodes — a structural fingerprint of the circuit, the device, and
 /// every formula-shaping config field — and [`ModelSeed::fork_for`]
 /// refuses to fork for anything else, so a stale or mismatched seed
@@ -1277,9 +1130,8 @@ impl ModelSeed {
     /// a fork replays the base's variable numbering, so only the
     /// bit-identical instance may consume it), the device edge list, and
     /// every config field that shapes the formula or the solver's
-    /// pre-search state. Diversification and run-scoped handles
-    /// (budgets, exchange, telemetry) are deliberately excluded — they
-    /// are re-applied per fork.
+    /// pre-search state. Run-scoped handles (budgets, telemetry) are
+    /// deliberately excluded — they are re-applied per fork.
     pub fn instance_fingerprint(
         circuit: &Circuit,
         graph: &CouplingGraph,
@@ -1316,16 +1168,13 @@ impl ModelSeed {
         h.finish()
     }
 
-    /// Forks a member model for `config` at depth window `t_ub`, or
-    /// `None` when the seed cannot serve it (different instance, smaller
-    /// window than the template's, or a window growth the incremental
-    /// machinery cannot perform) — the caller then falls back to a fresh
-    /// encode.
+    /// Forks a model for `config` at depth window `t_ub`, or `None` when
+    /// the seed cannot serve it (different instance, smaller window than
+    /// the template's, or a window growth the incremental machinery
+    /// cannot perform) — the caller then falls back to a fresh encode.
     ///
     /// A larger window is served by forking and growing the *fork* via
-    /// [`FlatModel::extend_window`], which re-arms the allocation-history
-    /// fingerprint chain on the member, exactly as a freshly encoded
-    /// member would have.
+    /// [`FlatModel::extend_window`].
     pub fn fork_for(
         &self,
         config: &SynthesisConfig,

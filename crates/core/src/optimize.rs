@@ -28,7 +28,7 @@ pub(crate) fn result_str(r: SolveResult) -> &'static str {
 /// core lemmas on, the solver logged the negated core at the UNSAT, so
 /// the units propagate to a contradiction and the checker accepts the
 /// proof. `None` when the solver records no proof.
-pub(crate) fn seal_refutation(solver: &Solver) -> Option<Proof> {
+fn seal_refutation(solver: &Solver) -> Option<Proof> {
     let mut proof = solver.clone_proof()?;
     for &a in solver.final_conflict() {
         proof.push(ProofStep::Original(vec![a]));
@@ -72,7 +72,7 @@ impl From<ModelError> for SynthesisError {
 }
 
 /// Hard cap on the depth window to catch unroutable instances.
-pub(crate) const MAX_T_UB: usize = 4096;
+const MAX_T_UB: usize = 4096;
 
 /// Result of a synthesis run.
 #[derive(Debug, Clone)]
@@ -96,7 +96,7 @@ pub struct SynthesisOutcome {
     /// With [`SynthesisConfig::proof_log`] and an optimum proven by an
     /// UNSAT probe (rather than by reaching the structural bound): the
     /// sealed, RUP-checkable refutation of that decisive probe. Set by
-    /// [`Olsq2Synthesizer`]; the other synthesizers leave it `None`.
+    /// [`Olsq2Synthesizer`]; [`crate::TbOlsq2Synthesizer`] leaves it `None`.
     pub refutation: Option<Proof>,
 }
 
@@ -138,16 +138,6 @@ pub struct Olsq2Synthesizer {
     config: SynthesisConfig,
 }
 
-/// Everything phase 1 of depth optimization produces: the first
-/// satisfiable bound (already published as the incumbent) and the model
-/// grown to the window that admitted it.
-pub(crate) struct FirstSat {
-    pub model: FlatModel,
-    pub result: LayoutResult,
-    pub t_lb: usize,
-    pub iterations: usize,
-}
-
 /// Where a bound walk stands: the warm model, its best layout, and what
 /// the walk has proven. The depth walk's end state is what
 /// [`Olsq2Synthesizer::optimize_depth`] reports and
@@ -173,16 +163,16 @@ impl Olsq2Synthesizer {
         &self.config
     }
 
-    pub(crate) fn deadline(&self) -> Option<Instant> {
+    fn deadline(&self) -> Option<Instant> {
         self.config.time_budget.map(|b| Instant::now() + b)
     }
 
-    pub(crate) fn initial_t_ub(&self, t_lb: usize) -> usize {
+    fn initial_t_ub(&self, t_lb: usize) -> usize {
         let factor = (t_lb as f64 * self.config.tub_factor).ceil() as usize;
         factor.max(t_lb + self.config.swap_duration).max(1)
     }
 
-    pub(crate) fn build_model(
+    fn build_model(
         &self,
         circuit: &Circuit,
         graph: &CouplingGraph,
@@ -190,14 +180,12 @@ impl Olsq2Synthesizer {
     ) -> Result<FlatModel, SynthesisError> {
         // Fork from an encoded template when one is attached and matches
         // this exact instance; otherwise encode from scratch.
-        if self.config.fork_spawn {
-            if let Some(seed) = &self.config.model_seed {
-                let instance = ModelSeed::instance_fingerprint(circuit, graph, &self.config);
-                if let Some(model) = seed.fork_for(&self.config, circuit, graph, instance, t_ub) {
-                    let span = self.config.recorder.span("fork");
-                    span.set("t_ub", t_ub);
-                    return Ok(self.attach(model));
-                }
+        if let Some(seed) = &self.config.model_seed {
+            let instance = ModelSeed::instance_fingerprint(circuit, graph, &self.config);
+            if let Some(model) = seed.fork_for(&self.config, circuit, graph, instance, t_ub) {
+                let span = self.config.recorder.span("fork");
+                span.set("t_ub", t_ub);
+                return Ok(self.attach(model));
             }
         }
         let span = self.config.recorder.span("encode");
@@ -233,7 +221,7 @@ impl Olsq2Synthesizer {
     /// [`FlatModel::extend_window`] when the incremental path applies
     /// (keeping the solver's learned clauses alive), otherwise by
     /// rebuilding from scratch.
-    pub(crate) fn grow_model(
+    fn grow_model(
         &self,
         circuit: &Circuit,
         graph: &CouplingGraph,
@@ -258,7 +246,7 @@ impl Olsq2Synthesizer {
         Ok(())
     }
 
-    pub(crate) fn dependency_graph(&self, circuit: &Circuit) -> DependencyGraph {
+    fn dependency_graph(&self, circuit: &Circuit) -> DependencyGraph {
         if self.config.commutation_aware {
             DependencyGraph::new_with_commutation(circuit)
         } else {
@@ -266,7 +254,7 @@ impl Olsq2Synthesizer {
         }
     }
 
-    pub(crate) fn arm_budgets(&self, model: &mut FlatModel, deadline: Option<Instant>) {
+    fn arm_budgets(&self, model: &mut FlatModel, deadline: Option<Instant>) {
         model.solver_mut().set_deadline(deadline);
         model
             .solver_mut()
@@ -279,7 +267,7 @@ impl Olsq2Synthesizer {
     /// Publishes an intermediate solution to the configured incumbent
     /// slot, so deadline-bound callers can recover the best-so-far when a
     /// later solve is cut off.
-    pub(crate) fn publish_incumbent(&self, result: &LayoutResult) {
+    fn publish_incumbent(&self, result: &LayoutResult) {
         if let Some(slot) = &self.config.incumbent {
             slot.publish(result);
         }
@@ -288,31 +276,21 @@ impl Olsq2Synthesizer {
     /// Snapshot-on-preempt: when a budget cut ends a run before
     /// optimality is proven and a snapshot slot is configured, fork the
     /// final model onto a neutral configuration (no budgets, no stop
-    /// flag, no exchange, no telemetry — those are per-run) and publish
+    /// flag, no telemetry — those are per-run) and publish
     /// it, so a resubmission can resume from the encoded state — clause
     /// arena, learned clauses, phases, bound activators — instead of
     /// from scratch.
-    pub(crate) fn capture_snapshot(
-        &self,
-        circuit: &Circuit,
-        graph: &CouplingGraph,
-        model: &mut FlatModel,
-    ) {
+    fn capture_snapshot(&self, circuit: &Circuit, graph: &CouplingGraph, model: &mut FlatModel) {
         let Some(slot) = &self.config.snapshot_slot else {
             return;
         };
-        if !self.config.fork_spawn {
-            return;
-        }
         let mut neutral = self.config.clone();
         neutral.time_budget = None;
         neutral.conflict_budget = None;
         neutral.stop_flag = None;
         neutral.incumbent = None;
-        neutral.clause_exchange = None;
         neutral.model_seed = None;
         neutral.snapshot_slot = None;
-        neutral.diversification = Default::default();
         neutral.recorder = olsq2_obs::Recorder::disabled();
         neutral.probe = olsq2_obs::Probe::disabled();
         let template = model.fork(&neutral);
@@ -321,7 +299,7 @@ impl Olsq2Synthesizer {
     }
 
     /// Opens one `iteration` span tagged with the active objective bounds.
-    pub(crate) fn iteration_span(&self, objective: &str, bounds: &[(&str, usize)]) -> SpanGuard {
+    fn iteration_span(&self, objective: &str, bounds: &[(&str, usize)]) -> SpanGuard {
         let span = self.config.recorder.span("iteration");
         span.set("objective", objective);
         for &(k, v) in bounds {
@@ -453,24 +431,27 @@ impl Olsq2Synthesizer {
         }
     }
 
-    /// Phase 1 of depth optimization (§III-B-1): start from
-    /// `T_B = T_LB`, relax geometrically (`r = 1.3` below 100, else
-    /// `1.1`) until the first SAT. Shared between the decrement loop
-    /// below and the cube-and-conquer optimizer
-    /// ([`crate::cube::CubeSynthesizer`]), which replaces only phase 2.
-    pub(crate) fn first_feasible_depth(
+    /// The depth walk of §III-B-1 under one `optimize_depth` span: start
+    /// from `T_B = T_LB` and relax geometrically (`r = 1.3` below 100,
+    /// else `1.1`) until the first SAT, then decrement until UNSAT, the
+    /// structural lower bound, or the budget. Seals the decisive UNSAT
+    /// under [`SynthesisConfig::proof_log`].
+    fn depth_phase(
         &self,
         circuit: &Circuit,
         graph: &CouplingGraph,
         deadline: Option<Instant>,
-    ) -> Result<FirstSat, SynthesisError> {
+    ) -> Result<Walk, SynthesisError> {
+        let outer = self.config.recorder.span("optimize_depth");
         let dag = self.dependency_graph(circuit);
         let t_lb = dag.longest_chain().max(1);
         let mut t_ub = self.initial_t_ub(t_lb);
         let mut model = self.build_model(circuit, graph, t_ub)?;
         let mut iterations = 0usize;
+
+        // Phase 1: relax until the first SAT.
         let mut t_b = t_lb;
-        loop {
+        let mut current = loop {
             if t_b > t_ub {
                 // Regenerate with a larger window (§III-B-1 last sentence).
                 t_ub = (t_b.max((t_ub as f64 * 1.5).ceil() as usize)).min(MAX_T_UB);
@@ -484,12 +465,7 @@ impl Olsq2Synthesizer {
                 SolveResult::Sat => {
                     let result = model.extract();
                     self.publish_incumbent(&result);
-                    return Ok(FirstSat {
-                        model,
-                        result,
-                        t_lb,
-                        iterations,
-                    });
+                    break result;
                 }
                 SolveResult::Unsat => {
                     let r = if t_b < 100 { 1.3 } else { 1.1 };
@@ -503,26 +479,7 @@ impl Olsq2Synthesizer {
                     return Err(SynthesisError::BudgetExhausted);
                 }
             }
-        }
-    }
-
-    /// The depth walk of §III-B-1 under one `optimize_depth` span: phase 1
-    /// ([`Self::first_feasible_depth`]), then decrement until UNSAT, the
-    /// structural lower bound, or the budget. Seals the decisive UNSAT
-    /// under [`SynthesisConfig::proof_log`].
-    fn depth_phase(
-        &self,
-        circuit: &Circuit,
-        graph: &CouplingGraph,
-        deadline: Option<Instant>,
-    ) -> Result<Walk, SynthesisError> {
-        let outer = self.config.recorder.span("optimize_depth");
-        let FirstSat {
-            mut model,
-            result: mut current,
-            t_lb,
-            mut iterations,
-        } = self.first_feasible_depth(circuit, graph, deadline)?;
+        };
         outer.set("t_lb", t_lb);
 
         // Phase 2: decrement until UNSAT (or the lower bound is reached).

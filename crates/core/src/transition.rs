@@ -44,8 +44,6 @@ struct TransitionModel {
     window_guard: Option<Lit>,
     /// Number of in-place block-window extensions performed.
     extensions: usize,
-    /// Running hash of post-build lazy allocations (see `FlatModel`).
-    alloc_history: u64,
 }
 
 impl TransitionModel {
@@ -277,28 +275,11 @@ impl TransitionModel {
             }
         }
 
-        config.diversification.apply(&mut solver);
         // Everything past the build is bound-machinery: activation
         // literals, cardinality counters, window-growth variables. Clauses
-        // over them encode cross-solve (and, under sharing, cross-member)
-        // contracts, so inprocessing must leave them exactly as written.
+        // over them encode cross-solve contracts, so inprocessing must
+        // leave them exactly as written.
         solver.set_inprocess_floor(solver.num_vars());
-        if let Some(exchange) = &config.clause_exchange {
-            // Same fence as FlatModel, under a distinct style tag so
-            // transition-based formulas never mix with flat ones even if
-            // their sizes coincide.
-            use std::hash::{Hash, Hasher};
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            "olsq2.transition".hash(&mut h);
-            blocks.hash(&mut h);
-            config.swap_duration.hash(&mut h);
-            enc.hash(&mut h);
-            solver.num_vars().hash(&mut h);
-            solver.num_clauses().hash(&mut h);
-            exchange.bind_space(h.finish() | 1, solver.num_vars());
-            solver.set_exchange_filter(config.exchange_filter);
-            solver.set_exchange(Some(exchange.clone()));
-        }
 
         Ok(TransitionModel {
             solver,
@@ -312,7 +293,6 @@ impl TransitionModel {
             tally,
             window_guard,
             extensions: 0,
-            alloc_history: 0,
         })
     }
 
@@ -550,37 +530,7 @@ impl TransitionModel {
         self.window_guard = Some(new_guard);
         self.blocks = new_blocks;
         self.extensions += 1;
-        self.note_alloc(3, new_blocks);
-        self.rebind_exchange(config);
         true
-    }
-
-    /// Folds a post-build lazy allocation event into the history hash.
-    fn note_alloc(&mut self, tag: u64, key: usize) {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.alloc_history.hash(&mut h);
-        tag.hash(&mut h);
-        key.hash(&mut h);
-        self.alloc_history = h.finish();
-    }
-
-    /// Re-binds the clause-sharing fence after an extension (see
-    /// `FlatModel::rebind_exchange`): variable count + allocation history
-    /// pin the space; clause counts are member-divergent and excluded.
-    fn rebind_exchange(&mut self, config: &SynthesisConfig) {
-        if let Some(exchange) = &config.clause_exchange {
-            use std::hash::{Hash, Hasher};
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            "olsq2.transition.extended".hash(&mut h);
-            self.blocks.hash(&mut h);
-            config.swap_duration.hash(&mut h);
-            config.encoding.hash(&mut h);
-            self.extensions.hash(&mut h);
-            self.solver.num_vars().hash(&mut h);
-            self.alloc_history.hash(&mut h);
-            exchange.bind_space(h.finish() | 1, self.solver.num_vars());
-        }
     }
 
     /// Solves under the given assumptions plus the active window guard.
@@ -632,7 +582,6 @@ impl TransitionModel {
         self.tally
             .credit_since(ConstraintFamily::Cardinality, &self.solver, mark);
         self.block_bounds.insert(k, act);
-        self.note_alloc(1, k);
         act
     }
 
@@ -658,7 +607,6 @@ impl TransitionModel {
             .at_most(&mut self.solver, k);
         self.tally
             .credit_since(ConstraintFamily::Cardinality, &self.solver, mark);
-        self.note_alloc(2, k.wrapping_mul(65_537).wrapping_add(capacity));
         act
     }
 

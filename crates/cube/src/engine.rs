@@ -24,17 +24,13 @@
 //! 5. A cube exceeding [`CubeConfig::conflict_budget`] conflicts is
 //!    **re-split** in place and its children pushed locally (stealable).
 //! 6. The first SAT cube — or the last refuted one — flips the shared
-//!    stop flag; every solver aborts at its next conflict boundary, and
-//!    early-exiting workers retire their clause-sharing endpoints
-//!    ([`CubeSolvable::retire_sharing`]).
+//!    stop flag; every solver aborts at its next conflict boundary.
 //!
 //! # Proof mode
 //!
 //! With [`CubeConfig::prove`] set, workers must be constructed with
 //! proof logging already enabled (clauses added before
-//! [`Solver::enable_proof`] are not recorded) and **without** clause
-//! sharing (imported lemmas carry no derivation, so stitched proofs
-//! would not be self-contained). The engine turns on core lemmas
+//! [`Solver::enable_proof`] are not recorded). The engine turns on core lemmas
 //! ([`Solver::set_core_lemmas`]) so each refuted cube contributes an
 //! RUP-checkable blocking lemma, and assembles the per-worker logs into
 //! one refutation via [`crate::stitch::stitch_refutation`].
@@ -51,7 +47,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Anything the cube engine can drive: a solver plus the instance-level
-/// context (standing assumptions, split hints, sharing attachment).
+/// context (standing assumptions, split hints).
 pub trait CubeSolvable: Send {
     /// The underlying solver (cubes are solved through it directly).
     fn solver_mut(&mut self) -> &mut Solver;
@@ -62,10 +58,6 @@ pub trait CubeSolvable: Send {
     fn base_assumptions(&self) -> Vec<Lit>;
     /// One-hot groups the splitter may branch on (see [`SplitGroup`]).
     fn split_hints(&self) -> Vec<SplitGroup>;
-    /// Called exactly once when this worker exits; implementations
-    /// holding a clause-sharing endpoint retire it so the pool stops
-    /// accounting for (and waiting on) this consumer.
-    fn retire_sharing(&mut self) {}
 }
 
 /// Engine tuning knobs.
@@ -238,9 +230,8 @@ impl Shared {
 ///
 /// All workers must be built over the **same formula** with the same
 /// base assumptions — the engine treats them as interchangeable clones
-/// (clause sharing between them is sound, and any worker may solve any
-/// cube). In proof mode workers must additionally have proof logging
-/// enabled from construction and sharing disabled.
+/// (any worker may solve any cube). In proof mode workers must
+/// additionally have proof logging enabled from construction.
 pub fn solve_cubes<W, F>(factory: F, cfg: &CubeConfig, recorder: &Recorder) -> CubeRun<W>
 where
     W: CubeSolvable,
@@ -553,7 +544,6 @@ fn worker_loop<W: CubeSolvable>(idx: usize, mut w: W, shared: &Shared, cfg: &Cub
             }
         }
     }
-    w.retire_sharing();
     w
 }
 
@@ -586,8 +576,7 @@ fn pop_or_steal(idx: usize, shared: &Shared) -> Option<Task> {
     None
 }
 
-/// A plain CNF instance as a cube-solvable worker — the raw-SAT
-/// counterpart of the synthesis-model wrappers in `olsq2`.
+/// A plain CNF instance as a cube-solvable worker.
 #[derive(Debug)]
 pub struct SatCubeSolver {
     solver: Solver,
@@ -635,9 +624,9 @@ impl SatCubeSolver {
 
     /// An O(memcpy) copy of this worker via [`Solver::fork`]: the child
     /// shares the formula, learned clauses, phases, and activities, but
-    /// starts with fresh statistics, budgets, and no exchange endpoint.
-    /// Standing assumptions and split hints carry over, so a cohort can
-    /// be spawned from one encoded worker instead of `n` rebuilds.
+    /// starts with fresh statistics and budgets. Standing assumptions and
+    /// split hints carry over, so a worker pool can be spawned from one
+    /// encoded worker instead of `n` rebuilds.
     pub fn fork(&mut self) -> SatCubeSolver {
         SatCubeSolver {
             solver: self.solver.fork(),

@@ -1,20 +1,19 @@
 //! Cube-and-conquer for the OLSQ2 SAT pipeline.
 //!
-//! Partitions one hard SAT query — typically the UNSAT proof at the
-//! optimum, where layout synthesis spends most of its time — into a tree
-//! of **cubes** (assumption sets) via lookahead splitting, then solves
-//! the cubes on a pool of incremental workers with work stealing.
+//! Partitions one hard SAT query (a DIMACS instance handed to
+//! `olsq2 sat --cube-workers`) into a tree of **cubes** (assumption sets)
+//! via lookahead splitting, then solves the cubes on a pool of
+//! incremental workers with work stealing.
 //!
 //! The pieces, bottom-up:
 //!
 //! * [`tree`] — the cube tree: branches, states, post-order walks;
 //! * [`splitter`] — lookahead-scored split selection, preferring the
-//!   one-hot mapping groups the encoder registers
-//!   ([`SplitGroup`]) and falling back to VSIDS-ranked literals;
+//!   one-hot groups the caller supplies as hints ([`SplitGroup`]) and
+//!   falling back to VSIDS-ranked literals;
 //! * [`engine`] — per-worker deques with steal-half, budget-triggered
-//!   dynamic re-splitting, sibling pruning through assumption cores,
-//!   cooperative cancellation, and clause-sharing retirement on early
-//!   exit;
+//!   dynamic re-splitting, sibling pruning through assumption cores, and
+//!   cooperative cancellation;
 //! * [`stitch`] — assembling per-worker proof logs into one checkable
 //!   refutation of *formula ∧ base*.
 //!
@@ -61,6 +60,6 @@ pub use splitter::{choose_split, SplitDecision, SplitterConfig};
 pub use stitch::stitch_refutation;
 pub use tree::{CubeNode, CubeTree, NodeState};
 
-// Split hints travel from the encoder to the splitter; re-exported so
-// engine users need not depend on `olsq2-encode` directly.
+// Re-exported so engine users need not depend on `olsq2-encode`
+// directly.
 pub use olsq2_encode::SplitGroup;

@@ -6,8 +6,8 @@
 //! march/treengeling). Candidates come from two sources, in preference
 //! order:
 //!
-//! 1. **one-hot groups** registered by the model builder
-//!    ([`SplitGroup`], e.g. the initial-mapping selectors `π_q^0 = p`):
+//! 1. **one-hot groups** supplied as hints ([`SplitGroup`], e.g. the
+//!    pigeon-to-hole selectors of a pigeonhole instance):
 //!    asserting each selector in turn partitions the space exactly, and
 //!    the group's at-least-one clause certifies exhaustiveness when
 //!    proofs are stitched;

@@ -36,11 +36,6 @@
 //! instance is refuted under the base alone: some worker logged a core
 //! lemma over base literals only (or the empty clause outright), so the
 //! stitched proof skips the tree walk and closes with `Empty` directly.
-//!
-//! **Sharing must be off** while proofs are recorded: an
-//! [`olsq2_sat::ProofStep::Imported`] clause carries no derivation, and
-//! the checker rejects it (`ImportedNotVerified`) rather than trusting
-//! it silently.
 
 use crate::tree::CubeTree;
 use olsq2_sat::{Lit, Proof, ProofStep};

@@ -153,9 +153,6 @@ impl FormulaSize for Cnf {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FamilyTally {
     counts: [FamilyCount; ConstraintFamily::ALL.len()],
-    /// One-hot groups registered by the model builders as candidate
-    /// cube-split dimensions (see [`SplitGroup`]).
-    split_groups: Vec<SplitGroup>,
 }
 
 impl FamilyTally {
@@ -195,21 +192,6 @@ impl FamilyTally {
         ConstraintFamily::ALL
             .iter()
             .map(move |&f| (f, self.counts[f.index()]))
-    }
-
-    /// Registers a one-hot selector group as a candidate cube-split
-    /// dimension. The caller guarantees the formula contains an
-    /// **unguarded** exactly-one constraint over `lits`; groups with
-    /// fewer than two selectors are ignored (nothing to split).
-    pub fn register_split_group(&mut self, family: ConstraintFamily, lits: Vec<Lit>) {
-        if lits.len() >= 2 {
-            self.split_groups.push(SplitGroup { family, lits });
-        }
-    }
-
-    /// The registered cube-split groups, in registration order.
-    pub fn split_groups(&self) -> &[SplitGroup] {
-        &self.split_groups
     }
 
     /// Sum over all families.
@@ -285,21 +267,6 @@ mod tests {
             assert_eq!(f.vars_key(), format!("vars.{}", f.name()));
             assert_eq!(f.clauses_key(), format!("clauses.{}", f.name()));
         }
-    }
-
-    #[test]
-    fn split_groups_register_in_order_and_skip_degenerate() {
-        let mut cnf = Cnf::new();
-        let mut tally = FamilyTally::new();
-        let a = Lit::positive(cnf.new_var());
-        let b = Lit::positive(cnf.new_var());
-        tally.register_split_group(ConstraintFamily::Mapping, vec![a, b]);
-        tally.register_split_group(ConstraintFamily::Mapping, vec![a]); // ignored
-        tally.register_split_group(ConstraintFamily::Dependency, vec![b, a]);
-        assert_eq!(tally.split_groups().len(), 2);
-        assert_eq!(tally.split_groups()[0].family, ConstraintFamily::Mapping);
-        assert_eq!(tally.split_groups()[0].lits, vec![a, b]);
-        assert_eq!(tally.split_groups()[1].family, ConstraintFamily::Dependency);
     }
 
     #[test]

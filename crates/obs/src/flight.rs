@@ -2,8 +2,8 @@
 //! [`SearchSample`] records emitted from the hot search loops.
 //!
 //! The CDCL solver emits one sample every K conflicts through a
-//! [`Probe`] handle; the clause-sharing endpoints and the cube scheduler
-//! emit samples tagged with their own [`SampleSource`]. The ring keeps
+//! [`Probe`] handle; the cube scheduler emits samples tagged with its own
+//! [`SampleSource`]. The ring keeps
 //! the newest `capacity` samples, so when a run dies — deadline expiry,
 //! cancellation, refusal to extend a window, or a panic — the last
 //! moments of the search are still there to dump as a post-mortem
@@ -57,7 +57,8 @@ pub enum SampleSource {
     /// The CDCL search loop (every K conflicts).
     #[default]
     Search,
-    /// A clause-sharing endpoint (import/export flow).
+    /// A clause-sharing endpoint (import/export flow). Nothing writes
+    /// this source any more; it stays so older dumps remain readable.
     Sharing,
     /// The cube scheduler (pool occupancy).
     Cube,
@@ -136,9 +137,10 @@ pub struct SearchSample {
     pub learnts_mid: u64,
     /// Learnt clauses in the Local tier.
     pub learnts_local: u64,
-    /// Clauses exported into the sharing pool.
+    /// Clauses exported into a sharing pool. The solver shares no
+    /// clauses and writes 0; kept so older dumps remain readable.
     pub exported: u64,
-    /// Clauses imported from the sharing pool.
+    /// Clauses imported from a sharing pool (0, as `exported`).
     pub imported: u64,
     /// Open cubes in the cube pool (scheduler samples).
     pub pool_depth: u64,

@@ -25,8 +25,8 @@
 //! * [`PromText`] — a tiny Prometheus text-format (version 0.0.4) writer
 //!   used by the service layer's metrics exposition.
 //! * [`Probe`] / [`SearchSample`] — the search **flight recorder**: a
-//!   fixed-capacity lock-free ring the SAT solver, sharing endpoints,
-//!   and cube scheduler sample into every K conflicts, dumped as
+//!   fixed-capacity lock-free ring the SAT solver and cube scheduler
+//!   sample into every K conflicts, dumped as
 //!   versioned JSONL when a run dies (see [`flight`]).
 //! * [`diff`] — A/B trace attribution: align two JSONL traces by their
 //!   iteration schedule and classify every per-iteration delta as
@@ -69,18 +69,13 @@
 //!
 //! * `sat.*` — per-solve deltas from the CDCL solver: `solves`,
 //!   `conflicts`, `decisions`, `propagations`, `restarts`, `reduces`,
-//!   `minimized_lits`, the clause-exchange volumes `exported`,
-//!   `imported`, `import_dropped`, and the inprocessing/kernel
+//!   `minimized_lits`, and the inprocessing/kernel
 //!   telemetry `vivified` (clauses shortened by distillation),
 //!   `strengthened` (self-subsumption rewrites applied at level-0
 //!   boundaries), `binary_props` (propagations served by the dedicated
 //!   binary watch lists), `tier_demotions` (mid-tier learnts demoted to
 //!   the deletion pool), and `rephases` (saved-phase resets from the
 //!   best trail).
-//! * `portfolio.*` — portfolio-race outcomes and sharing volumes:
-//!   per-member win fates `won` / `finished` / `cancelled` / `failed`,
-//!   and the pool-side `clauses_exported` / `clauses_imported` /
-//!   `clauses_filtered`.
 //! * `service.*` — job queue and cache metrics from the service layer.
 
 #![warn(missing_docs)]

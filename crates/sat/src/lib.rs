@@ -19,10 +19,9 @@
 //!   self-subsumption strengthening, proof-logged and RUP-checkable
 //!   ([`SolverFeatures`] selects all of the above per solver)
 //! * incremental solving under assumptions with final-conflict extraction
-//! * conflict-count and wall-clock budgets ([`SolveResult::Unknown`])
-//! * portfolio hooks: learned-clause exchange ([`ClauseExchange`],
-//!   [`ExchangeFilter`]) and diversification knobs (decision seed, default
-//!   phase, VSIDS decay, Luby restart base)
+//! * conflict-count and wall-clock budgets ([`SolveResult::Unknown`]) and
+//!   a cooperative stop flag
+//! * a compacting O(memcpy) [`Solver::fork`] of the root state
 //!
 //! ## Example
 //!
@@ -44,7 +43,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod clause;
-pub mod exchange;
 pub mod heap;
 mod lit;
 pub mod preprocess;
@@ -53,7 +51,6 @@ mod solver;
 mod watchlist;
 
 pub use clause::Tier;
-pub use exchange::{ClauseExchange, ExchangeFilter};
 pub use lit::{ClauseRef, LBool, Lit, Var};
 pub use preprocess::{Preprocessor, SimplifiedCnf};
 pub use proof::{CheckProofError, Proof, ProofStep};

@@ -22,14 +22,6 @@ pub enum ProofStep {
     Lemma(Vec<Lit>),
     /// A clause removed from the database.
     Delete(Vec<Lit>),
-    /// A clause imported from another portfolio solver via
-    /// [`ClauseExchange`](crate::ClauseExchange). It is a lemma of the
-    /// *shared* formula (the exporter learned it), but this log does not
-    /// contain the exporter's derivation, so the checker can only accept
-    /// it if it happens to be RUP here; otherwise checking fails with
-    /// the explicit [`CheckProofError::ImportedNotVerified`] — never
-    /// silently.
-    Imported(Vec<Lit>),
     /// The empty clause: the formula is unsatisfiable.
     Empty,
 }
@@ -57,16 +49,6 @@ pub enum CheckProofError {
     EmptyNotDerivable,
     /// The proof ends without deriving the empty clause.
     NoEmptyClause,
-    /// An imported clause ([`ProofStep::Imported`]) is not RUP at its
-    /// position. The clause was learned by *another* solver over the
-    /// same formula, so its derivation is not part of this log; the
-    /// proof is not necessarily wrong, but it cannot be verified
-    /// self-contained. Re-run with sharing disabled to obtain a fully
-    /// checkable proof.
-    ImportedNotVerified {
-        /// Index of the failing step.
-        step: usize,
-    },
 }
 
 impl std::fmt::Display for CheckProofError {
@@ -82,14 +64,6 @@ impl std::fmt::Display for CheckProofError {
                 write!(f, "empty clause does not follow by unit propagation")
             }
             CheckProofError::NoEmptyClause => write!(f, "proof has no empty-clause step"),
-            CheckProofError::ImportedNotVerified { step } => {
-                write!(
-                    f,
-                    "imported clause at step {step} cannot be verified from this log \
-                     (its derivation lives in another solver; re-run without sharing \
-                     for a self-contained proof)"
-                )
-            }
         }
     }
 }
@@ -128,8 +102,8 @@ impl Proof {
     /// Forward RUP check of the whole log.
     ///
     /// Propagation runs on a two-watched-literal scheme private to the
-    /// checker, so large stitched proofs (the cube-and-conquer
-    /// optimality certificates run to tens of thousands of lemmas)
+    /// checker, so large stitched proofs (cube-and-conquer refutations
+    /// run to tens of thousands of lemmas)
     /// check in time proportional to the clauses actually touched, not
     /// `lemmas × formula`.
     ///
@@ -152,14 +126,6 @@ impl Proof {
                     if !db.remove(c) {
                         return Err(CheckProofError::DeleteMissing { step: i });
                     }
-                }
-                ProofStep::Imported(c) => {
-                    // An imported clause carries no derivation in this
-                    // log; accept it only if RUP happens to re-derive it.
-                    if !db.rup(c) {
-                        return Err(CheckProofError::ImportedNotVerified { step: i });
-                    }
-                    db.insert(c);
                 }
                 ProofStep::Empty => {
                     if !db.rup(&[]) {
@@ -451,35 +417,6 @@ mod tests {
         p.push(ProofStep::Original(cls(&[-1])));
         p.push(ProofStep::Delete(cls(&[9]))); // never added
         assert_eq!(p.check(), Err(CheckProofError::DeleteMissing { step: 2 }));
-    }
-
-    #[test]
-    fn rederivable_import_is_accepted_and_usable() {
-        // (1 2) (1 -2): importing (1) is RUP here, and later lemmas may
-        // lean on the imported clause.
-        let mut p = Proof::new();
-        p.push(ProofStep::Original(cls(&[1, 2])));
-        p.push(ProofStep::Original(cls(&[1, -2])));
-        p.push(ProofStep::Original(cls(&[-1])));
-        p.push(ProofStep::Imported(cls(&[1])));
-        p.push(ProofStep::Empty);
-        assert_eq!(p.check(), Ok(()));
-    }
-
-    #[test]
-    fn unverifiable_import_fails_explicitly() {
-        // (3) is implied by nothing here: the exporter's derivation is
-        // not in this log, so checking must fail loudly, not pass.
-        let mut p = Proof::new();
-        p.push(ProofStep::Original(cls(&[1, 2])));
-        p.push(ProofStep::Imported(cls(&[3])));
-        p.push(ProofStep::Empty);
-        assert_eq!(
-            p.check(),
-            Err(CheckProofError::ImportedNotVerified { step: 1 })
-        );
-        let msg = CheckProofError::ImportedNotVerified { step: 1 }.to_string();
-        assert!(msg.contains("imported"));
     }
 
     #[test]

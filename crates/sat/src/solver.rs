@@ -27,18 +27,16 @@
 //! RUP-checkable against a database still containing the original), and
 //! variables above the inprocessing floor ([`Solver::set_inprocess_floor`])
 //! or appearing in the current assumptions are never touched — which keeps
-//! incremental window growth and cohort clause sharing sound.
+//! incremental window growth sound.
 
 // Indexed `for` loops are deliberate here: clause/variable tables are indexed by position.
 #![allow(clippy::needless_range_loop)]
 use crate::clause::{ClauseDb, Tier};
-use crate::exchange::{ClauseExchange, ExchangeFilter};
 use crate::heap::VarHeap;
 use crate::lit::{ClauseRef, LBool, Lit, Var};
 use crate::proof::{Proof, ProofStep};
 use crate::watchlist::WatchLists;
 use olsq2_obs::{Probe, Recorder, SampleSource, SearchSample};
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -84,13 +82,6 @@ pub struct Stats {
     pub reduces: u64,
     /// Literals deleted by conflict-clause minimization.
     pub minimized_lits: u64,
-    /// Learned clauses exported through the clause exchange.
-    pub exported: u64,
-    /// Foreign clauses imported and added to the database.
-    pub imported: u64,
-    /// Foreign clauses dropped on import (duplicate, root-satisfied, or
-    /// over unknown variables).
-    pub import_dropped: u64,
     /// Root-level [`Solver::simplify`] passes that did real work.
     pub simplifies: u64,
     /// Clauses removed by `simplify` because they were root-satisfied.
@@ -281,19 +272,6 @@ struct PendingStrengthen {
     support: ClauseRef,
 }
 
-/// FNV-1a over a sorted, deduplicated literal list. The canonical order
-/// makes the signature independent of the literal order the clause arrived
-/// in; the per-element multiply keeps it sensitive to position so sparse
-/// XOR cancellation cannot occur.
-fn clause_signature(sorted: &[Lit]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &l in sorted {
-        h ^= u64::from(l.0) + 1;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 #[derive(Debug, Clone, Copy)]
 struct VarData {
     reason: Option<ClauseRef>,
@@ -351,8 +329,8 @@ pub struct Solver {
     stats: Stats,
     conflict_budget: Option<u64>,
     deadline: Option<Instant>,
-    /// Cooperative interrupt for portfolio and cube solving: the flag
-    /// being `true` aborts the next conflict boundary.
+    /// Cooperative interrupt for job cancellation and cube solving: the
+    /// flag being `true` aborts the next conflict boundary.
     stop: Option<Arc<AtomicBool>>,
     next_reduce: u64,
     reduce_inc: u64,
@@ -370,24 +348,10 @@ pub struct Solver {
     lbd_ema_fast: f64,
     /// Slow-horizon LBD exponential moving average (α = 2⁻¹²).
     lbd_ema_slow: f64,
-    /// Sharing medium for portfolio solving; `None` solves in isolation.
-    exchange: Option<Arc<dyn ClauseExchange>>,
-    /// Export quality gate for the exchange.
-    exchange_filter: ExchangeFilter,
-    /// Signatures of clauses already imported (duplicate filter). Each
-    /// entry is a 64-bit hash of the sorted, deduplicated literal list —
-    /// no per-import allocation. A collision drops a *distinct* foreign
-    /// clause as a duplicate, which loses a (redundant by contract)
-    /// sharing opportunity but can never affect soundness.
-    import_seen: HashSet<u64>,
-    /// Scratch buffer reused across import drains.
-    import_buf: Vec<Vec<Lit>>,
-    /// Scratch for canonicalizing one clause before signing it.
-    sig_buf: Vec<Lit>,
     /// Kernel/inprocessing feature toggles.
     features: SolverFeatures,
     /// Variables at or above this index are never touched by inprocessing
-    /// (activation literals, post-`bind_space` allocations). Kept as the
+    /// (activation literals, post-build allocations). Kept as the
     /// minimum over all [`Solver::set_inprocess_floor`] calls.
     inprocess_floor: usize,
     /// Variables assumed in the current `solve` call; also off-limits to
@@ -431,14 +395,8 @@ pub struct Solver {
     /// detection (stamp bump instead of clearing).
     lit_stamp: Vec<u32>,
     stamp: u32,
-    /// VSIDS activity decay factor (diversification knob).
-    var_decay: f64,
-    /// Luby restart unit in conflicts (diversification knob).
+    /// Luby restart unit in conflicts.
     restart_base: u64,
-    /// Initial saved phase for fresh variables (diversification knob).
-    default_phase: bool,
-    /// xorshift64* state for randomized decisions; 0 disables them.
-    rng_state: u64,
     // Scratch buffers for conflict analysis.
     seen: Vec<bool>,
     analyze_toclear: Vec<Var>,
@@ -495,11 +453,6 @@ impl Solver {
             probe: Probe::disabled(),
             lbd_ema_fast: 0.0,
             lbd_ema_slow: 0.0,
-            exchange: None,
-            exchange_filter: ExchangeFilter::default(),
-            import_seen: HashSet::new(),
-            import_buf: Vec::new(),
-            sig_buf: Vec::new(),
             features: SolverFeatures::default(),
             inprocess_floor: usize::MAX,
             assumption_frozen: Vec::new(),
@@ -520,10 +473,7 @@ impl Solver {
             pending_strengthen: Vec::new(),
             lit_stamp: Vec::new(),
             stamp: 0,
-            var_decay: VAR_DECAY,
             restart_base: RESTART_BASE,
-            default_phase: false,
-            rng_state: 0,
             seen: Vec::new(),
             analyze_toclear: Vec::new(),
             analyze_stack: Vec::new(),
@@ -546,7 +496,7 @@ impl Solver {
         self.bin_watches.push_list();
         self.tern_watches.push_list();
         self.tern_watches.push_list();
-        self.phase.push(self.default_phase);
+        self.phase.push(false);
         self.activity.push(0.0);
         self.order.grow(v);
         self.order.insert(v, &self.activity);
@@ -583,8 +533,8 @@ impl Solver {
 
     /// Installs a cooperative interrupt: while the flag is `true`, `solve`
     /// aborts with [`SolveResult::Unknown`] at the next conflict boundary.
-    /// Used by portfolio solving to cancel losing configurations.
-    /// Replaces any previously installed flag.
+    /// Used to cancel a running job and to stop cube workers once the
+    /// run is decided. Replaces any previously installed flag.
     pub fn set_stop_flag(&mut self, stop: Option<Arc<AtomicBool>>) {
         self.stop = stop;
     }
@@ -617,59 +567,6 @@ impl Solver {
     /// much worse clauses than its long-run norm.
     pub fn lbd_emas(&self) -> (f64, f64) {
         (self.lbd_ema_fast, self.lbd_ema_slow)
-    }
-
-    /// Attaches a clause-sharing medium (see [`ClauseExchange`]).
-    ///
-    /// Learned clauses passing the current [`ExchangeFilter`] are
-    /// exported as they are derived; foreign clauses are imported at
-    /// restart boundaries and on `solve` entry, with duplicate,
-    /// root-satisfied, and unknown-variable filtering.
-    ///
-    /// **Soundness**: the medium must only deliver clauses between
-    /// solvers over the identical variable space — see the
-    /// [`crate::exchange`] module docs.
-    pub fn set_exchange(&mut self, exchange: Option<Arc<dyn ClauseExchange>>) {
-        self.exchange = exchange;
-    }
-
-    /// Sets the export quality gate for the clause exchange.
-    pub fn set_exchange_filter(&mut self, filter: ExchangeFilter) {
-        self.exchange_filter = filter;
-    }
-
-    /// Seeds randomized branching: with a seed set, roughly 1 in 64
-    /// decisions picks a uniformly random unassigned variable instead of
-    /// the VSIDS maximum — the classic cheap diversification knob.
-    /// `None` restores fully deterministic VSIDS branching.
-    pub fn set_decision_seed(&mut self, seed: Option<u64>) {
-        // xorshift needs nonzero state; fold the "or 1" into the seed.
-        self.rng_state = seed.map_or(0, |s| s | 1);
-    }
-
-    /// Sets the saved-phase polarity used for variables that have never
-    /// been assigned. Applies to existing unassigned variables and to
-    /// all variables created afterwards.
-    pub fn set_default_phase(&mut self, phase: bool) {
-        self.default_phase = phase;
-        for (v, p) in self.phase.iter_mut().enumerate() {
-            if self.assigns[v] == LBool::Undef {
-                *p = phase;
-            }
-        }
-    }
-
-    /// Sets the VSIDS activity decay factor (default 0.95).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < decay < 1`.
-    pub fn set_var_decay(&mut self, decay: f64) {
-        assert!(
-            decay > 0.0 && decay < 1.0,
-            "variable decay must be in (0, 1), got {decay}"
-        );
-        self.var_decay = decay;
     }
 
     /// Sets the Luby restart unit in conflicts (default 100).
@@ -718,17 +615,12 @@ impl Solver {
     /// activities, saved / best / target phases, VSIDS activities and
     /// heap order, the proof log (the child's future derivations extend
     /// a valid prefix, so its proofs check independently), and the
-    /// feature + diversification knob configuration.
+    /// feature and restart-base configuration.
     ///
     /// The child sheds everything *transient or externally owned*:
     /// statistics, restart/reduce/inprocessing schedules, LBD averages,
-    /// conflict budgets, deadlines, the cooperative stop flag, telemetry
-    /// handles (recorder, probe), and the clause exchange. Spawners
-    /// re-arm those per member; in particular a forked cohort member
-    /// must be re-bound to its cohort's exchange (same fingerprint as
-    /// the parent — the variable space is bit-identical) before sharing.
-    /// The duplicate-import filter is carried over, since every clause
-    /// the parent imported is already in the child's arena.
+    /// conflict budgets, deadlines, the cooperative stop flag and
+    /// telemetry handles (recorder, probe). The caller re-arms those.
     ///
     /// Cost: one allocation + memcpy per field — no re-encode, no
     /// re-propagation, no per-clause work.
@@ -740,8 +632,8 @@ impl Solver {
     pub fn fork(&mut self) -> Solver {
         assert_eq!(self.decision_level(), 0, "fork snapshots root state only");
         if self.ok {
-            // Reach the root fixpoint (pending imports or incremental
-            // additions may have left `qhead` behind), retire
+            // Reach the root fixpoint (incremental additions may have
+            // left `qhead` behind), retire
             // root-satisfied clauses, and compact the arena so the child
             // copies no dead bytes.
             if self.qhead < self.trail.len() && self.propagate().is_some() {
@@ -799,11 +691,6 @@ impl Solver {
             probe: Probe::disabled(),
             lbd_ema_fast: 0.0,
             lbd_ema_slow: 0.0,
-            exchange: None,
-            exchange_filter: self.exchange_filter,
-            import_seen: self.import_seen.clone(),
-            import_buf: Vec::new(),
-            sig_buf: Vec::new(),
             features,
             inprocess_floor: self.inprocess_floor,
             assumption_frozen: Vec::new(),
@@ -824,10 +711,7 @@ impl Solver {
             pending_strengthen: self.pending_strengthen.clone(),
             lit_stamp: Vec::new(),
             stamp: 0,
-            var_decay: self.var_decay,
             restart_base: self.restart_base,
-            default_phase: self.default_phase,
-            rng_state: self.rng_state,
             seen: Vec::new(),
             analyze_toclear: Vec::new(),
             analyze_stack: Vec::new(),
@@ -884,10 +768,10 @@ impl Solver {
     /// inprocessing (vivification / self-subsumption strengthening).
     ///
     /// The incremental model builders call this with the variable count at
-    /// `bind_space` time: activation literals and window-growth variables
-    /// allocated afterwards carry cross-solver or cross-window meaning, so
-    /// clauses over them are left exactly as encoded. The floor is kept as
-    /// the minimum over all calls and never rises.
+    /// the end of the build: activation literals and window-growth
+    /// variables allocated afterwards carry cross-solve or cross-window
+    /// meaning, so clauses over them are left exactly as encoded. The
+    /// floor is kept as the minimum over all calls and never rises.
     pub fn set_inprocess_floor(&mut self, floor: usize) {
         self.inprocess_floor = self.inprocess_floor.min(floor);
     }
@@ -901,122 +785,6 @@ impl Solver {
                 .get(v.index())
                 .copied()
                 .unwrap_or(false)
-    }
-
-    /// xorshift64* step; only called when `rng_state != 0`.
-    #[inline]
-    fn next_rand(&mut self) -> u64 {
-        let mut x = self.rng_state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng_state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Offers a freshly learned clause to the exchange if it passes the
-    /// quality gate.
-    #[inline]
-    fn maybe_export(&mut self, lits: &[Lit], lbd: u32) {
-        if let Some(ex) = &self.exchange {
-            if self.exchange_filter.admits(lits.len(), lbd) {
-                ex.export(lits, lbd);
-                self.stats.exported += 1;
-            }
-        }
-    }
-
-    /// Drains the import queue at a safe point (decision level 0),
-    /// filtering duplicates, root-satisfied clauses, and clauses over
-    /// variables this solver has not allocated.
-    fn drain_imports(&mut self) {
-        let Some(ex) = self.exchange.clone() else {
-            return;
-        };
-        debug_assert_eq!(self.decision_level(), 0);
-        let mut buf = std::mem::take(&mut self.import_buf);
-        buf.clear();
-        ex.import_into(&mut buf);
-        for lits in buf.drain(..) {
-            if !self.ok {
-                break;
-            }
-            if lits.is_empty() || lits.iter().any(|l| l.var().index() >= self.num_vars()) {
-                self.stats.import_dropped += 1;
-                continue;
-            }
-            // Canonicalize into the reusable scratch and compare by 64-bit
-            // signature: no allocation and no Vec re-hash per import. A
-            // signature collision mistakes a distinct clause for a
-            // duplicate and drops it — a lost sharing opportunity, never a
-            // soundness issue, since imports are redundant by contract.
-            self.sig_buf.clear();
-            self.sig_buf.extend_from_slice(&lits);
-            self.sig_buf.sort_unstable();
-            self.sig_buf.dedup();
-            let sig = clause_signature(&self.sig_buf);
-            if !self.import_seen.insert(sig) {
-                self.stats.import_dropped += 1;
-                continue;
-            }
-            if self.import_clause(&lits) {
-                self.stats.imported += 1;
-            } else {
-                self.stats.import_dropped += 1;
-            }
-        }
-        self.import_buf = buf;
-    }
-
-    /// Adds a foreign clause at the root level. Mirrors
-    /// [`Solver::add_clause`], but records the clause as a learned one
-    /// (so database reduction can retire it) and logs it to the proof as
-    /// [`ProofStep::Imported`]. Returns whether the clause was retained
-    /// (`false` for tautologies and root-satisfied clauses).
-    fn import_clause(&mut self, lits: &[Lit]) -> bool {
-        debug_assert!(self.ok);
-        let mut v: Vec<Lit> = lits.to_vec();
-        v.sort_unstable();
-        v.dedup();
-        let v_for_proof = v.clone();
-        self.log_proof(|| ProofStep::Imported(v_for_proof));
-        let mut w = Vec::with_capacity(v.len());
-        let mut prev: Option<Lit> = None;
-        for &l in &v {
-            if prev == Some(!l) || self.value(l) == LBool::True {
-                return false; // tautology or already satisfied at root
-            }
-            if self.value(l) != LBool::False {
-                w.push(l);
-            }
-            prev = Some(l);
-        }
-        if w != v {
-            let w_for_proof = w.clone();
-            self.log_proof(|| ProofStep::Lemma(w_for_proof));
-        }
-        match w.len() {
-            0 => {
-                self.ok = false;
-                self.log_proof(|| ProofStep::Empty);
-                true
-            }
-            1 => {
-                self.unchecked_enqueue(w[0], None);
-                if self.propagate().is_some() {
-                    self.ok = false;
-                    self.log_proof(|| ProofStep::Empty);
-                }
-                true
-            }
-            _ => {
-                let cref = self.db.alloc(&w, true);
-                self.db.set_lbd(cref, w.len() as u32);
-                self.learnts.push(cref);
-                self.attach(cref);
-                true
-            }
-        }
     }
 
     /// Adds `amount` to a variable's branching activity — a hook for
@@ -1595,7 +1363,7 @@ impl Solver {
     }
 
     fn decay_activities(&mut self) {
-        self.var_inc /= self.var_decay;
+        self.var_inc /= VAR_DECAY;
         self.cla_inc /= CLA_DECAY;
     }
 
@@ -2403,16 +2171,6 @@ impl Solver {
     }
 
     fn pick_branch(&mut self) -> Option<Lit> {
-        // Randomized diversification: occasionally branch on a random
-        // unassigned variable instead of the VSIDS maximum. The variable
-        // stays in the order heap; the pop loop below skips assigned
-        // entries anyway.
-        if self.rng_state != 0 && !self.assigns.is_empty() && self.next_rand().is_multiple_of(64) {
-            let v = Var((self.next_rand() % self.assigns.len() as u64) as u32);
-            if self.assigns[v.index()] == LBool::Undef {
-                return Some(Lit::new(v, !self.branch_phase(v)));
-            }
-        }
         loop {
             let v = self.order.pop(&self.activity)?;
             if self.assigns[v.index()] == LBool::Undef {
@@ -2463,18 +2221,10 @@ impl Solver {
             self.assumption_frozen[a.var().index()] = true;
         }
         // A cooperative stop may have been raised between incremental
-        // solves (e.g. by a portfolio winner); honor it before searching so
+        // solves (e.g. by a job cancel); honor it before searching so
         // cancellation works even for solves that would finish conflict-free.
         if self.stop_requested() {
             return SolveResult::Unknown;
-        }
-
-        // Pick up clauses peers derived since the last solve; the solver
-        // is at the root here, so imports are safe.
-        self.drain_imports();
-        if !self.ok {
-            self.final_conflict.clear();
-            return SolveResult::Unsat;
         }
 
         let stats_before = self.stats;
@@ -2487,9 +2237,7 @@ impl Solver {
                     curr_restarts += 1;
                     self.stats.restarts += 1;
                     // Restart boundary: back at decision level 0, the
-                    // canonical safe point to drain the import queue and
-                    // run inprocessing.
-                    self.drain_imports();
+                    // canonical safe point to run inprocessing.
                     self.maybe_inprocess();
                     if !self.ok {
                         self.final_conflict.clear();
@@ -2546,14 +2294,6 @@ impl Solver {
             self.recorder.add(
                 "sat.minimized_lits",
                 d.minimized_lits - stats_before.minimized_lits,
-            );
-            self.recorder
-                .add("sat.exported", d.exported - stats_before.exported);
-            self.recorder
-                .add("sat.imported", d.imported - stats_before.imported);
-            self.recorder.add(
-                "sat.import_dropped",
-                d.import_dropped - stats_before.import_dropped,
             );
             self.recorder
                 .add("sat.simplifies", d.simplifies - stats_before.simplifies);
@@ -2691,8 +2431,8 @@ impl Solver {
             learnts_core: core,
             learnts_mid: mid,
             learnts_local: local,
-            exported: self.stats.exported,
-            imported: self.stats.imported,
+            exported: 0,
+            imported: 0,
             pool_depth: 0,
             queue_len: 0,
             chrono_backtracks: self.stats.chrono_backtracks,
@@ -2762,7 +2502,6 @@ impl Solver {
                 self.cancel_until(target);
                 if learnt.len() == 1 {
                     self.update_lbd_emas(1);
-                    self.maybe_export(&learnt, 1);
                     self.unchecked_enqueue_at(learnt[0], None, 0);
                 } else {
                     let cref = self.db.alloc(&learnt, true);
@@ -2770,7 +2509,6 @@ impl Solver {
                     self.update_lbd_emas(lbd);
                     self.db.set_lbd(cref, lbd);
                     self.db.set_tier(cref, Tier::for_lbd(lbd));
-                    self.maybe_export(&learnt, lbd);
                     self.learnts.push(cref);
                     self.attach(cref);
                     self.bump_clause(cref);
@@ -3169,45 +2907,6 @@ mod tests {
         let proof = s.take_proof().expect("proof recording was enabled");
         assert!(proof.claims_unsat());
         assert!(proof.check().is_ok());
-    }
-
-    /// Hands a fixed batch of clauses to every `import_into` drain.
-    #[derive(Debug)]
-    struct ReplayExchange {
-        batch: Vec<Vec<Lit>>,
-    }
-
-    impl ClauseExchange for ReplayExchange {
-        fn export(&self, _lits: &[Lit], _lbd: u32) {}
-        fn import_into(&self, out: &mut Vec<Vec<Lit>>) {
-            out.extend(self.batch.iter().cloned());
-        }
-    }
-
-    #[test]
-    fn duplicate_imports_dropped_by_signature() {
-        let mut s = Solver::new();
-        let v = lits(&mut s, 4);
-        s.add_clause([v[0], v[1], v[2], v[3]]);
-        // The same clause arrives three times (once permuted), plus one
-        // genuinely new clause; only two may land in the database.
-        let ex = ReplayExchange {
-            batch: vec![
-                vec![v[0], !v[1]],
-                vec![!v[1], v[0]],
-                vec![v[0], !v[1]],
-                vec![v[2], !v[3]],
-            ],
-        };
-        s.set_exchange(Some(Arc::new(ex)));
-        assert_eq!(s.solve(&[]), SolveResult::Sat);
-        assert_eq!(s.stats().imported, 2);
-        assert!(s.stats().import_dropped >= 2);
-        // A later drain replays the whole batch; everything is a duplicate.
-        let dropped_before = s.stats().import_dropped;
-        assert_eq!(s.solve(&[]), SolveResult::Sat);
-        assert_eq!(s.stats().imported, 2);
-        assert_eq!(s.stats().import_dropped, dropped_before + 4);
     }
 
     #[test]

@@ -1,19 +1,16 @@
-//! Differential/fuzz testing of clause sharing and diversification.
+//! Differential/fuzz testing of the solver's inprocessing and search
+//! policies.
 //!
-//! The portfolio's clause-sharing path is the one feature that can
-//! silently corrupt "proven optimal" claims if it is wrong, so it gets
-//! its own fuzz layer: seeded random CNFs plus crafted pigeonhole and
-//! parity families are solved by a *pair of diversified, sharing*
-//! solvers and by a plain solver, and every answer is checked against a
-//! ≤20-variable brute-force reference. With proof logging on, a sharing
-//! run must either RUP-check end to end or fail with the explicit
-//! `ImportedNotVerified` error — never silently.
+//! Vivification, deferred strengthening, rephasing, chronological
+//! backtracking and target phases all rewrite the clause database or the
+//! trail mid-solve, so a bug in any of them can silently corrupt a
+//! "proven optimal" claim. Seeded random CNFs plus crafted pigeonhole and
+//! parity families are solved with every such pass firing far more often
+//! than in production, and every answer is checked against a
+//! ≤20-variable brute-force reference; UNSAT proofs must RUP-check.
 
 use olsq2_prng::Rng;
-use olsq2_sat::{
-    CheckProofError, ClauseExchange, ExchangeFilter, Lit, SolveResult, Solver, SolverFeatures, Var,
-};
-use std::sync::{Arc, Mutex};
+use olsq2_sat::{Lit, SolveResult, Solver, SolverFeatures, Var};
 
 #[derive(Debug, Clone)]
 struct Formula {
@@ -54,115 +51,12 @@ fn brute_force(f: &Formula) -> Option<u32> {
     None
 }
 
-fn build_solver(f: &Formula) -> Solver {
-    let mut s = Solver::new();
-    for _ in 0..f.num_vars {
-        s.new_var();
-    }
-    for clause in &f.clauses {
-        s.add_clause(clause.iter().map(|&c| lit_of(c)));
-    }
-    s
-}
-
-/// Two mailboxes: endpoint `me` exports into the *other* solver's queue
-/// and imports from its own, with every export recorded for inspection.
-#[derive(Debug, Default)]
-struct PairHub {
-    queues: [Mutex<Vec<Vec<Lit>>>; 2],
-    exports: Mutex<Vec<(usize, Vec<Lit>, u32)>>,
-}
-
-#[derive(Debug)]
-struct PairEndpoint {
-    hub: Arc<PairHub>,
-    me: usize,
-}
-
-impl ClauseExchange for PairEndpoint {
-    fn export(&self, lits: &[Lit], lbd: u32) {
-        self.hub
-            .exports
-            .lock()
-            .unwrap()
-            .push((self.me, lits.to_vec(), lbd));
-        self.hub.queues[1 - self.me]
-            .lock()
-            .unwrap()
-            .push(lits.to_vec());
-    }
-
-    fn import_into(&self, out: &mut Vec<Vec<Lit>>) {
-        out.append(&mut self.hub.queues[self.me].lock().unwrap());
-    }
-}
-
-/// A pair of differently-knobbed solvers wired through a [`PairHub`].
-fn diversified_pair(f: &Formula, seed: u64, proof: bool) -> (Solver, Solver, Arc<PairHub>) {
-    let hub = Arc::new(PairHub::default());
-    let mut pair = Vec::new();
-    for me in 0..2 {
-        let mut s = Solver::new();
-        if proof {
-            s.enable_proof();
-        }
-        for _ in 0..f.num_vars {
-            s.new_var();
-        }
-        for clause in &f.clauses {
-            s.add_clause(clause.iter().map(|&c| lit_of(c)));
-        }
-        s.set_exchange(Some(Arc::new(PairEndpoint {
-            hub: hub.clone(),
-            me,
-        })));
-        // Diversification: different branching randomization, polarity,
-        // decay, and restart cadence per member. Low restart bases make
-        // restart-boundary imports actually happen on small instances.
-        s.set_decision_seed(Some(seed.wrapping_add(me as u64 * 0x9E37) | 1));
-        s.set_default_phase(me == 1);
-        s.set_var_decay(if me == 0 { 0.93 } else { 0.99 });
-        s.set_restart_base(if me == 0 { 50 } else { 150 });
-        pair.push(s);
-    }
-    let b = pair.pop().unwrap();
-    let a = pair.pop().unwrap();
-    (a, b, hub)
-}
-
 fn check_model(s: &Solver, f: &Formula, ctx: &str) {
     for clause in &f.clauses {
         let ok = clause
             .iter()
             .any(|&c| s.model_value(lit_of(c)) == Some(true));
         assert!(ok, "{ctx}: model violates clause {clause:?}");
-    }
-}
-
-/// Plain solver, both sharing solvers, and brute force must agree; SAT
-/// models must satisfy the formula.
-fn differential_round(f: &Formula, seed: u64, ctx: &str) {
-    let expected_sat = brute_force(f).is_some();
-    let mut plain = build_solver(f);
-    let plain_result = plain.solve(&[]);
-    assert_eq!(plain_result.is_sat(), expected_sat, "{ctx}: plain solver");
-    // A solves first (exporting as it learns), then B — importing A's
-    // clauses on entry — then A again to exercise the reverse direction.
-    let (mut a, mut b, _hub) = diversified_pair(f, seed, false);
-    let ra1 = a.solve(&[]);
-    let rb = b.solve(&[]);
-    let ra2 = a.solve(&[]);
-    for (result, who) in [(ra1, "A#1"), (rb, "B"), (ra2, "A#2")] {
-        assert_eq!(
-            result.is_sat(),
-            expected_sat,
-            "{ctx}: sharing solver {who} disagrees with brute force"
-        );
-        assert_eq!(result == SolveResult::Unsat, !expected_sat, "{ctx}: {who}");
-    }
-    if expected_sat {
-        check_model(&a, f, ctx);
-        check_model(&b, f, ctx);
     }
 }
 
@@ -235,117 +129,6 @@ fn parity_system(rng: &mut Rng, num_vars: usize, equations: usize) -> Formula {
         }
     }
     Formula { num_vars, clauses }
-}
-
-#[test]
-fn sharing_pair_agrees_on_seeded_random_cnfs() {
-    let mut rng = Rng::seed_from_u64(0xF022_0004);
-    for round in 0..150 {
-        let f = random_formula(&mut rng);
-        differential_round(&f, 0xD1CE_0000 + round, &format!("random round {round}"));
-    }
-}
-
-#[test]
-fn sharing_pair_agrees_on_crafted_families() {
-    // Pigeonhole: UNSAT when over-full, SAT when pigeons fit.
-    for (pigeons, holes) in [(3, 2), (4, 3), (3, 3), (4, 4), (5, 3)] {
-        let f = pigeonhole(pigeons, holes);
-        differential_round(
-            &f,
-            (pigeons * 31 + holes) as u64,
-            &format!("pigeonhole({pigeons},{holes})"),
-        );
-    }
-    // Parity systems over ≤ 14 vars; over-constrained ones go UNSAT.
-    let mut rng = Rng::seed_from_u64(0xF022_0005);
-    for round in 0..30 {
-        let nv = rng.gen_range(4usize..=14);
-        let eqs = rng.gen_range(1usize..=2 * nv);
-        let f = parity_system(&mut rng, nv, eqs);
-        differential_round(&f, 0x9A21 + round as u64, &format!("parity round {round}"));
-    }
-}
-
-#[test]
-fn sharing_actually_moves_clauses() {
-    // On a PHP instance, A's learnts pass the filter and B must both
-    // receive and count them — the path is exercised, not just wired.
-    let f = pigeonhole(5, 4);
-    let (mut a, mut b, hub) = diversified_pair(&f, 7, false);
-    assert_eq!(a.solve(&[]), SolveResult::Unsat);
-    assert!(
-        !hub.exports.lock().unwrap().is_empty(),
-        "A exported nothing on a pigeonhole instance"
-    );
-    assert!(a.stats().exported > 0);
-    assert_eq!(b.solve(&[]), SolveResult::Unsat);
-    assert!(
-        b.stats().imported > 0,
-        "B imported nothing despite a full mailbox"
-    );
-}
-
-#[test]
-fn export_filter_is_respected() {
-    let f = pigeonhole(5, 4);
-    let (mut a, _b, hub) = diversified_pair(&f, 21, false);
-    let filter = ExchangeFilter {
-        max_lbd: 2,
-        max_len: 3,
-    };
-    a.set_exchange_filter(filter);
-    let _ = a.solve(&[]);
-    let exports = hub.exports.lock().unwrap();
-    for (who, lits, lbd) in exports.iter() {
-        if *who != 0 {
-            continue;
-        }
-        assert!(
-            filter.admits(lits.len(), *lbd),
-            "exported clause violates the filter: len {} lbd {}",
-            lits.len(),
-            *lbd
-        );
-    }
-}
-
-/// An import source preloaded with hostile clauses: duplicates, a clause
-/// over a variable the solver never allocated, and a valid lemma.
-#[derive(Debug)]
-struct InjectSource {
-    payload: Mutex<Vec<Vec<Lit>>>,
-}
-
-impl ClauseExchange for InjectSource {
-    fn export(&self, _lits: &[Lit], _lbd: u32) {}
-    fn import_into(&self, out: &mut Vec<Vec<Lit>>) {
-        out.append(&mut self.payload.lock().unwrap());
-    }
-}
-
-#[test]
-fn hostile_imports_are_filtered_not_fatal() {
-    let f = Formula {
-        num_vars: 4,
-        clauses: vec![vec![1, 2], vec![-1, 2], vec![3, 4]],
-    };
-    let valid = vec![lit_of(2)]; // implied: (1∨2) ∧ (¬1∨2) ⊨ 2
-    let unknown_var = vec![Lit::positive(Var::from_index(100))];
-    let source = InjectSource {
-        payload: Mutex::new(vec![
-            valid.clone(),
-            valid.clone(), // duplicate: dropped
-            unknown_var,   // out of space: dropped
-        ]),
-    };
-    let mut s = build_solver(&f);
-    s.set_exchange(Some(Arc::new(source)));
-    assert_eq!(s.solve(&[]), SolveResult::Sat);
-    let st = s.stats();
-    assert_eq!(st.imported, 1, "only the first copy of the valid unit");
-    assert_eq!(st.import_dropped, 2, "duplicate + unknown-variable clause");
-    assert_eq!(s.model_value(lit_of(2)), Some(true));
 }
 
 /// Inprocessing cadence cranked far past production settings so that
@@ -449,42 +232,6 @@ fn inprocessing_agrees_on_crafted_families() {
         let expected_sat = brute_force(&f).is_some();
         let ctx = format!("inprocessed parity round {round}");
         let mut s = inprocessing_solver(&f, false);
-        assert_eq!(s.solve(&[]).is_sat(), expected_sat, "{ctx}");
-        if expected_sat {
-            check_model(&s, &f, &ctx);
-        }
-    }
-}
-
-#[test]
-fn inprocessing_survives_hostile_imports() {
-    // Same hostile mailbox as the plain import test — duplicates, a
-    // clause over an unallocated variable, plus genuinely implied
-    // clauses — but now the importing solver is also vivifying and
-    // strengthening between restarts, rewriting the database the
-    // imports sit next to. The verdict still has to match brute force
-    // every time.
-    let mut rng = Rng::seed_from_u64(0xF022_0009);
-    for round in 0..40 {
-        let f = random_formula(&mut rng);
-        let expected_sat = brute_force(&f).is_some();
-        let ctx = format!("hostile inprocessing round {round}");
-        // Implied payload: any full clause of the formula is trivially
-        // entailed, as is its duplicate.
-        let implied: Vec<Lit> = f
-            .clauses
-            .first()
-            .map(|c| c.iter().map(|&code| lit_of(code)).collect())
-            .unwrap_or_else(|| vec![lit_of(1)]);
-        let source = InjectSource {
-            payload: Mutex::new(vec![
-                implied.clone(),
-                implied.clone(),
-                vec![Lit::positive(Var::from_index(200))],
-            ]),
-        };
-        let mut s = inprocessing_solver(&f, false);
-        s.set_exchange(Some(Arc::new(source)));
         assert_eq!(s.solve(&[]).is_sat(), expected_sat, "{ctx}");
         if expected_sat {
             check_model(&s, &f, &ctx);
@@ -611,119 +358,4 @@ fn chrono_rephase_agrees_on_crafted_families() {
             check_model(&s, &f, &ctx);
         }
     }
-}
-
-#[test]
-fn chrono_survives_hostile_imports() {
-    // The hostile mailbox (duplicates, unallocated variable, implied
-    // clauses) injected into a fully chronological solver: imports land
-    // at restart boundaries where the repaired trail may still hold
-    // out-of-order literals, and the verdict must match brute force.
-    let mut rng = Rng::seed_from_u64(0xF022_000C);
-    for round in 0..40 {
-        let f = random_formula(&mut rng);
-        let expected_sat = brute_force(&f).is_some();
-        let ctx = format!("hostile chrono round {round}");
-        let implied: Vec<Lit> = f
-            .clauses
-            .first()
-            .map(|c| c.iter().map(|&code| lit_of(code)).collect())
-            .unwrap_or_else(|| vec![lit_of(1)]);
-        let source = InjectSource {
-            payload: Mutex::new(vec![
-                implied.clone(),
-                implied.clone(),
-                vec![Lit::positive(Var::from_index(200))],
-            ]),
-        };
-        let mut s = chrono_solver(&f, false);
-        s.set_exchange(Some(Arc::new(source)));
-        assert_eq!(s.solve(&[]).is_sat(), expected_sat, "{ctx}");
-        if expected_sat {
-            check_model(&s, &f, &ctx);
-        }
-    }
-}
-
-#[test]
-fn sharing_pair_under_chrono_rephase_agrees() {
-    // The diversified sharing pair with both members running the full
-    // modern search stack: shared clauses arrive into repaired trails,
-    // and all answers must still match the plain-solver reference.
-    let mut rng = Rng::seed_from_u64(0xF022_000D);
-    for round in 0..60 {
-        let f = random_formula(&mut rng);
-        let expected_sat = brute_force(&f).is_some();
-        let ctx = format!("chrono sharing round {round}");
-        let (mut a, mut b, _hub) = diversified_pair(&f, 0xC4B7 + round, false);
-        a.set_features(chrono_rephase_features());
-        b.set_features(chrono_rephase_features());
-        let ra1 = a.solve(&[]);
-        let rb = b.solve(&[]);
-        let ra2 = a.solve(&[]);
-        for (result, who) in [(ra1, "A#1"), (rb, "B"), (ra2, "A#2")] {
-            assert_eq!(result.is_sat(), expected_sat, "{ctx}: {who}");
-        }
-        if expected_sat {
-            check_model(&a, &f, &ctx);
-            check_model(&b, &f, &ctx);
-        }
-    }
-}
-
-#[test]
-fn proofs_with_sharing_check_or_fail_explicitly() {
-    // UNSAT corpus: random over-constrained formulas + pigeonhole. For
-    // each, solver B imports A's learnts under proof logging; B's proof
-    // must either RUP-check or report ImportedNotVerified — any other
-    // failure (bogus lemma, missing empty clause) is a real bug.
-    let mut rng = Rng::seed_from_u64(0xF022_0006);
-    let mut unsat_seen = 0;
-    let mut checked_with_imports = 0;
-    // Random corpus filtered to UNSAT by the reference checker, plus
-    // crafted pigeonhole instances (UNSAT by construction, so they need
-    // no brute-force pass and may exceed its 20-variable cap).
-    let random = (0..80).map(|_| (random_formula(&mut rng), false));
-    let crafted = [pigeonhole(4, 3), pigeonhole(5, 4), pigeonhole(6, 4)].map(|f| (f, true));
-    let corpus = random.chain(crafted).collect::<Vec<_>>();
-    for (round, (f, known_unsat)) in corpus.iter().enumerate() {
-        let round = round as u64;
-        if !known_unsat && brute_force(f).is_some() {
-            continue;
-        }
-        unsat_seen += 1;
-        let (mut a, mut b, _hub) = diversified_pair(f, 0xBEEF + round, true);
-        assert_eq!(a.solve(&[]), SolveResult::Unsat, "round {round}: A");
-        assert_eq!(b.solve(&[]), SolveResult::Unsat, "round {round}: B");
-        let proof = b.take_proof().expect("proof logging was enabled");
-        assert!(proof.claims_unsat(), "round {round}");
-        if b.stats().imported > 0 {
-            checked_with_imports += 1;
-        }
-        match proof.check() {
-            Ok(()) => {}
-            Err(CheckProofError::ImportedNotVerified { .. }) => {}
-            Err(other) => panic!("round {round}: sharing proof failed with {other}"),
-        }
-    }
-    assert!(unsat_seen >= 10, "corpus too easy: {unsat_seen} UNSAT");
-    assert!(
-        checked_with_imports > 0,
-        "no proof-logged run ever imported a clause"
-    );
-
-    // Control: with sharing off, the same solver's proofs must fully
-    // RUP-check — sharing is the only permitted source of slack.
-    let f = pigeonhole(4, 3);
-    let mut s = Solver::new();
-    s.enable_proof();
-    for _ in 0..f.num_vars {
-        s.new_var();
-    }
-    for clause in &f.clauses {
-        s.add_clause(clause.iter().map(|&c| lit_of(c)));
-    }
-    assert_eq!(s.solve(&[]), SolveResult::Unsat);
-    let proof = s.take_proof().expect("proof");
-    assert_eq!(proof.check(), Ok(()));
 }

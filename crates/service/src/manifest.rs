@@ -21,7 +21,7 @@ use crate::json::{self, object, Json};
 use crate::request::{JobStatus, Objective, Priority, SynthesisRequest};
 use crate::service::{ServiceConfig, SubmitError, SynthesisService};
 use crate::ServiceMetrics;
-use olsq2::{CubeParams, EncodingConfig, SynthesisConfig};
+use olsq2::{EncodingConfig, SynthesisConfig};
 use olsq2_arch::device_by_name;
 use olsq2_circuit::{Circuit, Gate, GateKind, Operands};
 use std::time::Duration;
@@ -250,27 +250,6 @@ pub fn parse_request(line: &str) -> Result<SynthesisRequest, String> {
             d.as_u64().ok_or("deadline_ms must be an integer")?,
         )),
     };
-    // `cube_workers` opts the job into cube-and-conquer (depth objective
-    // only); `cube_depth` additionally tunes the split-tree depth.
-    let cube = match (value.get("cube_workers"), value.get("cube_depth")) {
-        (None, None) => None,
-        (workers, depth) => {
-            let mut params = CubeParams::default();
-            if let Some(w) = workers {
-                params.workers =
-                    w.as_u64()
-                        .filter(|&n| (1..=64).contains(&n))
-                        .ok_or("cube_workers must be in 1..=64")? as usize;
-            }
-            if let Some(d) = depth {
-                params.depth = d
-                    .as_u64()
-                    .filter(|&n| (1..=16).contains(&n))
-                    .ok_or("cube_depth must be in 1..=16")? as usize;
-            }
-            Some(params)
-        }
-    };
     Ok(SynthesisRequest {
         name,
         tenant,
@@ -280,7 +259,6 @@ pub fn parse_request(line: &str) -> Result<SynthesisRequest, String> {
         objective,
         deadline,
         priority,
-        cube,
     })
 }
 

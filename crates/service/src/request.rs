@@ -1,6 +1,6 @@
 //! Request and job types of the synthesis service.
 
-use olsq2::{CubeParams, SynthesisConfig, SynthesisError};
+use olsq2::{SynthesisConfig, SynthesisError};
 use olsq2_arch::CouplingGraph;
 use olsq2_circuit::Circuit;
 use olsq2_layout::LayoutResult;
@@ -104,13 +104,6 @@ pub struct SynthesisRequest {
     pub deadline: Option<Duration>,
     /// Queue priority.
     pub priority: Priority,
-    /// Cube-and-conquer parameters. When set and the objective is
-    /// [`Objective::Depth`], the job runs through
-    /// [`olsq2::CubeSynthesizer`] — one big job splits into cubes and
-    /// saturates the cube engine's internal worker cohort instead of
-    /// occupying a single sequential solver. Ignored for the other
-    /// objectives (they fall back to the sequential path).
-    pub cube: Option<CubeParams>,
 }
 
 impl SynthesisRequest {
@@ -130,7 +123,6 @@ impl SynthesisRequest {
             objective,
             deadline: None,
             priority: Priority::Normal,
-            cube: None,
         }
     }
 
@@ -139,14 +131,6 @@ impl SynthesisRequest {
     #[must_use]
     pub fn with_tenant(mut self, tenant: impl Into<String>) -> SynthesisRequest {
         self.tenant = tenant.into();
-        self
-    }
-
-    /// Routes the job through the cube-and-conquer engine (depth
-    /// objective only; see [`SynthesisRequest::cube`]).
-    #[must_use]
-    pub fn with_cube(mut self, params: CubeParams) -> SynthesisRequest {
-        self.cube = Some(params);
         self
     }
 }

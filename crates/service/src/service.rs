@@ -14,8 +14,7 @@ use crate::request::{
     JobHandle, JobOutput, JobShared, JobStatus, Objective, Priority, SynthesisRequest,
 };
 use olsq2::{
-    CubeSynthesizer, IncumbentSlot, ModelSeed, Olsq2Synthesizer, SnapshotSlot, SynthesisError,
-    TbOlsq2Synthesizer,
+    IncumbentSlot, ModelSeed, Olsq2Synthesizer, SnapshotSlot, SynthesisError, TbOlsq2Synthesizer,
 };
 use olsq2_layout::LayoutResult;
 use olsq2_sat::Stats;
@@ -525,7 +524,8 @@ fn run_job(state: &ServiceState, id: u64, job: &QueuedJob) {
     // publish its own snapshot if it too gets cut short. Keyed by the
     // exact instance fingerprint, not the relabeling-invariant cache key
     // — forks replay the template's variable numbering verbatim.
-    let snapshot_key = (state.snapshot_on_preempt && config.fork_spawn)
+    let snapshot_key = state
+        .snapshot_on_preempt
         .then(|| ModelSeed::instance_fingerprint(&request.circuit, &request.device, &config));
     let snapshot_slot = snapshot_key.map(|key| {
         let stored = state
@@ -668,21 +668,6 @@ fn solve(
     config: olsq2::SynthesisConfig,
 ) -> Result<(LayoutResult, bool, Stats, usize), SynthesisError> {
     match request.objective {
-        // Cube-and-conquer only accelerates the depth objective; a cube
-        // request with another objective falls through to the sequential
-        // path below.
-        Objective::Depth if request.cube.is_some() => {
-            let params = request.cube.clone().expect("checked by guard");
-            let out = CubeSynthesizer::new(config, params)
-                .optimize_depth(&request.circuit, &request.device)?
-                .outcome;
-            Ok((
-                out.result,
-                out.proven_optimal,
-                out.solver_stats,
-                out.extensions,
-            ))
-        }
         Objective::Depth => {
             let out =
                 Olsq2Synthesizer::new(config).optimize_depth(&request.circuit, &request.device)?;

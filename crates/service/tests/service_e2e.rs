@@ -348,87 +348,18 @@ fn traced_jobs_produce_nested_spans_and_prometheus_metrics() {
 }
 
 #[test]
-fn cube_jobs_run_through_the_service_and_expose_cube_metrics() {
-    let recorder = olsq2::Recorder::new();
-    let mut service = SynthesisService::start(ServiceConfig {
-        workers: 1,
-        queue_capacity: 8,
-        cache_capacity: 0, // no cache: both jobs must actually solve
-        recorder: recorder.clone(),
-        ..ServiceConfig::default()
-    });
-    let circuit = qaoa_circuit(4, 0xA5);
-    let device = line(4);
-
-    // The same instance, sequentially and through the cube engine.
-    let mut seq = SynthesisRequest::new("seq", circuit.clone(), device.clone(), Objective::Depth);
-    seq.config.swap_duration = 1;
-    let mut cube = SynthesisRequest::new("cube", circuit.clone(), device.clone(), Objective::Depth)
-        .with_cube(olsq2::CubeParams {
-            workers: 2,
-            // Disable the SAT-likelihood gate: this instance is small
-            // enough that every bound would resolve inside the gate
-            // probe, and the test needs actual cube splits to assert
-            // the cube counters surface.
-            gate_conflicts: None,
-            ..olsq2::CubeParams::default()
-        });
-    cube.config.swap_duration = 1;
-
-    let seq_handle = service.submit(seq).expect("room");
-    let cube_handle = service.submit(cube).expect("room");
-    let seq_out = match seq_handle.wait() {
-        JobStatus::Done(out) => out,
-        other => panic!("sequential job should finish, got {other:?}"),
-    };
-    let cube_out = match cube_handle.wait() {
-        JobStatus::Done(out) => out,
-        other => panic!("cube job should finish, got {other:?}"),
-    };
-
-    // Same optimum, both proven, and the cube result verifies.
-    assert!(seq_out.proven_optimal && cube_out.proven_optimal);
-    assert_eq!(seq_out.result.depth, cube_out.result.depth);
-    assert_eq!(verify(&circuit, &device, &cube_out.result), Ok(()));
-
-    // The cube scheduler's counters surface in the Prometheus exposition.
-    let prom = service.prometheus_text();
-    assert!(prom.contains("olsq2_cube_cubes_split"));
-    assert!(prom.contains("olsq2_cube_steals"));
-    assert!(prom.contains("olsq2_jobs_done 2"));
-    service.shutdown();
-}
-
-#[test]
 fn manifest_ignores_the_retired_bound_workers_key() {
-    // Manifests written for the removed bound-race scheduler still parse:
-    // the key is ignored like any other unknown key.
-    let line = r#"{"name":"r","device":"line4","objective":"swaps","bound_workers":4,"circuit":{"num_qubits":3,"gates":[["cx",0,1],["cx",1,2]]}}"#;
-    let req = manifest::parse_request(line).expect("parses");
-    assert_eq!(req.objective, Objective::Swaps);
-}
-
-#[test]
-fn manifest_parses_cube_knobs() {
-    let line = r#"{"name":"big","device":"line4","objective":"depth","cube_workers":4,"cube_depth":3,"circuit":{"num_qubits":3,"gates":[["cx",0,1],["cx",1,2]]}}"#;
-    let req = manifest::parse_request(line).expect("parses");
-    let params = req.cube.expect("cube params set");
-    assert_eq!(params.workers, 4);
-    assert_eq!(params.depth, 3);
-
-    // Either knob alone opts in, with the other defaulted.
-    let only_depth = r#"{"name":"d","device":"line3","cube_depth":2,"circuit":{"num_qubits":2,"gates":[["cx",0,1]]}}"#;
-    let req = manifest::parse_request(only_depth).expect("parses");
-    assert_eq!(req.cube.expect("set").depth, 2);
-
-    // Out-of-range knobs are rejected, and plain jobs stay sequential.
-    let bad = r#"{"name":"b","device":"line3","cube_workers":0,"circuit":{"num_qubits":2,"gates":[["cx",0,1]]}}"#;
-    assert!(manifest::parse_request(bad).is_err());
-    let plain = r#"{"name":"p","device":"line3","circuit":{"num_qubits":2,"gates":[["cx",0,1]]}}"#;
-    assert!(manifest::parse_request(plain)
-        .expect("parses")
-        .cube
-        .is_none());
+    // Manifests written for the removed bound-race scheduler and cube
+    // synthesizer still parse: their keys are ignored like any other
+    // unknown key, whatever their values.
+    for line in [
+        r#"{"name":"r","device":"line4","objective":"swaps","bound_workers":4,"circuit":{"num_qubits":3,"gates":[["cx",0,1],["cx",1,2]]}}"#,
+        r#"{"name":"c","device":"line4","objective":"swaps","cube_workers":4,"cube_depth":3,"circuit":{"num_qubits":3,"gates":[["cx",0,1],["cx",1,2]]}}"#,
+        r#"{"name":"z","device":"line4","objective":"swaps","cube_workers":0,"cube_depth":99,"circuit":{"num_qubits":3,"gates":[["cx",0,1],["cx",1,2]]}}"#,
+    ] {
+        let req = manifest::parse_request(line).expect("parses");
+        assert_eq!(req.objective, Objective::Swaps);
+    }
 }
 
 #[test]

@@ -2,16 +2,11 @@
 //! instance the cube engine must report exactly the verdict a single
 //! sequential solver reports — for seeded CNF fuzzer families (random
 //! 3-SAT, one-hot structured instances, instances under standing
-//! assumptions) across several worker/split-depth configurations — and
-//! `CubeSynthesizer` must report the same optimum as the sequential
-//! synthesizer on real benchmarks. UNSAT instances are re-run in prove
-//! mode and the stitched refutation is checked.
+//! assumptions) across several worker/split-depth configurations. UNSAT
+//! instances are re-run in prove mode and the stitched refutation is
+//! checked.
 
-use olsq2::{CubeParams, CubeSynthesizer, Olsq2Synthesizer, SynthesisConfig};
-use olsq2_arch::line;
-use olsq2_circuit::generators::{qaoa_circuit, qft_decomposed};
 use olsq2_cube::{solve_cubes, CubeConfig, SatCubeSolver, SplitGroup};
-use olsq2_layout::verify;
 use olsq2_obs::Recorder;
 use olsq2_prng::Rng;
 use olsq2_sat::{Lit, SolveResult, Solver, Var};
@@ -281,73 +276,5 @@ fn standing_assumptions_match_sequential() {
             &assumptions,
             expected,
         );
-    }
-}
-
-/// Synthesis benchmarks: the cube synthesizer must land on the same
-/// proven optimum as the sequential one (which decides the same SAT/
-/// UNSAT questions bound by bound), its layout must pass the verifier,
-/// and in prove mode it must hand back a checkable refutation of
-/// `depth ≤ optimum − 1`.
-#[test]
-fn synthesis_optima_match_sequential() {
-    let benchmarks = [
-        ("qaoa-4", qaoa_circuit(4, 42), line(4), 1usize),
-        ("qft-4", qft_decomposed(4), line(4), 3),
-    ];
-    for (name, circuit, device, swap_duration) in &benchmarks {
-        let config = SynthesisConfig::with_swap_duration(*swap_duration);
-        let seq = Olsq2Synthesizer::new(config.clone())
-            .optimize_depth(circuit, device)
-            .expect("sequential synthesis");
-        assert!(seq.proven_optimal, "{name}: sequential optimum not proven");
-
-        for &(workers, depth) in &[(2usize, 2usize), (4, 3)] {
-            let params = CubeParams {
-                workers,
-                depth,
-                ..CubeParams::default()
-            };
-            let cube = CubeSynthesizer::new(config.clone(), params)
-                .optimize_depth(circuit, device)
-                .expect("cube synthesis");
-            assert!(
-                cube.outcome.proven_optimal,
-                "{name}: cube optimum not proven"
-            );
-            assert_eq!(
-                cube.outcome.result.depth, seq.result.depth,
-                "{name}: cube (workers={workers}, depth={depth}) found a different optimum"
-            );
-            assert_eq!(
-                verify(circuit, device, &cube.outcome.result),
-                Ok(()),
-                "{name}: cube layout failed verification"
-            );
-        }
-
-        let prove_params = CubeParams {
-            workers: 2,
-            prove: true,
-            ..CubeParams::default()
-        };
-        let proved = CubeSynthesizer::new(config.clone(), prove_params)
-            .optimize_depth(circuit, device)
-            .expect("prove-mode cube synthesis");
-        assert_eq!(proved.outcome.result.depth, seq.result.depth);
-        if let Some(proof) = proved.proof {
-            assert!(
-                proof.check().is_ok(),
-                "{name}: stitched optimality proof rejected"
-            );
-        } else {
-            // The optimum can sit exactly on the transition lower bound,
-            // in which case no depth-decrement query ran and there is
-            // nothing to refute.
-            assert!(
-                !proved.outcome.proven_optimal || proved.outcome.result.depth > 0,
-                "{name}: missing proof without a lower-bound explanation"
-            );
-        }
     }
 }

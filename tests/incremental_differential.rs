@@ -1,17 +1,11 @@
 //! Differential tests for the zero-rebuild incremental encoding: a model
 //! extended in place across window growth must be indistinguishable — at
 //! every bound, not just the optimum — from a model freshly built at the
-//! same window, for both the flat OLSQ2 formulation and TB-OLSQ2, and the
-//! diversified sharing portfolio must report the same optima with the
-//! incremental path on as a lone rebuild-only synthesizer. Every layout
-//! must pass the five-constraint verifier.
+//! same window, for both the flat OLSQ2 formulation and TB-OLSQ2. Every
+//! layout must pass the five-constraint verifier.
 
-use olsq2::{
-    EncodingConfig, FlatModel, Olsq2Synthesizer, PortfolioConfig, PortfolioSynthesizer,
-    SynthesisConfig, TbOlsq2Synthesizer,
-};
+use olsq2::{FlatModel, Olsq2Synthesizer, SynthesisConfig, TbOlsq2Synthesizer};
 use olsq2_arch::{grid, line, CouplingGraph};
-use olsq2_circuit::generators::qaoa_circuit;
 use olsq2_circuit::{Circuit, Gate, GateKind};
 use olsq2_layout::verify;
 use olsq2_prng::Rng;
@@ -183,47 +177,5 @@ fn forced_window_growth_extends_and_agrees() {
     assert!(
         total_extensions >= 1,
         "no round triggered a window extension: the growth path went untested"
-    );
-}
-
-/// Sharing-fuzz-style round: a diversified same-encoding cohort with
-/// clause sharing on and a tight initial window, so learned clauses are
-/// imported while members extend their windows in place. The portfolio
-/// optimum must match a lone rebuild-only synthesizer, and the sharing
-/// stats must prove imports actually happened.
-#[test]
-fn sharing_portfolio_agrees_and_imports_across_extensions() {
-    let circuit = qaoa_circuit(8, 5);
-    let device = grid(3, 3);
-    let mut base = SynthesisConfig::with_swap_duration(1);
-    base.pareto_relax_limit = Some(0);
-    base.tub_factor = 1.0;
-    let mut lone_cfg = base.clone();
-    lone_cfg.incremental = false;
-
-    let lone = Olsq2Synthesizer::new(lone_cfg)
-        .optimize_swaps(&circuit, &device)
-        .expect("lone rebuild-only synthesizer solves")
-        .best;
-    assert_eq!(lone.extensions, 0);
-
-    let cfg = PortfolioConfig::standard()
-        .with_encodings(vec![EncodingConfig::int()])
-        .diversify(3)
-        .with_sharing()
-        .with_seed(23);
-    let report = PortfolioSynthesizer::with_config(base, &cfg)
-        .optimize_swaps_report(&circuit, &device)
-        .expect("sharing portfolio solves");
-    assert_eq!(
-        report.outcome.result.swap_count(),
-        lone.result.swap_count(),
-        "sharing + incremental diverged from rebuild-only reference"
-    );
-    assert_eq!(verify(&circuit, &device, &report.outcome.result), Ok(()));
-    let stats = report.sharing.expect("sharing was enabled");
-    assert!(
-        stats.imported > 0,
-        "no clauses imported across the cohort: {stats:?}"
     );
 }
