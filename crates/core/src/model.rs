@@ -16,7 +16,7 @@
 // Indexed `for` loops are deliberate here: time-step/edge index loops mirror the paper's formulation.
 #![allow(clippy::needless_range_loop)]
 use crate::config::{MappingEncoding, SynthesisConfig, TimeEncoding};
-use crate::vars::{FdVar, TimeVars};
+use crate::vars::{transition_step, FdVar, TimeVars};
 use olsq2_arch::CouplingGraph;
 use olsq2_circuit::{Circuit, DependencyGraph, Operands};
 use olsq2_encode::{
@@ -326,6 +326,7 @@ impl FlatModel {
                 // --- Valid two-qubit gate scheduling (Eq. 1) ----------------
                 // Cache the adjacency disjunction per (qubit pair, t).
                 let mut adj_cache: HashMap<(u16, u16, usize), Lit> = HashMap::new();
+                let mut clause = Vec::new();
                 for (g, gate) in circuit.gates().iter().enumerate() {
                     if let Operands::Two(q1, q2) = gate.operands {
                         let (qa, qb) = (q1.min(q2), q1.max(q2));
@@ -350,7 +351,8 @@ impl FlatModel {
                                 }
                             };
                             // (t_g == t) → adjacent(qa, qb, t)
-                            let mut clause = time.var(g).neq_clause(t);
+                            clause.clear();
+                            time.var(g).push_neq(t, &mut clause);
                             clause.push(adj);
                             batch.add_clause(&clause);
                         }
@@ -370,9 +372,9 @@ impl FlatModel {
                                 for &q in &qubits {
                                     for p in [pa, pb] {
                                         // (t_g == t') ∧ (π_q^t == p) → ¬σ_e^t
-                                        let mut clause = time.var(g).neq_clause(t_prime);
-                                        clause
-                                            .extend(mapping[q as usize][t].neq_clause(p as usize));
+                                        clause.clear();
+                                        time.var(g).push_neq(t_prime, &mut clause);
+                                        mapping[q as usize][t].push_neq(p as usize, &mut clause);
                                         clause.push(!swap_lits[e][t]);
                                         batch.add_clause(&clause);
                                     }
@@ -401,20 +403,19 @@ impl FlatModel {
                     space.push(var);
                 }
                 // Consistency between space, time, and mapping variables.
+                let (mut clause, mut conj) = (Vec::new(), Vec::new());
                 for (g, gate) in circuit.gates().iter().enumerate() {
                     match gate.operands {
                         Operands::One(q) => {
                             // (t_g == t ∧ x_g == p) → π_q^t == p.
                             for t in 0..t_ub {
                                 for p in 0..np {
-                                    let head: Vec<Lit> = time
-                                        .var(g)
-                                        .neq_clause(t)
-                                        .into_iter()
-                                        .chain(space[g].neq_clause(p))
-                                        .collect();
-                                    for &bit in &mapping[q as usize][t].eq_conj(p) {
-                                        let mut clause = head.clone();
+                                    conj.clear();
+                                    mapping[q as usize][t].push_eq(p, &mut conj);
+                                    for &bit in &conj {
+                                        clause.clear();
+                                        time.var(g).push_neq(t, &mut clause);
+                                        space[g].push_neq(p, &mut clause);
                                         clause.push(bit);
                                         batch.add_clause(&clause);
                                     }
@@ -436,12 +437,9 @@ impl FlatModel {
                                         orient.push(gates::and_lit(&mut batch, la, lb));
                                     }
                                     let both = gates::or_all(&mut batch, &orient);
-                                    let mut clause: Vec<Lit> = time
-                                        .var(g)
-                                        .neq_clause(t)
-                                        .into_iter()
-                                        .chain(space[g].neq_clause(e))
-                                        .collect();
+                                    clause.clear();
+                                    time.var(g).push_neq(t, &mut clause);
+                                    space[g].push_neq(e, &mut clause);
                                     clause.push(both);
                                     batch.add_clause(&clause);
                                 }
@@ -458,8 +456,9 @@ impl FlatModel {
                                 match gate.operands {
                                     Operands::One(_) => {
                                         for p in [pa, pb] {
-                                            let mut clause = time.var(g).neq_clause(t_prime);
-                                            clause.extend(space[g].neq_clause(p as usize));
+                                            clause.clear();
+                                            time.var(g).push_neq(t_prime, &mut clause);
+                                            space[g].push_neq(p as usize, &mut clause);
                                             clause.push(!swap_lits[e][t]);
                                             batch.add_clause(&clause);
                                         }
@@ -477,8 +476,9 @@ impl FlatModel {
                                             if !shares {
                                                 continue;
                                             }
-                                            let mut clause = time.var(g).neq_clause(t_prime);
-                                            clause.extend(space[g].neq_clause(e2));
+                                            clause.clear();
+                                            time.var(g).push_neq(t_prime, &mut clause);
+                                            space[g].push_neq(e2, &mut clause);
                                             clause.push(!swap_lits[e][t]);
                                             batch.add_clause(&clause);
                                         }
@@ -497,34 +497,8 @@ impl FlatModel {
         // --- SWAP transformation (mapping consistency) ----------------------
         let mut batch = BatchSink::new(&mut solver);
         for t in 0..t_ub.saturating_sub(1) {
-            for q in 0..nq {
-                // Stay: (π_q^t == p) ∧ no swap at an edge of p finishing at t
-                //       → π_q^{t+1} == p.
-                for p in 0..np {
-                    let incident = graph.edges_at(p as u16);
-                    let antecedent = mapping[q][t].neq_clause(p);
-                    for &bit in &mapping[q][t + 1].eq_conj(p) {
-                        let mut clause = antecedent.clone();
-                        clause.extend(incident.iter().map(|&e| swap_lits[e][t]));
-                        clause.push(bit);
-                        batch.add_clause(&clause);
-                    }
-                }
-                // Move: σ_e^t ∧ (π_q^t == e.p) → π_q^{t+1} == e.p'.
-                for e in 0..ne {
-                    let (pa, pb) = graph.edge(e);
-                    for (from, to) in [(pa, pb), (pb, pa)] {
-                        let antecedent = mapping[q][t].neq_clause(from as usize);
-                        for &bit in &mapping[q][t + 1].eq_conj(to as usize) {
-                            let mut clause = Vec::with_capacity(antecedent.len() + 2);
-                            clause.push(!swap_lits[e][t]);
-                            clause.extend(antecedent.iter().copied());
-                            clause.push(bit);
-                            batch.add_clause(&clause);
-                        }
-                    }
-                }
-            }
+            let qubits = mapping.iter().map(|m| (&m[t], &m[t + 1]));
+            transition_step(&mut batch, graph, qubits, |e| swap_lits[e][t]);
         }
         drop(batch);
 
@@ -807,6 +781,7 @@ impl FlatModel {
         let swap_lits = &self.swap_lits;
         let mut batch = BatchSink::new(&mut self.solver);
         let mut adj_cache: HashMap<(u16, u16, usize), Lit> = HashMap::new();
+        let mut clause = Vec::new();
         for (g, gate) in circuit.gates().iter().enumerate() {
             if let Operands::Two(q1, q2) = gate.operands {
                 let (qa, qb) = (q1.min(q2), q1.max(q2));
@@ -828,7 +803,8 @@ impl FlatModel {
                             l
                         }
                     };
-                    let mut clause = time.var(g).neq_clause(t);
+                    clause.clear();
+                    time.var(g).push_neq(t, &mut clause);
                     clause.push(adj);
                     batch.add_clause(&clause);
                 }
@@ -845,8 +821,9 @@ impl FlatModel {
                     for t_prime in (t + 1 - sd)..=t {
                         for &q in &qubits {
                             for p in [pa, pb] {
-                                let mut clause = time.var(g).neq_clause(t_prime);
-                                clause.extend(mapping[q as usize][t].neq_clause(p as usize));
+                                clause.clear();
+                                time.var(g).push_neq(t_prime, &mut clause);
+                                mapping[q as usize][t].push_neq(p as usize, &mut clause);
                                 clause.push(!swap_lits[e][t]);
                                 batch.add_clause(&clause);
                             }
@@ -865,31 +842,8 @@ impl FlatModel {
         let swap_lits = &self.swap_lits;
         let mut batch = BatchSink::new(&mut self.solver);
         for t in (old_t_ub - 1)..(new_t_ub - 1) {
-            for q in 0..nq {
-                for p in 0..np {
-                    let incident = graph.edges_at(p as u16);
-                    let antecedent = mapping[q][t].neq_clause(p);
-                    for &bit in &mapping[q][t + 1].eq_conj(p) {
-                        let mut clause = antecedent.clone();
-                        clause.extend(incident.iter().map(|&e| swap_lits[e][t]));
-                        clause.push(bit);
-                        batch.add_clause(&clause);
-                    }
-                }
-                for e in 0..ne {
-                    let (pa, pb) = graph.edge(e);
-                    for (from, to) in [(pa, pb), (pb, pa)] {
-                        let antecedent = mapping[q][t].neq_clause(from as usize);
-                        for &bit in &mapping[q][t + 1].eq_conj(to as usize) {
-                            let mut clause = Vec::with_capacity(antecedent.len() + 2);
-                            clause.push(!swap_lits[e][t]);
-                            clause.extend(antecedent.iter().copied());
-                            clause.push(bit);
-                            batch.add_clause(&clause);
-                        }
-                    }
-                }
-            }
+            let qubits = mapping.iter().map(|m| (&m[t], &m[t + 1]));
+            transition_step(&mut batch, graph, qubits, |e| swap_lits[e][t]);
         }
         drop(batch);
         mark = self

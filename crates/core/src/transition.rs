@@ -14,7 +14,7 @@
 use crate::config::{MappingEncoding, SynthesisConfig};
 use crate::model::ModelError;
 use crate::optimize::{result_str, Olsq2Synthesizer, SynthesisError, SynthesisOutcome};
-use crate::vars::{FdVar, TimeVars};
+use crate::vars::{transition_step, FdVar, TimeVars};
 use olsq2_arch::CouplingGraph;
 use olsq2_circuit::{Circuit, DependencyGraph, Operands};
 use olsq2_encode::{
@@ -184,6 +184,7 @@ impl TransitionModel {
 
         // Adjacency inside blocks (Eq. 1 on block mappings).
         let mut adj_cache: HashMap<(u16, u16, usize), Lit> = HashMap::new();
+        let mut clause = Vec::new();
         for (g, gate) in circuit.gates().iter().enumerate() {
             if let Operands::Two(q1, q2) = gate.operands {
                 let (qa, qb) = (q1.min(q2), q1.max(q2));
@@ -207,9 +208,10 @@ impl TransitionModel {
                             l
                         }
                     };
-                    let mut clause = time.var(g).neq_clause(b);
+                    clause.clear();
+                    time.var(g).push_neq(b, &mut clause);
                     clause.push(adj);
-                    solver.add_clause(clause);
+                    solver.add_clause(clause.iter().copied());
                 }
             }
         }
@@ -218,31 +220,8 @@ impl TransitionModel {
 
         // Mapping transformation between consecutive blocks.
         for b in 0..blocks.saturating_sub(1) {
-            for q in 0..nq {
-                for p in 0..np {
-                    let incident = graph.edges_at(p as u16);
-                    let antecedent = mapping[q][b].neq_clause(p);
-                    for &bit in &mapping[q][b + 1].eq_conj(p) {
-                        let mut clause = antecedent.clone();
-                        clause.extend(incident.iter().map(|&e| swap_lits[e][b]));
-                        clause.push(bit);
-                        solver.add_clause(clause);
-                    }
-                }
-                for e in 0..ne {
-                    let (pa, pb) = graph.edge(e);
-                    for (from, to) in [(pa, pb), (pb, pa)] {
-                        let antecedent = mapping[q][b].neq_clause(from as usize);
-                        for &bit in &mapping[q][b + 1].eq_conj(to as usize) {
-                            let mut clause = Vec::with_capacity(antecedent.len() + 2);
-                            clause.push(!swap_lits[e][b]);
-                            clause.extend(antecedent.iter().copied());
-                            clause.push(bit);
-                            solver.add_clause(clause);
-                        }
-                    }
-                }
-            }
+            let qubits = mapping.iter().map(|m| (&m[b], &m[b + 1]));
+            transition_step(&mut solver, graph, qubits, |e| swap_lits[e][b]);
         }
 
         tally.credit_since(ConstraintFamily::Transition, &solver, mark);
@@ -421,6 +400,7 @@ impl TransitionModel {
 
         // --- Adjacency inside the new blocks (Eq. 1) ----------------------
         let mut adj_cache: HashMap<(u16, u16, usize), Lit> = HashMap::new();
+        let mut clause = Vec::new();
         for (g, gate) in circuit.gates().iter().enumerate() {
             if let Operands::Two(q1, q2) = gate.operands {
                 let (qa, qb) = (q1.min(q2), q1.max(q2));
@@ -444,9 +424,10 @@ impl TransitionModel {
                             l
                         }
                     };
-                    let mut clause = self.time.var(g).neq_clause(b);
+                    clause.clear();
+                    self.time.var(g).push_neq(b, &mut clause);
                     clause.push(adj);
-                    self.solver.add_clause(clause);
+                    self.solver.add_clause(clause.iter().copied());
                 }
             }
         }
@@ -456,31 +437,9 @@ impl TransitionModel {
 
         // --- Mapping transformation across the seam and new blocks --------
         for b in (old_blocks - 1)..(new_blocks - 1) {
-            for q in 0..nq {
-                for p in 0..np {
-                    let incident = graph.edges_at(p as u16);
-                    let antecedent = self.mapping[q][b].neq_clause(p);
-                    for &bit in &self.mapping[q][b + 1].eq_conj(p) {
-                        let mut clause = antecedent.clone();
-                        clause.extend(incident.iter().map(|&e| self.swap_lits[e][b]));
-                        clause.push(bit);
-                        self.solver.add_clause(clause);
-                    }
-                }
-                for e in 0..ne {
-                    let (pa, pb) = graph.edge(e);
-                    for (from, to) in [(pa, pb), (pb, pa)] {
-                        let antecedent = self.mapping[q][b].neq_clause(from as usize);
-                        for &bit in &self.mapping[q][b + 1].eq_conj(to as usize) {
-                            let mut clause = Vec::with_capacity(antecedent.len() + 2);
-                            clause.push(!self.swap_lits[e][b]);
-                            clause.extend(antecedent.iter().copied());
-                            clause.push(bit);
-                            self.solver.add_clause(clause);
-                        }
-                    }
-                }
-            }
+            let qubits = self.mapping.iter().map(|m| (&m[b], &m[b + 1]));
+            let swap_lits = &self.swap_lits;
+            transition_step(&mut self.solver, graph, qubits, |e| swap_lits[e][b]);
         }
         mark = self
             .tally

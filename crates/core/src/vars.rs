@@ -8,6 +8,7 @@
 // Indexed `for` loops are deliberate here: ladder constraints index adjacent positions.
 #![allow(clippy::needless_range_loop)]
 use crate::config::TimeEncoding;
+use olsq2_arch::CouplingGraph;
 use olsq2_encode::{width_for, AmoEncoding, BitVec, CnfSink, OneHot};
 use olsq2_sat::{Lit, Solver};
 
@@ -164,11 +165,11 @@ impl FdVar {
         guard: Option<Lit>,
     ) {
         assert!(range.end <= self.domain);
+        let mut clause = Vec::new();
         for v in range {
-            let mut clause = self.neq_clause(v);
-            if let Some(g) = guard {
-                clause.insert(0, !g);
-            }
+            clause.clear();
+            clause.extend(guard.map(|g| !g));
+            self.push_neq(v, &mut clause);
             sink.add_clause(&clause);
         }
     }
@@ -197,24 +198,25 @@ impl FdVar {
         l
     }
 
-    /// Clause-prefix literals asserting "≠ v": at least one is true iff the
-    /// variable differs from `v`. Append consequent literals to build
-    /// `(self == v) → ⋁ consequents` without auxiliaries.
-    pub fn neq_clause(&self, v: usize) -> Vec<Lit> {
+    /// Appends clause-prefix literals asserting "≠ v" to `out`: at least
+    /// one is true iff the variable differs from `v`. Append consequent
+    /// literals after them to build `(self == v) → ⋁ consequents` without
+    /// auxiliaries.
+    pub fn push_neq(&self, v: usize, out: &mut Vec<Lit>) {
         assert!(v < self.domain);
         match &self.repr {
-            FdRepr::OneHot(oh) => vec![!oh.selector(v)],
-            FdRepr::Binary(bv) => bv.neq_const_clause(v as u64),
+            FdRepr::OneHot(oh) => out.push(!oh.selector(v)),
+            FdRepr::Binary(bv) => bv.push_neq_const(v as u64, out),
         }
     }
 
-    /// Literals that are *all* true iff the variable equals `v`
-    /// (a conjunction antecedent).
-    pub fn eq_conj(&self, v: usize) -> Vec<Lit> {
+    /// Appends literals that are *all* true iff the variable equals `v`
+    /// (a conjunction antecedent) to `out`.
+    pub fn push_eq(&self, v: usize, out: &mut Vec<Lit>) {
         assert!(v < self.domain);
         match &self.repr {
-            FdRepr::OneHot(oh) => vec![oh.selector(v)],
-            FdRepr::Binary(bv) => bv.eq_const_conj(v as u64),
+            FdRepr::OneHot(oh) => out.push(oh.selector(v)),
+            FdRepr::Binary(bv) => bv.push_eq_const(v as u64, out),
         }
     }
 
@@ -258,6 +260,59 @@ impl FdVar {
                 .expect("model must assign one-hot group"),
             FdRepr::Binary(bv) => {
                 bv.value_in(solver).expect("model must assign bit-vector") as usize
+            }
+        }
+    }
+}
+
+/// Emits the mapping transformation across one SWAP step, the transition
+/// family the flat, TB and SATMap models share. `qubits` yields each
+/// program qubit's mapping before and after the step, and `swap(e)` is
+/// the literal of a SWAP on edge `e` finishing at the step:
+///
+/// * stay: `(π == p) ∧ no SWAP on an edge at p → π' == p`;
+/// * move: `σ_e ∧ (π == a) → π' == b`, in both orientations of `e`.
+///
+/// Clauses go out qubit by qubit, stays before moves, through one reused
+/// buffer.
+pub fn transition_step<'a, S: CnfSink>(
+    sink: &mut S,
+    graph: &CouplingGraph,
+    qubits: impl IntoIterator<Item = (&'a FdVar, &'a FdVar)>,
+    swap: impl Fn(usize) -> Lit,
+) {
+    let (mut clause, mut conj) = (Vec::new(), Vec::new());
+    // `clause ∨ b` for every literal `b` of the conjunction `after == v`.
+    let mut implies_eq = |sink: &mut S, clause: &mut Vec<Lit>, after: &FdVar, v: usize| {
+        conj.clear();
+        after.push_eq(v, &mut conj);
+        let prefix = clause.len();
+        for &bit in &conj {
+            clause.truncate(prefix);
+            clause.push(bit);
+            sink.add_clause(clause);
+        }
+    };
+    for (before, after) in qubits {
+        for p in 0..graph.num_qubits() {
+            let p16 = p as u16;
+            clause.clear();
+            before.push_neq(p, &mut clause);
+            clause.extend(
+                graph
+                    .neighbors(p16)
+                    .iter()
+                    .map(|&n| swap(graph.edge_between(p16, n).expect("adjacency implies edge"))),
+            );
+            implies_eq(sink, &mut clause, after, p);
+        }
+        for e in 0..graph.num_edges() {
+            let (pa, pb) = graph.edge(e);
+            for (from, to) in [(pa, pb), (pb, pa)] {
+                clause.clear();
+                clause.push(!swap(e));
+                before.push_neq(from as usize, &mut clause);
+                implies_eq(sink, &mut clause, after, to as usize);
             }
         }
     }
@@ -578,13 +633,15 @@ mod tests {
     }
 
     #[test]
-    fn neq_clause_blocks_exactly_one_value() {
+    fn neq_prefix_blocks_exactly_one_value() {
         for (mut s, v) in both_reprs(4) {
-            let clause = v.neq_clause(1);
+            let mut clause = Vec::new();
+            v.push_neq(1, &mut clause);
             s.add_clause(clause);
             let mut allowed = 0;
             for val in 0..4 {
-                let conj = v.eq_conj(val);
+                let mut conj = Vec::new();
+                v.push_eq(val, &mut conj);
                 if s.solve(&conj) == SolveResult::Sat {
                     allowed += 1;
                 }

@@ -68,22 +68,23 @@ impl BitVec {
         }
     }
 
-    /// Literals that are all true iff the vector equals `val`
-    /// (a conjunction usable as an implication antecedent).
-    pub fn eq_const_conj(&self, val: u64) -> Vec<Lit> {
-        (0..self.width()).map(|i| self.bit_eq(i, val)).collect()
+    /// Appends the literals that are all true iff the vector equals `val`
+    /// (a conjunction usable as an implication antecedent) to `out`.
+    pub fn push_eq_const(&self, val: u64, out: &mut Vec<Lit>) {
+        out.extend((0..self.width()).map(|i| self.bit_eq(i, val)));
     }
 
-    /// A clause prefix asserting "≠ val": literals of which at least one is
-    /// true iff the vector differs from `val`. Push payload literals after
-    /// these to encode `(self == val) → payload`.
-    pub fn neq_const_clause(&self, val: u64) -> Vec<Lit> {
-        (0..self.width()).map(|i| !self.bit_eq(i, val)).collect()
+    /// Appends a clause prefix asserting "≠ val" to `out`: literals of
+    /// which at least one is true iff the vector differs from `val`. Push
+    /// payload literals after these to encode `(self == val) → payload`.
+    pub fn push_neq_const(&self, val: u64, out: &mut Vec<Lit>) {
+        out.extend((0..self.width()).map(|i| !self.bit_eq(i, val)));
     }
 
     /// Reified equality with a constant: a literal `y ↔ (self == val)`.
     pub fn eq_const_lit<S: CnfSink>(&self, sink: &mut S, val: u64) -> Lit {
-        let conj = self.eq_const_conj(val);
+        let mut conj = Vec::with_capacity(self.width());
+        self.push_eq_const(val, &mut conj);
         and_all(sink, &conj)
     }
 
@@ -327,10 +328,11 @@ mod tests {
     }
 
     #[test]
-    fn neq_clause_blocks_single_value() {
+    fn neq_prefix_blocks_single_value() {
         let mut s = Solver::new();
         let bv = BitVec::new(&mut s, 3);
-        let clause = bv.neq_const_clause(5);
+        let mut clause = Vec::new();
+        bv.push_neq_const(5, &mut clause);
         s.add_clause(clause);
         bv.assert_eq_const(&mut s, 5);
         assert_eq!(s.solve(&[]), SolveResult::Unsat);

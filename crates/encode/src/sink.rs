@@ -125,7 +125,10 @@ impl CnfSink for Cnf {
 
 /// Stages clauses into one reusable flat literal buffer and hands them
 /// to the solver in bulk via [`Solver::add_clause_batch`], instead of
-/// paying a call (and a scratch round-trip) per clause.
+/// paying a call (and a scratch round-trip) per clause. Watching is not
+/// the sink's business: the solver defers it for every clause, staged
+/// or not, and watches all pending clauses at once at its next entry
+/// point (see [`Solver::add_clause`]).
 ///
 /// Variable allocation and [`CnfSink::true_lit`] pass straight through;
 /// only clause emission is deferred. Staged clauses reach the solver in

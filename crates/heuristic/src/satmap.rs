@@ -15,7 +15,7 @@
 // Indexed `for` loops are deliberate here: slice/edge index loops mirror the encoding.
 #![allow(clippy::needless_range_loop)]
 use crate::SabreError;
-use olsq2::vars::FdVar;
+use olsq2::vars::{transition_step, FdVar};
 use olsq2_arch::CouplingGraph;
 use olsq2_circuit::{Circuit, Operands};
 use olsq2_encode::{gates, CardEncoding, CardinalityNetwork, CnfSink};
@@ -215,31 +215,8 @@ fn solve_joint(
     }
     // Transformation between epochs.
     for ep in 0..epochs.saturating_sub(1) {
-        for q in 0..nq {
-            for p in 0..np {
-                let incident = graph.edges_at(p as u16);
-                let antecedent = mapping[ep][q].neq_clause(p);
-                for &bit in &mapping[ep + 1][q].eq_conj(p) {
-                    let mut clause = antecedent.clone();
-                    clause.extend(incident.iter().map(|&e| swap_lits[ep][e]));
-                    clause.push(bit);
-                    solver.add_clause(clause);
-                }
-            }
-            for e in 0..ne {
-                let (pa, pb) = graph.edge(e);
-                for (fr, to) in [(pa, pb), (pb, pa)] {
-                    let antecedent = mapping[ep][q].neq_clause(fr as usize);
-                    for &bit in &mapping[ep + 1][q].eq_conj(to as usize) {
-                        let mut clause = Vec::with_capacity(antecedent.len() + 2);
-                        clause.push(!swap_lits[ep][e]);
-                        clause.extend(antecedent.iter().copied());
-                        clause.push(bit);
-                        solver.add_clause(clause);
-                    }
-                }
-            }
-        }
+        let qubits = mapping[ep].iter().zip(&mapping[ep + 1]);
+        transition_step(&mut solver, graph, qubits, |e| swap_lits[ep][e]);
     }
     // Adjacency for each slice at its epoch.
     for (i, slice) in slices.iter().enumerate() {

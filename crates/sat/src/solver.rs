@@ -278,6 +278,58 @@ struct VarData {
     level: u32,
 }
 
+/// Per-variable mark of conflict analysis, cleared through
+/// `analyze_toclear` at the end of each analysis.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mark {
+    Clear,
+    /// In the clause being learnt (in `analyze_final`: on the frontier
+    /// being traced back to the assumptions).
+    Seen,
+    /// Minimization proved the literal implied by the learnt clause.
+    Removable,
+    /// Minimization proved the literal not implied by the learnt clause.
+    Failed,
+}
+
+/// A set of small indices that empties in O(1): members carry the
+/// current epoch, and `clear` starts a new one.
+#[derive(Debug, Clone, Default)]
+struct StampSet {
+    stamps: Vec<u32>,
+    epoch: u32,
+}
+
+impl StampSet {
+    /// Makes room for indices `0..n`.
+    fn grow(&mut self, n: usize) {
+        if self.stamps.len() < n {
+            self.stamps.resize(n, 0);
+        }
+    }
+
+    fn clear(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamps.fill(0);
+            self.epoch = 1;
+        }
+    }
+
+    /// Adds `i`; whether it was absent.
+    #[inline]
+    fn insert(&mut self, i: usize) -> bool {
+        let fresh = self.stamps[i] != self.epoch;
+        self.stamps[i] = self.epoch;
+        fresh
+    }
+
+    #[inline]
+    fn contains(&self, i: usize) -> bool {
+        self.stamps[i] == self.epoch
+    }
+}
+
 /// Incremental CDCL SAT solver.
 ///
 /// # Examples
@@ -300,6 +352,10 @@ struct VarData {
 pub struct Solver {
     db: ClauseDb,
     clauses: Vec<ClauseRef>,
+    /// The last `unwatched` entries of `clauses` are allocated but not yet
+    /// watched; `attach_pending` watches them in bulk at the next entry
+    /// point that can propagate or copy watch lists.
+    unwatched: usize,
     learnts: Vec<ClauseRef>,
     watches: WatchLists<Watcher>,
     /// Dedicated watch lists for 2-clauses (when the feature is on).
@@ -308,8 +364,9 @@ pub struct Solver {
     tern_watches: WatchLists<TernWatcher>,
     /// True while a deleted ternary clause may still have watchers in
     /// `tern_watches` (set at every ternary deletion, cleared by the
-    /// full watcher sweeps). While false — the common case — the
-    /// ternary scan skips the per-watcher arena header load entirely.
+    /// full watcher sweeps and by `simplify`'s scrub). While false — the
+    /// common case — the ternary scan skips the per-watcher arena header
+    /// load entirely.
     tern_stale: bool,
     assigns: Vec<LBool>,
     vardata: Vec<VarData>,
@@ -391,20 +448,29 @@ pub struct Solver {
     cancel_buf: Vec<Lit>,
     /// Self-subsumption rewrites awaiting a level-0 boundary.
     pending_strengthen: Vec<PendingStrengthen>,
-    /// Stamped literal marks for the subset test in strengthening
-    /// detection (stamp bump instead of clearing).
-    lit_stamp: Vec<u32>,
-    stamp: u32,
+    /// Literal set for the subset test in strengthening detection.
+    lit_set: StampSet,
+    /// Decision-level set for counting a clause's LBD.
+    level_set: StampSet,
     /// Luby restart unit in conflicts.
     restart_base: u64,
-    // Scratch buffers for conflict analysis.
-    seen: Vec<bool>,
+    // Scratch buffers for conflict analysis; `analyze_stack` holds the
+    // minimizer's DFS frames (variable, next reason position).
+    seen: Vec<Mark>,
     analyze_toclear: Vec<Var>,
-    analyze_stack: Vec<Lit>,
+    analyze_stack: Vec<(Var, u32)>,
     // Scratch buffers for clause addition (raw literals, then the
     // root-simplified clause), reused across `add_clause` calls.
     add_buf: Vec<Lit>,
     add_buf2: Vec<Lit>,
+}
+
+/// The number of distinct decision levels among `lits` (its LBD).
+fn distinct_levels(levels: &mut StampSet, vardata: &[VarData], lits: &[Lit]) -> u32 {
+    levels.clear();
+    lits.iter()
+        .filter(|l| levels.insert(vardata[l.var().index()].level as usize))
+        .count() as u32
 }
 
 const VAR_DECAY: f64 = 0.95;
@@ -423,6 +489,7 @@ impl Solver {
         Solver {
             db: ClauseDb::new(),
             clauses: Vec::new(),
+            unwatched: 0,
             learnts: Vec::new(),
             watches: WatchLists::new(),
             bin_watches: WatchLists::new(),
@@ -471,8 +538,8 @@ impl Solver {
             restart_hold: 0,
             cancel_buf: Vec::new(),
             pending_strengthen: Vec::new(),
-            lit_stamp: Vec::new(),
-            stamp: 0,
+            lit_set: StampSet::default(),
+            level_set: StampSet::default(),
             restart_base: RESTART_BASE,
             seen: Vec::new(),
             analyze_toclear: Vec::new(),
@@ -631,6 +698,7 @@ impl Solver {
     /// public API it always is between [`Solver::solve`] calls.
     pub fn fork(&mut self) -> Solver {
         assert_eq!(self.decision_level(), 0, "fork snapshots root state only");
+        self.attach_pending();
         if self.ok {
             // Reach the root fixpoint (incremental additions may have
             // left `qhead` behind), retire
@@ -661,6 +729,7 @@ impl Solver {
         Solver {
             db: self.db.clone(),
             clauses: self.clauses.clone(),
+            unwatched: 0,
             learnts: self.learnts.clone(),
             watches: self.watches.clone(),
             bin_watches: self.bin_watches.clone(),
@@ -709,8 +778,8 @@ impl Solver {
             restart_hold: 0,
             cancel_buf: Vec::new(),
             pending_strengthen: self.pending_strengthen.clone(),
-            lit_stamp: Vec::new(),
-            stamp: 0,
+            lit_set: StampSet::default(),
+            level_set: StampSet::default(),
             restart_base: self.restart_base,
             seen: Vec::new(),
             analyze_toclear: Vec::new(),
@@ -817,6 +886,7 @@ impl Solver {
         if !self.ok {
             return None;
         }
+        self.attach_pending();
         // Reach the root fixpoint first so the probe starts clean; a
         // conflict here means the formula itself is UNSAT.
         if self.propagate().is_some() {
@@ -924,7 +994,12 @@ impl Solver {
     /// permanently unsatisfiable state (then the clause is ignored).
     ///
     /// Tautologies are silently dropped; duplicate and root-false literals
-    /// are removed. May trigger unit propagation at the root level.
+    /// are removed. A clause of two or more literals is stored but not
+    /// watched yet: the next `solve`, `simplify`, `fork` or `lookahead`
+    /// watches every pending clause in one pass, in addition order. A
+    /// unit clause watches the pending clauses first, then propagates at
+    /// the root level, so clauses added after it are simplified against
+    /// everything it implies.
     ///
     /// # Panics
     ///
@@ -941,11 +1016,12 @@ impl Solver {
     }
 
     /// Adds a batch of clauses packed end-to-end in `flat`; `ends[i]` is
-    /// the exclusive end offset of clause `i`. Semantically identical to
-    /// one [`Solver::add_clause`] call per clause, but with zero
-    /// per-clause allocation — encoders stage literals into one flat
-    /// buffer and hand the whole batch over. Stops early and returns
-    /// `false` once the solver is permanently unsatisfiable.
+    /// the exclusive end offset of clause `i`. Identical to one
+    /// [`Solver::add_clause`] call per clause, including the deferred
+    /// watching, but without a call and a scratch round-trip per clause:
+    /// encoders stage literals into one flat buffer and hand the whole
+    /// batch over. Stops early and returns `false` once the solver is
+    /// permanently unsatisfiable.
     pub fn add_clause_batch(&mut self, flat: &[Lit], ends: &[u32]) -> bool {
         let mut v = std::mem::take(&mut self.add_buf);
         let mut start = 0usize;
@@ -1011,6 +1087,10 @@ impl Solver {
                 false
             }
             1 => {
+                // The unit propagates through every clause added before
+                // it, so later clauses are simplified against its
+                // implications.
+                self.attach_pending();
                 self.unchecked_enqueue(w[0], None);
                 if self.propagate().is_some() {
                     self.ok = false;
@@ -1021,7 +1101,7 @@ impl Solver {
             _ => {
                 let cref = self.db.alloc(&w, false);
                 self.clauses.push(cref);
-                self.attach(cref);
+                self.unwatched += 1;
                 true
             }
         };
@@ -1065,6 +1145,48 @@ impl Solver {
                 .push((!l0).code(), Watcher { cref, blocker: l1 });
             self.watches
                 .push((!l1).code(), Watcher { cref, blocker: l0 });
+        }
+    }
+
+    /// Watches the problem clauses added since the last call, in addition
+    /// order, so each list ends exactly as one `attach` per clause would
+    /// leave it. Counting first moves each list at most once per call
+    /// instead of on every doubling. Called at each entry
+    /// point that can propagate or copy watch lists (`solve`, `simplify`,
+    /// `fork`, `lookahead`, and a root unit's addition); `propagate`
+    /// itself never checks.
+    fn attach_pending(&mut self) {
+        if self.unwatched == 0 {
+            return;
+        }
+        let first = self.clauses.len() - self.unwatched;
+        self.unwatched = 0;
+        let (binary, ternary) = (self.features.binary_watches, self.features.ternary_watches);
+        for &cref in &self.clauses[first..] {
+            let lits = self.db.lits(cref);
+            match lits.len() {
+                2 if binary => lits
+                    .iter()
+                    .for_each(|&l| self.bin_watches.announce((!l).code())),
+                3 if ternary => lits
+                    .iter()
+                    .for_each(|&l| self.tern_watches.announce((!l).code())),
+                _ => lits[..2]
+                    .iter()
+                    .for_each(|&l| self.watches.announce((!l).code())),
+            }
+        }
+        // Any watcher value pads the new windows; the fill overwrites it.
+        let cref = self.clauses[first];
+        let l = Lit(0);
+        self.watches.make_room(Watcher { cref, blocker: l });
+        self.bin_watches.make_room(BinWatcher { cref, implied: l });
+        self.tern_watches.make_room(TernWatcher {
+            cref,
+            others: [l, l],
+        });
+        for i in first..self.clauses.len() {
+            self.attach(self.clauses[i]);
         }
     }
 
@@ -1172,8 +1294,9 @@ impl Solver {
                 let mut pool = self.tern_watches.take_pool();
                 let tws = &mut pool[trange];
                 // Watchers of deleted clauses can linger only between a
-                // ternary deletion and the next full sweep; outside that
-                // window the scan skips the arena header load entirely.
+                // ternary deletion and the next sweep or `simplify`
+                // scrub; outside that window the scan skips the arena
+                // header load entirely.
                 let stale = self.tern_stale;
                 let mut tern_conflict = None;
                 let mut j = 0usize;
@@ -1390,7 +1513,7 @@ impl Solver {
                 self.db.set_used(confl, true);
                 // Refresh LBD (keep minimum) and promote the tier when the
                 // clause proves better than first measured.
-                let lbd = self.clause_lbd(confl);
+                let lbd = distinct_levels(&mut self.level_set, &self.vardata, self.db.lits(confl));
                 if lbd < self.db.lbd(confl) {
                     self.db.set_lbd(confl, lbd);
                     let promoted = Tier::for_lbd(lbd).max(self.db.tier(confl));
@@ -1407,8 +1530,8 @@ impl Solver {
                     continue;
                 }
                 let v = q.var();
-                if !self.seen[v.index()] && self.level(v) > 0 {
-                    self.seen[v.index()] = true;
+                if self.seen[v.index()] == Mark::Clear && self.level(v) > 0 {
+                    self.seen[v.index()] = Mark::Seen;
                     self.analyze_toclear.push(v);
                     self.bump_var(v);
                     if self.level(v) >= self.decision_level() {
@@ -1426,7 +1549,7 @@ impl Solver {
             loop {
                 index -= 1;
                 let v = self.trail[index].var();
-                if self.seen[v.index()] && self.level(v) >= self.decision_level() {
+                if self.seen[v.index()] == Mark::Seen && self.level(v) >= self.decision_level() {
                     break;
                 }
             }
@@ -1439,7 +1562,7 @@ impl Solver {
             confl = self
                 .reason(pl.var())
                 .expect("non-decision literal on conflict path must have a reason");
-            self.seen[pl.var().index()] = false;
+            self.seen[pl.var().index()] = Mark::Clear;
             // pl.var stays in analyze_toclear; clearing the flag here keeps
             // the invariant that `seen` marks exactly the unresolved nodes.
         }
@@ -1475,64 +1598,69 @@ impl Solver {
             self.level(learnt[1].var())
         };
         for v in self.analyze_toclear.drain(..) {
-            self.seen[v.index()] = false;
+            self.seen[v.index()] = Mark::Clear;
         }
         (learnt, bt_level)
     }
 
-    /// Checks whether `l` is implied by the rest of the learned clause
-    /// (MiniSat's `litRedundant`), using an iterative DFS over reasons.
+    /// Checks whether clause literal `l` is implied by the rest of the
+    /// learnt clause (MiniSat's `litRedundant`), by a DFS over reasons
+    /// with an explicit frame stack. Verdicts are memoized for the rest
+    /// of the analysis: a literal whose whole reason subtree checks out
+    /// becomes `Removable`, and when the walk reaches a decision or a
+    /// level outside the clause, every literal on the current path
+    /// becomes `Failed`. Both are facts about the fixed clause, so later
+    /// probes stop at them instead of re-walking the same subgraph, and
+    /// the removed set is the one an unmemoized walk finds.
     fn lit_redundant(&mut self, l: Lit, abstract_levels: u32) -> bool {
         self.analyze_stack.clear();
-        self.analyze_stack.push(l);
-        let top = self.analyze_toclear.len();
-        while let Some(q) = self.analyze_stack.pop() {
+        let (mut v, mut k) = (l.var(), 0u32);
+        loop {
             let cref = self
-                .reason(q.var())
-                .expect("stack only holds literals with reasons");
-            // Start at 0: `q` itself (wherever the binary kernel left it)
-            // is skipped by its `seen` mark.
-            for k in 0..self.db.len(cref) {
-                let pl = self.db.lits(cref)[k];
-                let v = pl.var();
-                if self.seen[v.index()] || self.level(v) == 0 {
+                .reason(v)
+                .expect("walk only visits literals with reasons");
+            if (k as usize) < self.db.len(cref) {
+                // From 0: `v` itself (wherever the binary kernel left it)
+                // is skipped by identity.
+                let q = self.db.lits(cref)[k as usize].var();
+                k += 1;
+                if q == v || self.level(q) == 0 {
                     continue;
                 }
-                if self.reason(v).is_some() && (1u32 << (self.level(v) & 31)) & abstract_levels != 0
-                {
-                    self.seen[v.index()] = true;
-                    self.analyze_toclear.push(v);
-                    self.analyze_stack.push(pl);
-                } else {
-                    // Not redundant: undo the marks added by this probe.
-                    for vv in self.analyze_toclear.drain(top..) {
-                        self.seen[vv.index()] = false;
+                match self.seen[q.index()] {
+                    Mark::Seen | Mark::Removable => continue,
+                    Mark::Clear
+                        if self.reason(q).is_some()
+                            && (1u32 << (self.level(q) & 31)) & abstract_levels != 0 =>
+                    {
+                        self.analyze_stack.push((v, k));
+                        (v, k) = (q, 0);
                     }
-                    return false;
+                    Mark::Clear | Mark::Failed => {
+                        // Not redundant, nor is anything on the path.
+                        self.analyze_stack.push((v, k));
+                        for i in 0..self.analyze_stack.len() {
+                            let w = self.analyze_stack[i].0;
+                            if self.seen[w.index()] == Mark::Clear {
+                                self.seen[w.index()] = Mark::Failed;
+                                self.analyze_toclear.push(w);
+                            }
+                        }
+                        return false;
+                    }
+                }
+            } else {
+                // Every reason literal of `v` checks out.
+                if self.seen[v.index()] == Mark::Clear {
+                    self.seen[v.index()] = Mark::Removable;
+                    self.analyze_toclear.push(v);
+                }
+                match self.analyze_stack.pop() {
+                    Some(frame) => (v, k) = frame,
+                    None => return true,
                 }
             }
         }
-        true
-    }
-
-    fn clause_lbd(&mut self, cref: ClauseRef) -> u32 {
-        // Count distinct decision levels via a small sort-free scheme.
-        let mut levels: Vec<u32> = self
-            .db
-            .lits(cref)
-            .iter()
-            .map(|l| self.level(l.var()))
-            .collect();
-        levels.sort_unstable();
-        levels.dedup();
-        levels.len() as u32
-    }
-
-    fn lits_lbd(&self, lits: &[Lit]) -> u32 {
-        let mut levels: Vec<u32> = lits.iter().map(|l| self.level(l.var())).collect();
-        levels.sort_unstable();
-        levels.dedup();
-        levels.len() as u32
     }
 
     /// Analyzes a conflict on an assumption: computes the subset of
@@ -1544,18 +1672,18 @@ impl Solver {
         if self.decision_level() == 0 {
             return;
         }
-        self.seen[p.var().index()] = true;
+        self.seen[p.var().index()] = Mark::Seen;
         for idx in (self.trail_lim[0]..self.trail.len()).rev() {
             let q = self.trail[idx];
             let v = q.var();
-            if !self.seen[v.index()] {
+            if self.seen[v.index()] != Mark::Seen {
                 continue;
             }
             // Chronological unit learnts sit above `trail_lim[0]` with
             // recorded level 0 and no reason; root-implied literals never
             // contribute to the assumption core.
             if self.level(v) == 0 {
-                self.seen[v.index()] = false;
+                self.seen[v.index()] = Mark::Clear;
                 continue;
             }
             match self.reason(v) {
@@ -1572,14 +1700,14 @@ impl Solver {
                     for k in 0..self.db.len(cref) {
                         let l = self.db.lits(cref)[k];
                         if self.level(l.var()) > 0 {
-                            self.seen[l.var().index()] = true;
+                            self.seen[l.var().index()] = Mark::Seen;
                         }
                     }
                 }
             }
-            self.seen[v.index()] = false;
+            self.seen[v.index()] = Mark::Clear;
         }
-        self.seen[p.var().index()] = false;
+        self.seen[p.var().index()] = Mark::Clear;
         self.final_conflict.sort_unstable();
         self.final_conflict.dedup();
     }
@@ -1725,11 +1853,13 @@ impl Solver {
 
     /// Root-level database simplification.
     ///
-    /// At decision level 0 this removes clauses satisfied by root-fixed
-    /// literals, strips root-falsified literals from the remaining
-    /// clauses (re-allocating the shortened clause and retiring the
-    /// original), and compacts watch lists so retired clauses no longer
-    /// occupy propagation paths. Runs automatically between restarts; the
+    /// At decision level 0 this watches any pending clauses, removes
+    /// clauses satisfied by root-fixed literals, strips root-falsified
+    /// literals from the remaining clauses (re-allocating the shortened
+    /// clause and retiring the original), and scrubs the retired clauses'
+    /// watchers from the binary and ternary lists that held them; their
+    /// long-clause watchers drop out lazily as propagation meets them.
+    /// Runs automatically between restarts; the
     /// incremental window machinery calls it explicitly after permanently
     /// falsifying superseded activation literals, so the retired
     /// constraints are physically reclaimed rather than just skipped.
@@ -1743,13 +1873,18 @@ impl Solver {
     /// the public API the solver is always at the root between solves.
     pub fn simplify(&mut self) {
         debug_assert_eq!(self.decision_level(), 0);
+        self.attach_pending();
         if !self.ok || self.trail.len() == self.simp_trail_len {
             return; // nothing newly fixed at the root since last time
         }
         debug_assert_eq!(self.qhead, self.trail.len(), "propagation incomplete");
         self.simp_trail_len = self.trail.len();
         self.stats.simplifies += 1;
-        let mut touched = false;
+        // Stale ternary watchers from earlier deletions (reduce,
+        // inprocessing) can sit in any list: only a full sweep finds them.
+        let tern_stale_before = self.tern_stale;
+        // The clauses this pass retires; only their lists get scrubbed.
+        let mut retired = Vec::new();
         // Note on proofs: satisfied-clause deletions are NOT logged. They
         // remove clauses satisfied by root-propagated literals, and the
         // checker — which only sees clauses, not the solver's trail — may
@@ -1766,7 +1901,6 @@ impl Solver {
             let mut keep = Vec::with_capacity(list.len());
             'clauses: for c in list {
                 if self.db.is_deleted(c) {
-                    touched = true;
                     continue;
                 }
                 let mut falsified = 0usize;
@@ -1775,8 +1909,8 @@ impl Solver {
                         LBool::True => {
                             self.note_delete(c);
                             self.db.delete(c);
+                            retired.push(c);
                             self.stats.simplify_removed += 1;
-                            touched = true;
                             continue 'clauses;
                         }
                         LBool::False => falsified += 1,
@@ -1814,10 +1948,10 @@ impl Solver {
                 }
                 self.note_delete(c);
                 self.db.delete(c);
+                retired.push(c);
                 self.attach(new_cref);
                 keep.push(new_cref);
                 self.stats.simplify_strengthened += 1;
-                touched = true;
             }
             *(if which == 0 {
                 &mut self.clauses
@@ -1825,18 +1959,49 @@ impl Solver {
                 &mut self.learnts
             }) = keep;
         }
-        if touched {
-            // Scrub watchers of retired clauses eagerly instead of letting
-            // propagation drop them one miss at a time.
-            let db = &self.db;
-            self.watches.sweep(|w| !db.is_deleted(w.cref));
-            self.bin_watches.sweep(|w| !db.is_deleted(w.cref));
-            self.tern_watches.sweep(|w| !db.is_deleted(w.cref));
-            self.tern_stale = false;
-        }
+        self.scrub_retired(&retired, tern_stale_before);
         if self.db.wasted_ratio() > 0.3 {
             self.garbage_collect();
         }
+    }
+
+    /// Drops the watchers of the clauses one `simplify` pass retired from
+    /// the binary and ternary lists that held them, and only from those:
+    /// two or three lists per clause, each scrubbed once, watcher order
+    /// kept. Binary lists must never hold a dead watcher (the binary scan
+    /// does not check). Ternary lists get the full sweep instead when
+    /// `tern_stale_before` says older deletions may have left watchers
+    /// anywhere; either way none is stale afterwards. Long lists keep
+    /// dropping dead watchers lazily in `propagate`.
+    fn scrub_retired(&mut self, retired: &[ClauseRef], tern_stale_before: bool) {
+        let (binary, ternary) = (self.features.binary_watches, self.features.ternary_watches);
+        let mut bin_codes = Vec::new();
+        let mut tern_codes = Vec::new();
+        for &c in retired {
+            let lits = self.db.lits(c);
+            let codes = match lits.len() {
+                2 if binary => &mut bin_codes,
+                3 if ternary => &mut tern_codes,
+                _ => continue,
+            };
+            codes.extend(lits.iter().map(|&l| (!l).code()));
+        }
+        let db = &self.db;
+        bin_codes.sort_unstable();
+        bin_codes.dedup();
+        for code in bin_codes {
+            self.bin_watches.retain(code, |w| !db.is_deleted(w.cref));
+        }
+        if tern_stale_before {
+            self.tern_watches.sweep(|w| !db.is_deleted(w.cref));
+        } else {
+            tern_codes.sort_unstable();
+            tern_codes.dedup();
+            for code in tern_codes {
+                self.tern_watches.retain(code, |w| !db.is_deleted(w.cref));
+            }
+        }
+        self.tern_stale = false;
     }
 
     /// Replaces the clause at `clauses`/`learnts` slot `idx` (selected by
@@ -2013,13 +2178,9 @@ impl Solver {
             return;
         }
         let remove = !learnt[0];
-        self.stamp = self.stamp.wrapping_add(1);
-        if self.stamp == 0 {
-            self.lit_stamp.fill(0);
-            self.stamp = 1;
-        }
+        self.lit_set.clear();
         for &l in &learnt[1..] {
-            self.lit_stamp[l.code()] = self.stamp;
+            self.lit_set.insert(l.code());
         }
         let mut hits = 0usize;
         let mut has_remove = false;
@@ -2030,7 +2191,7 @@ impl Solver {
             }
             if q == remove {
                 has_remove = true;
-            } else if self.lit_stamp[q.code()] == self.stamp {
+            } else if self.lit_set.contains(q.code()) {
                 hits += 1;
             }
         }
@@ -2205,8 +2366,11 @@ impl Solver {
             return SolveResult::Unsat;
         }
         debug_assert_eq!(self.decision_level(), 0);
-        self.seen.resize(self.num_vars(), false);
-        self.lit_stamp.resize(2 * self.num_vars(), 0);
+        self.attach_pending();
+        self.seen.resize(self.num_vars(), Mark::Clear);
+        self.lit_set.grow(2 * self.num_vars());
+        // Every decision level holds a decision or an assumption.
+        self.level_set.grow(self.num_vars() + assumptions.len() + 1);
         self.model.clear();
         self.final_conflict.clear();
         // Assumption variables are off-limits to inprocessing for the
@@ -2485,8 +2649,7 @@ impl Solver {
                     return Some(SolveResult::Unsat);
                 }
                 let (learnt, bt) = self.analyze(confl);
-                let learnt_for_proof = learnt.clone();
-                self.log_proof(|| ProofStep::Lemma(learnt_for_proof));
+                self.log_proof(|| ProofStep::Lemma(learnt.clone()));
                 // Chronological backtracking: a long jump discards a whole
                 // subtree of still-consistent assignments; undo one level
                 // instead and record the asserting literal at its
@@ -2505,7 +2668,7 @@ impl Solver {
                     self.unchecked_enqueue_at(learnt[0], None, 0);
                 } else {
                     let cref = self.db.alloc(&learnt, true);
-                    let lbd = self.lits_lbd(&learnt);
+                    let lbd = distinct_levels(&mut self.level_set, &self.vardata, &learnt);
                     self.update_lbd_emas(lbd);
                     self.db.set_lbd(cref, lbd);
                     self.db.set_tier(cref, Tier::for_lbd(lbd));
@@ -3412,5 +3575,172 @@ mod tests {
         assert!(s.has_target_phases());
         s.clear_target_phases();
         assert!(!s.has_target_phases());
+    }
+
+    /// Every watch list's clause sequence: binary, ternary, then long
+    /// lists, each indexed by literal code.
+    fn watch_sequences(s: &Solver) -> [Vec<Vec<ClauseRef>>; 3] {
+        fn crefs<T: Copy>(
+            lists: &WatchLists<T>,
+            n: usize,
+            cref: fn(T) -> ClauseRef,
+        ) -> Vec<Vec<ClauseRef>> {
+            (0..n)
+                .map(|c| lists.range_of(c).map(|i| cref(lists.at_raw(i))).collect())
+                .collect()
+        }
+        let n = 2 * s.num_vars();
+        [
+            crefs(&s.bin_watches, n, |w| w.cref),
+            crefs(&s.tern_watches, n, |w| w.cref),
+            crefs(&s.watches, n, |w| w.cref),
+        ]
+    }
+
+    /// Random clauses of 2–5 distinct variables, no units.
+    fn random_clauses(rng: &mut olsq2_prng::Rng, vars: &[Lit], n: usize) -> Vec<Vec<Lit>> {
+        (0..n)
+            .map(|_| {
+                let mut pool = vars.to_vec();
+                rng.shuffle(&mut pool);
+                let len = rng.gen_range(2..6usize);
+                pool[..len]
+                    .iter()
+                    .map(|&l| if rng.gen_bool(0.5) { l } else { !l })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn bulk_intake_keeps_addition_order_per_list() {
+        let mut rng = olsq2_prng::Rng::seed_from_u64(0x001A_7ACE);
+        let mut bulk = Solver::new();
+        let mut eager = Solver::new();
+        let v = lits(&mut bulk, 14);
+        lits(&mut eager, 14);
+        let rounds = [
+            random_clauses(&mut rng, &v, 60),
+            random_clauses(&mut rng, &v, 40),
+        ];
+        for (i, round) in rounds.iter().enumerate() {
+            for c in round {
+                bulk.add_clause(c.iter().copied());
+                // One attach per clause: the order intake must reproduce.
+                eager.add_clause(c.iter().copied());
+                eager.attach_pending();
+            }
+            assert!(
+                i > 0 || bulk.unwatched == 60,
+                "the bulk solver defers its watches"
+            );
+            bulk.simplify();
+            eager.simplify();
+            assert_eq!(watch_sequences(&bulk), watch_sequences(&eager));
+            assert_eq!(bulk.solve(&[]), eager.solve(&[]));
+            assert_eq!(bulk.stats(), eager.stats());
+            assert_eq!(watch_sequences(&bulk), watch_sequences(&eager));
+        }
+        // Before any search moved a watch, each list is addition order:
+        // the first round's clauses, watched on every literal of a 2- or
+        // 3-clause and on the first two of a longer one.
+        let mut fresh = Solver::new();
+        let w = lits(&mut fresh, 14);
+        assert_eq!(w, v);
+        for c in &rounds[0] {
+            fresh.add_clause(c.iter().copied());
+        }
+        fresh.simplify();
+        let mut expected: [Vec<Vec<ClauseRef>>; 3] =
+            std::array::from_fn(|_| vec![Vec::new(); 2 * fresh.num_vars()]);
+        for &cref in &fresh.clauses {
+            let lits = fresh.db.lits(cref);
+            let (scheme, watched) = match lits.len() {
+                2 => (0, lits),
+                3 => (1, lits),
+                _ => (2, &lits[..2]),
+            };
+            for &l in watched {
+                expected[scheme][(!l).code()].push(cref);
+            }
+        }
+        assert_eq!(watch_sequences(&fresh), expected);
+    }
+
+    #[test]
+    fn root_unit_propagates_through_unwatched_clauses() {
+        let mut s = Solver::new();
+        let v = lits(&mut s, 4);
+        s.add_clause([v[0], v[1]]);
+        s.add_clause([!v[1], v[2], v[3]]);
+        // ¬v0 forces v1 through the still-unwatched first clause.
+        s.add_clause([!v[0]]);
+        assert_eq!(s.value(v[1]), LBool::True);
+        let before = s.num_clauses();
+        // Satisfied by the implied v1: dropped on arrival.
+        s.add_clause([v[1], v[3]]);
+        assert_eq!(s.num_clauses(), before);
+        // ¬v1 is root-false: the clause arrives as the binary (v2 ∨ v3).
+        s.add_clause([!v[1], v[2], !v[3]]);
+        let last = *s.clauses.last().expect("clause kept");
+        assert_eq!(s.db.lits(last), &[v[2], !v[3]]);
+        assert_eq!(s.solve(&[!v[2]]), SolveResult::Unsat);
+    }
+
+    #[test]
+    fn fork_lookahead_and_simplify_see_unwatched_clauses() {
+        let setup = || {
+            let mut s = Solver::new();
+            let v = lits(&mut s, 3);
+            s.add_clause([!v[0], v[1]]);
+            s.add_clause([!v[1], v[2]]);
+            assert_eq!(s.unwatched, 2);
+            (s, v)
+        };
+        let (mut s, v) = setup();
+        let mut child = s.fork();
+        assert_eq!(child.solve(&[v[0], !v[2]]), SolveResult::Unsat);
+        assert_eq!(s.solve(&[v[0], !v[2]]), SolveResult::Unsat);
+
+        let (mut s, v) = setup();
+        assert_eq!(s.lookahead(&[v[0]]), Some(2));
+
+        let (mut s, v) = setup();
+        s.simplify();
+        assert_eq!(s.unwatched, 0);
+        let [bin, _, _] = watch_sequences(&s);
+        assert_eq!(bin[(!v[1]).code()], vec![s.clauses[0]]);
+        assert_eq!(bin[v[1].code()], vec![s.clauses[1]]);
+    }
+
+    #[test]
+    fn simplify_leaves_no_dead_binary_or_ternary_watcher() {
+        let mut s = Solver::new();
+        let v = lits(&mut s, 6);
+        let pad = lits(&mut s, 8);
+        s.add_clause([v[0], v[1]]);
+        s.add_clause([v[0], v[2], v[3]]);
+        s.add_clause([!v[0], v[4], v[5]]);
+        s.add_clause([v[1], v[4]]);
+        s.add_clause([v[2], v[3], v[4], v[5]]);
+        // Untouched clauses keep the arena's dead share low, so no
+        // garbage collection sweeps the lists behind the scrub's back.
+        for w in pad.windows(3) {
+            s.add_clause(w.iter().copied());
+            s.add_clause([w[0], !w[1]]);
+        }
+        assert_eq!(s.solve(&[]), SolveResult::Sat);
+        // Satisfies the first two and strengthens the third to binary.
+        s.add_clause([v[0]]);
+        s.simplify();
+        assert_eq!(s.stats().simplify_removed, 2);
+        assert_eq!(s.stats().simplify_strengthened, 1);
+        assert!(s.db.wasted_ratio() > 0.0, "garbage collection ran");
+        assert!(!s.tern_stale);
+        let [bin, tern, _] = watch_sequences(&s);
+        for cref in bin.iter().chain(&tern).flatten() {
+            assert!(!s.db.is_deleted(*cref), "dead watcher survived simplify");
+        }
+        assert_eq!(s.solve(&[!v[4], !v[5]]), SolveResult::Unsat);
     }
 }

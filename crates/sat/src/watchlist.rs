@@ -12,6 +12,12 @@
 //! the pool's own reallocation, which is exactly the stability the
 //! propagation loop needs (it only ever pushes to lists other than the
 //! one it is scanning).
+//!
+//! Bulk intake counts before it fills: [`WatchLists::announce`] each
+//! watcher's list, [`WatchLists::make_room`] once, then `push` them in
+//! order. Every list moves at most once per bulk, a fresh one straight
+//! to its exact final size, instead of doubling its way up one
+//! relocation at a time.
 
 /// One per-literal window into the pool. `cap` slots are reserved
 /// starting at `start`; the first `len` hold live watchers.
@@ -29,6 +35,11 @@ pub(crate) struct WatchLists<T: Copy> {
     heads: Vec<ListHead>,
     /// Pool slots orphaned by list relocation; reclaimed by `sweep`.
     wasted: usize,
+    /// Watchers announced per list since the last `make_room` (scratch,
+    /// sized on demand, all zero between bulks).
+    want: Vec<u32>,
+    /// The lists with a nonzero `want`, each once.
+    wanted: Vec<u32>,
 }
 
 impl<T: Copy> WatchLists<T> {
@@ -37,6 +48,8 @@ impl<T: Copy> WatchLists<T> {
             pool: Vec::new(),
             heads: Vec::new(),
             wasted: 0,
+            want: Vec::new(),
+            wanted: Vec::new(),
         }
     }
 
@@ -113,12 +126,87 @@ impl<T: Copy> WatchLists<T> {
         };
     }
 
+    /// Announces one watcher that a bulk fill will `push` to `code`'s
+    /// list after the next [`WatchLists::make_room`].
+    #[inline]
+    pub(crate) fn announce(&mut self, code: usize) {
+        if code >= self.want.len() {
+            self.want.resize(self.heads.len(), 0);
+        }
+        if self.want[code] == 0 {
+            self.wanted.push(code as u32);
+        }
+        self.want[code] += 1;
+    }
+
+    /// Gives every announced list room for its announced watchers, so the
+    /// pushes that follow never relocate. A list that lacks room moves to
+    /// a new window at the pool tail: exact-size if it had no window yet
+    /// (every list of a fresh model), at least double its old one
+    /// otherwise, so a caller that alternates small additions with solves
+    /// pays amortized O(1) per watcher, as with `push`, instead of moving
+    /// and abandoning the whole list every time. All moves of one call
+    /// share a single pool resize (padded with `filler`, which the pushes
+    /// overwrite). Cost grows with the announced lists, not with the
+    /// number of lists.
+    pub(crate) fn make_room(&mut self, filler: T) {
+        // The old head and new capacity of a list whose announced
+        // watchers overflow its window.
+        let moved = |lists: &Self, code: u32| {
+            let head = lists.heads[code as usize];
+            let need = head.len + lists.want[code as usize];
+            (need > head.cap).then(|| (head, need.max(2 * head.cap)))
+        };
+        let mut tail = self.pool.len();
+        let grown: usize = (self.wanted.iter())
+            .filter_map(|&code| moved(self, code))
+            .map(|(_, cap)| cap as usize)
+            .sum();
+        // Window starts are stored as u32.
+        assert!(tail + grown <= u32::MAX as usize, "watch pool overflow");
+        self.pool.resize(tail + grown, filler);
+        for i in 0..self.wanted.len() {
+            let code = self.wanted[i];
+            if let Some((head, cap)) = moved(self, code) {
+                let start = head.start as usize;
+                self.pool
+                    .copy_within(start..start + head.len as usize, tail);
+                self.wasted += head.cap as usize;
+                self.heads[code as usize] = ListHead {
+                    start: tail as u32,
+                    len: head.len,
+                    cap,
+                };
+                tail += cap as usize;
+            }
+            self.want[code as usize] = 0;
+        }
+        self.wanted.clear();
+    }
+
+    /// Keeps the watchers of `code`'s list that `keep` approves of, in
+    /// order, compacting the window in place (its capacity stays).
+    pub(crate) fn retain(&mut self, code: usize, mut keep: impl FnMut(&T) -> bool) {
+        let range = self.range_of(code);
+        let start = range.start;
+        let mut j = start;
+        for i in range {
+            let w = self.pool[i];
+            if keep(&w) {
+                self.pool[j] = w;
+                j += 1;
+            }
+        }
+        self.heads[code].len = (j - start) as u32;
+    }
+
     /// Retains watchers `f` approves of (with in-place mutation, e.g. cref
     /// remapping), rebuilding the pool with zero wasted slots. Lists keep
     /// their relative order; capacities snap to the surviving lengths, so
     /// the next push per list relocates once — sweeps are rare (garbage
-    /// collection, simplify scrubs, pre-fork compaction) and the compact
-    /// pool is what makes the fork clone cheap.
+    /// collection, `simplify` after stale ternary deletions, pre-fork
+    /// compaction) and the compact pool is what makes the fork clone
+    /// cheap.
     pub(crate) fn sweep(&mut self, mut f: impl FnMut(&mut T) -> bool) {
         let live = self.pool.len() - self.wasted;
         let mut new_pool = Vec::with_capacity(live);
@@ -186,6 +274,70 @@ mod tests {
         assert_eq!(collect(&w, 1), vec![777]);
         assert_eq!(collect(&w, 2), (100..110).collect::<Vec<_>>());
         assert!(w.wasted() > 0);
+    }
+
+    #[test]
+    fn announced_fill_matches_pushes_without_relocating() {
+        let mut bulk = WatchLists::new();
+        let mut eager = WatchLists::new();
+        for _ in 0..4 {
+            bulk.push_list();
+            eager.push_list();
+        }
+        bulk.push(1, 7);
+        eager.push(1, 7);
+        let stream = [(0, 1u64), (3, 2), (1, 3), (0, 4), (0, 5), (1, 6)];
+        for &(code, _) in &stream {
+            bulk.announce(code);
+        }
+        bulk.make_room(0);
+        let (pool, wasted) = (bulk.pool.len(), bulk.wasted());
+        for &(code, w) in &stream {
+            bulk.push(code, w);
+            eager.push(code, w);
+        }
+        assert_eq!(
+            (bulk.pool.len(), bulk.wasted()),
+            (pool, wasted),
+            "fill moved a list"
+        );
+        for code in 0..4 {
+            assert_eq!(collect(&bulk, code), collect(&eager, code));
+        }
+        // Lists 0 and 3 had no window and get exact ones (3 and 1 slots);
+        // list 1 outgrows its first window (2 slots, wasted) and doubles.
+        assert_eq!((bulk.pool.len(), bulk.wasted()), (2 + 3 + 1 + 4, 2));
+    }
+
+    #[test]
+    fn alternating_small_bulks_grow_geometrically() {
+        let mut w = WatchLists::new();
+        w.push_list();
+        for i in 0..1000u64 {
+            w.announce(0);
+            w.make_room(0);
+            w.push(0, i);
+        }
+        assert_eq!(collect(&w, 0), (0..1000).collect::<Vec<_>>());
+        // Capacities 1, 2, 4, …, 1024: the abandoned windows sum to 1023.
+        assert_eq!(w.wasted(), 1023);
+    }
+
+    #[test]
+    fn retain_compacts_one_list_in_order() {
+        let mut w = WatchLists::new();
+        for _ in 0..2 {
+            w.push_list();
+        }
+        for i in 0..6u64 {
+            w.push(0, i);
+            w.push(1, i);
+        }
+        w.retain(0, |v| v % 3 != 0);
+        assert_eq!(collect(&w, 0), vec![1, 2, 4, 5]);
+        assert_eq!(collect(&w, 1), (0..6).collect::<Vec<_>>());
+        w.push(0, 9);
+        assert_eq!(collect(&w, 0), vec![1, 2, 4, 5, 9]);
     }
 
     #[test]

@@ -380,3 +380,53 @@ fn synthesis_refutation_under_chrono_is_rup_checkable() {
     assert!(proof.claims_unsat());
     assert_eq!(proof.check(), Ok(()), "synthesis refutation rejected");
 }
+
+/// Pins the search itself, not just its answers: the solver counts and
+/// formula size of three fixed runs. A change that only speeds up clause
+/// intake, encoding or minimization must leave every figure here as it
+/// is; a change that alters the search order on purpose updates them.
+#[test]
+fn search_counts_are_pinned() {
+    use olsq2::TbOlsq2Synthesizer;
+    use olsq2_arch::device_by_name;
+    use olsq2_circuit::generators::qft_decomposed;
+    // (conflicts, propagations, decisions, (vars, clauses)).
+    let counts = |out: &olsq2::SynthesisOutcome| {
+        let s = out.solver_stats;
+        (s.conflicts, s.propagations, s.decisions, out.formula_size)
+    };
+    let line4 = device_by_name("line4").expect("known device");
+    let out = Olsq2Synthesizer::new(SynthesisConfig::with_swap_duration(3))
+        .optimize_depth(&qft_decomposed(4), &line4)
+        .expect("solves");
+    assert_eq!(out.result.depth, 28);
+    assert_eq!(
+        counts(&out),
+        (2893, 708_732, 6157, (4004, 37_871)),
+        "qft-4/line4"
+    );
+
+    let aspen4 = device_by_name("aspen4").expect("known device");
+    let q = queko_circuit(aspen4.num_qubits(), aspen4.edges(), 5, 37, 42);
+    let out = Olsq2Synthesizer::new(SynthesisConfig::with_swap_duration(3))
+        .optimize_depth(&q.circuit, &aspen4)
+        .expect("solves");
+    assert_eq!(out.result.depth, 5);
+    assert_eq!(
+        counts(&out),
+        (377, 221_089, 2852, (7450, 89_983)),
+        "queko-16x37/aspen4"
+    );
+
+    let grid2x3 = device_by_name("grid2x3").expect("known device");
+    let out = TbOlsq2Synthesizer::new(SynthesisConfig::with_swap_duration(1))
+        .optimize_swaps(&qaoa_circuit(6, 42), &grid2x3)
+        .expect("solves")
+        .outcome;
+    assert_eq!(out.result.swap_count(), 2);
+    assert_eq!(
+        counts(&out),
+        (448, 94_601, 709, (836, 3619)),
+        "TB qaoa-6/grid2x3"
+    );
+}
