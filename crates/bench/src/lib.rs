@@ -30,10 +30,6 @@ pub struct BenchOpts {
     pub full: bool,
     /// Base RNG seed for workload generation.
     pub seed: u64,
-    /// Minimum acceptable headline ratio: harnesses with a headline
-    /// geomean (like `solver`'s end-to-end speedup) exit non-zero when it
-    /// falls below this, turning a benchmark run into a CI guard.
-    pub gate: Option<f64>,
 }
 
 impl Default for BenchOpts {
@@ -42,14 +38,13 @@ impl Default for BenchOpts {
             budget: Duration::from_secs(60),
             full: false,
             seed: 42,
-            gate: None,
         }
     }
 }
 
 impl BenchOpts {
-    /// Parses `--budget <secs>`, `--full`, `--seed <n>`, `--gate <ratio>`
-    /// from `std::env::args`.
+    /// Parses `--budget <secs>`, `--full` and `--seed <n>` from
+    /// `std::env::args`.
     ///
     /// # Panics
     ///
@@ -74,16 +69,8 @@ impl BenchOpts {
                         .unwrap_or_else(|| panic!("--seed requires a number"));
                     opts.seed = v;
                 }
-                "--gate" => {
-                    let v = args
-                        .next()
-                        .and_then(|s| s.parse::<f64>().ok())
-                        .filter(|g| g.is_finite() && *g > 0.0)
-                        .unwrap_or_else(|| panic!("--gate requires a positive ratio"));
-                    opts.gate = Some(v);
-                }
                 "--help" | "-h" => {
-                    eprintln!("usage: [--budget <secs>] [--full] [--seed <n>] [--gate <ratio>]");
+                    eprintln!("usage: [--budget <secs>] [--full] [--seed <n>]");
                     std::process::exit(0);
                 }
                 other => panic!("unknown argument {other:?} (try --help)"),

@@ -4,8 +4,7 @@
 //! olsq2 --qasm <file|-> --device <name> [--objective depth|swaps|blocks]
 //!       [--swap-duration N] [--budget SECS] [--encoding int|bv|euf]
 //!       [--tool olsq2|tb|sabre|satmap|astar] [--output out.qasm]
-//!       [--no-incremental] [--legacy-solver]
-//!       [--no-chrono] [--no-target-phase] [--no-glucose-restarts] [--no-structure-seeding]
+//!       [--no-incremental]
 //!       [--trace-out trace.jsonl] [--report]
 //!       [--flight-out flight.jsonl] [--flight-every N] [--flight-capacity N]
 //!
@@ -21,8 +20,7 @@
 //! olsq2 trace-diff <a.jsonl> <b.jsonl> [--label-a NAME] [--label-b NAME]
 //!
 //! olsq2 sat <file.cnf|-> [--preprocess] [--assume LIT]...
-//!       [--budget-conflicts N] [--legacy-solver] [--stats]
-//!       [--no-chrono] [--no-target-phase] [--no-glucose-restarts]
+//!       [--budget-conflicts N] [--stats]
 //!       [--cube-workers N] [--cube-depth N]
 //! ```
 //!
@@ -58,12 +56,7 @@
 //! (default 128) into a lock-free ring of `--flight-capacity` slots
 //! (default 4096), and the ring is dumped as versioned JSONL on exit —
 //! including synthesis failure and panic — so the last moments of a
-//! dying search are always recoverable. `--legacy-solver` runs the
-//! pre-overhaul solver kernel *and* search policies (no chronological
-//! backtracking, no Glucose restarts, no target phases, no structure
-//! seeding), the natural A side of an A/B comparison; the individual
-//! `--no-*` flags peel one policy at a time off the modern default for
-//! ablations.
+//! dying search are always recoverable.
 //!
 //! In `serve-batch`, `--snapshot-on-preempt` lets deadline-cut jobs stash
 //! an O(memcpy) solver snapshot so an identical resubmission resumes from
@@ -112,8 +105,7 @@ fn usage() -> ! {
         "usage: olsq2 --qasm <file|-> --device <name> \\
           [--objective depth|swaps] [--tool olsq2|tb|sabre|satmap|astar] \\
           [--swap-duration N] [--budget SECS] [--encoding int|bv|euf] [--output out.qasm] \\
-          [--no-incremental] [--legacy-solver] \\
-          [--no-chrono] [--no-target-phase] [--no-glucose-restarts] [--no-structure-seeding] \\
+          [--no-incremental] \\
           [--trace-out trace.jsonl] [--report] \\
           [--flight-out flight.jsonl] [--flight-every N] [--flight-capacity N]
        olsq2 serve-batch --manifest <file|-> [--output <file|->] \\
@@ -125,8 +117,7 @@ fn usage() -> ! {
        olsq2 trace-report <trace.jsonl|->
        olsq2 trace-diff <a.jsonl> <b.jsonl> [--label-a NAME] [--label-b NAME]
        olsq2 sat <file.cnf|-> [--preprocess] [--assume LIT]... \\
-          [--budget-conflicts N] [--legacy-solver] [--stats] \\
-          [--no-chrono] [--no-target-phase] [--no-glucose-restarts] \\
+          [--budget-conflicts N] [--stats] \\
           [--cube-workers N] [--cube-depth N]
 
 devices: qx2, qx5, tokyo, aspen4, sycamore, eagle, grid<WxH>, line<N>, complete<N>"
@@ -473,16 +464,12 @@ fn trace_diff(args: impl Iterator<Item = String>) -> ! {
 /// Exit codes follow the SAT-competition convention: 10 for SAT, 20 for
 /// UNSAT, 0 when the conflict budget ran out before an answer.
 fn sat_command(args: impl Iterator<Item = String>) -> ! {
-    use olsq2_sat::{Lit, Preprocessor, SolveResult, Solver, SolverFeatures, Var};
+    use olsq2_sat::{Lit, Preprocessor, SolveResult, Solver, Var};
 
     let mut cnf_path: Option<String> = None;
     let mut preprocess = false;
     let mut assumes: Vec<i64> = Vec::new();
     let mut budget: Option<u64> = None;
-    let mut legacy = false;
-    let mut no_chrono = false;
-    let mut no_target_phase = false;
-    let mut no_glucose = false;
     let mut stats = false;
     let mut cube_workers: Option<usize> = None;
     let mut cube_depth: Option<usize> = None;
@@ -504,10 +491,6 @@ fn sat_command(args: impl Iterator<Item = String>) -> ! {
             "--budget-conflicts" => {
                 budget = Some(val(&mut args).parse().unwrap_or_else(|_| usage()))
             }
-            "--legacy-solver" => legacy = true,
-            "--no-chrono" => no_chrono = true,
-            "--no-target-phase" => no_target_phase = true,
-            "--no-glucose-restarts" => no_glucose = true,
             "--stats" => stats = true,
             "--cube-workers" => {
                 cube_workers = Some(
@@ -557,34 +540,11 @@ fn sat_command(args: impl Iterator<Item = String>) -> ! {
     }
     let assumptions: Vec<Lit> = assumes.iter().map(|&d| lit_of(d)).collect();
 
-    let features = {
-        let mut f = if legacy {
-            SolverFeatures::legacy()
-        } else {
-            SolverFeatures::default()
-        };
-        if no_chrono {
-            f.chrono_backtrack = false;
-        }
-        if no_target_phase {
-            f.target_phase = false;
-        }
-        if no_glucose {
-            f.glucose_restarts = false;
-            f.restart_postpone = false;
-        }
-        f
-    };
-
-    let mut solver = Solver::new();
-    solver.set_features(features);
-    solver.set_conflict_budget(budget);
-
-    // With --preprocess the solver sees the simplified formula; the model
+    // With --preprocess the solvers see the simplified formula; the model
     // is then reconstructed over the original variables. Assumption
     // variables are frozen so BVE cannot eliminate them out from under
     // the `solve(&assumptions)` call.
-    let simplified = if preprocess {
+    let simplified = preprocess.then(|| {
         let mut pre = Preprocessor::new(cnf.num_vars(), cnf.clauses().iter().cloned());
         for &d in &assumes {
             pre.freeze(Var::from_index(d.unsigned_abs() as usize - 1));
@@ -596,19 +556,15 @@ fn sat_command(args: impl Iterator<Item = String>) -> ! {
             simplified.clauses().len(),
             simplified.num_eliminated()
         );
-        simplified.load_into(&mut solver);
-        Some(simplified)
-    } else {
-        cnf.load_into(&mut solver);
-        None
-    };
+        simplified
+    });
 
     // Cube mode: split the instance into a tree of assumption cubes and
     // solve them on a work-stealing pool. Any `--assume` literals become
     // the shared base of every cube; with `--preprocess` the cubes run
     // over the simplified formula and the model is reconstructed.
     if cube_workers.is_some() || cube_depth.is_some() {
-        use olsq2_cube::{solve_cubes, CubeConfig, CubeSolvable, SatCubeSolver};
+        use olsq2_cube::{solve_cubes, CubeConfig, SatCubeSolver};
         if budget.is_some() {
             eprintln!(
                 "note: --budget-conflicts is ignored in cube mode \
@@ -628,7 +584,6 @@ fn sat_command(args: impl Iterator<Item = String>) -> ! {
         let run = solve_cubes(
             |_| {
                 let mut w = SatCubeSolver::new(num_vars, &clauses, false);
-                w.solver_mut().set_features(features);
                 w.set_base(assumptions.clone());
                 w
             },
@@ -683,6 +638,12 @@ fn sat_command(args: impl Iterator<Item = String>) -> ! {
         }
     }
 
+    let mut solver = Solver::new();
+    solver.set_conflict_budget(budget);
+    match &simplified {
+        Some(simplified) => simplified.load_into(&mut solver),
+        None => cnf.load_into(&mut solver),
+    }
     let verdict = solver.solve(&assumptions);
     if stats {
         let s = solver.stats();
@@ -779,11 +740,6 @@ fn main() {
     let mut trace_out: Option<String> = None;
     let mut report = false;
     let mut incremental = true;
-    let mut legacy = false;
-    let mut no_chrono = false;
-    let mut no_target_phase = false;
-    let mut no_glucose = false;
-    let mut no_structure_seeding = false;
     let mut flight_out: Option<String> = None;
     let mut flight_every = 128u64;
     let mut flight_capacity = 4096usize;
@@ -809,11 +765,6 @@ fn main() {
             "--trace-out" => trace_out = Some(val(&mut args)),
             "--report" => report = true,
             "--no-incremental" => incremental = false,
-            "--legacy-solver" => legacy = true,
-            "--no-chrono" => no_chrono = true,
-            "--no-target-phase" => no_target_phase = true,
-            "--no-glucose-restarts" => no_glucose = true,
-            "--no-structure-seeding" => no_structure_seeding = true,
             "--flight-out" => flight_out = Some(val(&mut args)),
             "--flight-every" => {
                 flight_every = val(&mut args)
@@ -894,30 +845,6 @@ fn main() {
         recorder: recorder.clone(),
         probe: probe.clone(),
         incremental,
-        solver_features: {
-            // `--legacy-solver` wins outright (including the new search
-            // policies); the `--no-*` knobs peel single features off the
-            // modern default for ablations.
-            let mut f = if legacy {
-                olsq2::SolverFeatures::legacy()
-            } else {
-                olsq2::SolverFeatures::default()
-            };
-            if no_chrono {
-                f.chrono_backtrack = false;
-            }
-            if no_target_phase {
-                f.target_phase = false;
-            }
-            if no_glucose {
-                f.glucose_restarts = false;
-                f.restart_postpone = false;
-            }
-            if no_structure_seeding {
-                f.structure_seeding = false;
-            }
-            f
-        },
         ..SynthesisConfig::default()
     };
 

@@ -1,7 +1,7 @@
-//! Synthesis configuration: encoding choices, budgets and solver features.
+//! Synthesis configuration: encoding choices, budgets, telemetry and proof
+//! logging.
 
 use olsq2_encode::{AmoEncoding, CardEncoding};
-use olsq2_sat::SolverFeatures;
 use std::time::Duration;
 
 /// How the finite-domain mapping variables `π_q^t` are encoded
@@ -167,12 +167,6 @@ pub struct SynthesisConfig {
     /// the solver's simplification pass. `false` forces the old
     /// rebuild-on-growth path (A/B comparisons, debugging).
     pub incremental: bool,
-    /// Propagation-kernel and inprocessing features for every solver this
-    /// run builds (binary watch lists, vivification, strengthening,
-    /// rephasing, tiered learnt store). Defaults to everything on;
-    /// [`SolverFeatures::legacy`] reproduces the pre-overhaul kernel for
-    /// A/B comparisons.
-    pub solver_features: SolverFeatures,
     /// Record clausal proofs on every solver this run builds (enabled
     /// *before* the first clause, as the log requires). UNSAT iterations
     /// can then justify themselves: [`crate::Olsq2Synthesizer`] seals
@@ -208,7 +202,6 @@ impl Default for SynthesisConfig {
             recorder: olsq2_obs::Recorder::disabled(),
             probe: olsq2_obs::Probe::disabled(),
             incremental: true,
-            solver_features: SolverFeatures::default(),
             proof_log: false,
             model_seed: None,
             snapshot_slot: None,

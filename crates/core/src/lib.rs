@@ -52,6 +52,5 @@ pub use config::{EncodingConfig, MappingEncoding, SynthesisConfig, TimeEncoding}
 pub use incumbent::IncumbentSlot;
 pub use model::{FlatModel, ModelError, ModelSeed, ModelStyle, SnapshotSlot};
 pub use olsq2_obs::{Probe, Recorder};
-pub use olsq2_sat::SolverFeatures;
 pub use optimize::{Olsq2Synthesizer, SwapOptimizationOutcome, SynthesisError, SynthesisOutcome};
 pub use transition::{TbOlsq2Synthesizer, TbOutcome};

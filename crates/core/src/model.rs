@@ -154,7 +154,6 @@ impl FlatModel {
             // Before any clause: the log must contain every original.
             solver.enable_proof();
         }
-        solver.set_features(config.solver_features);
         let enc = config.encoding;
         let mut tally = FamilyTally::new();
         let mut mark = tally.mark(&solver);
@@ -515,33 +514,31 @@ impl FlatModel {
         // slower, tof-3: 1.3× slower), while 0.25 keeps the
         // placement-first ordering on instances it helps (qaoa-10,
         // qft-4/5) without the fixation.
-        if config.solver_features.structure_seeding {
-            if matches!(
-                enc.mapping,
-                MappingEncoding::OneHot | MappingEncoding::InverseOneHot
-            ) {
-                for per_t in &mapping {
-                    for fd in per_t {
-                        for l in fd.raw_lits() {
-                            solver.set_saved_phase(l.var(), false);
-                        }
-                    }
-                    for l in per_t[0].raw_lits() {
-                        solver.boost_activity(l.var(), 0.25);
-                    }
-                }
-            }
-            if enc.time == TimeEncoding::OneHot {
-                for g in 0..circuit.num_gates() {
-                    for l in time.var(g).raw_lits() {
+        if matches!(
+            enc.mapping,
+            MappingEncoding::OneHot | MappingEncoding::InverseOneHot
+        ) {
+            for per_t in &mapping {
+                for fd in per_t {
+                    for l in fd.raw_lits() {
                         solver.set_saved_phase(l.var(), false);
                     }
                 }
-            }
-            for per_t in &swap_lits {
-                for &sl in per_t {
-                    solver.set_saved_phase(sl.var(), false);
+                for l in per_t[0].raw_lits() {
+                    solver.boost_activity(l.var(), 0.25);
                 }
+            }
+        }
+        if enc.time == TimeEncoding::OneHot {
+            for g in 0..circuit.num_gates() {
+                for l in time.var(g).raw_lits() {
+                    solver.set_saved_phase(l.var(), false);
+                }
+            }
+        }
+        for per_t in &swap_lits {
+            for &sl in per_t {
+                solver.set_saved_phase(sl.var(), false);
             }
         }
 
@@ -1001,7 +998,7 @@ impl FlatModel {
         };
         // Each satisfiable bound is the new incumbent layout; steer the
         // next (tighter) solve toward it via target phases.
-        if result == SolveResult::Sat && self.solver.features().target_phase {
+        if result == SolveResult::Sat {
             self.solver.adopt_model_targets();
         }
         result
@@ -1115,10 +1112,6 @@ impl ModelSeed {
         config.seed_variable_order.hash(&mut h);
         config.incremental.hash(&mut h);
         config.proof_log.hash(&mut h);
-        // SolverFeatures carries no Hash impl; its Debug form is a
-        // faithful field dump and the fingerprint never leaves the
-        // process, so hashing it is stable where it needs to be.
-        format!("{:?}", config.solver_features).hash(&mut h);
         h.finish()
     }
 

@@ -69,7 +69,6 @@ impl TransitionModel {
         }
         let blocks = blocks.max(1);
         let mut solver = Solver::new();
-        solver.set_features(config.solver_features);
         let enc = config.encoding;
         let ne = graph.num_edges();
         let mut tally = FamilyTally::new();
@@ -231,26 +230,24 @@ impl TransitionModel {
         // transition SWAP layer, and nudge the first decisions at block 0
         // (0.25, not full VSIDS weight — see the flat model's note on
         // bump-induced fixation).
-        if config.solver_features.structure_seeding {
-            if matches!(
-                enc.mapping,
-                MappingEncoding::OneHot | MappingEncoding::InverseOneHot
-            ) {
-                for per_b in &mapping {
-                    for fd in per_b {
-                        for l in fd.raw_lits() {
-                            solver.set_saved_phase(l.var(), false);
-                        }
+        if matches!(
+            enc.mapping,
+            MappingEncoding::OneHot | MappingEncoding::InverseOneHot
+        ) {
+            for per_b in &mapping {
+                for fd in per_b {
+                    for l in fd.raw_lits() {
+                        solver.set_saved_phase(l.var(), false);
                     }
-                    for l in per_b[0].raw_lits() {
-                        solver.boost_activity(l.var(), 0.25);
-                    }
+                }
+                for l in per_b[0].raw_lits() {
+                    solver.boost_activity(l.var(), 0.25);
                 }
             }
-            for per_b in &swap_lits {
-                for &sl in per_b {
-                    solver.set_saved_phase(sl.var(), false);
-                }
+        }
+        for per_b in &swap_lits {
+            for &sl in per_b {
+                solver.set_saved_phase(sl.var(), false);
             }
         }
 
@@ -504,7 +501,7 @@ impl TransitionModel {
             }
         };
         // Steer subsequent (tighter) solves toward the incumbent layout.
-        if result == SolveResult::Sat && self.solver.features().target_phase {
+        if result == SolveResult::Sat {
             self.solver.adopt_model_targets();
         }
         result

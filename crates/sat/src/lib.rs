@@ -10,14 +10,15 @@
 //! ## Features
 //!
 //! * two-watched-literal propagation with blocker literals, plus dedicated
-//!   binary-clause watch lists that inline the implied literal
-//! * VSIDS branching with phase saving and periodic rephasing from the
-//!   best trail seen
-//! * first-UIP clause learning with recursive minimization
-//! * Luby restarts and a three-tier (core/mid/local) learnt-clause store
+//!   binary- and ternary-clause watch lists that inline the other literals
+//! * VSIDS branching with phase saving, target phases and periodic
+//!   rephasing from the best trail seen
+//! * first-UIP clause learning with recursive minimization, and
+//!   chronological backtracking past long jumps
+//! * Glucose-style LBD restarts with postponement inside a Luby budget,
+//!   and a three-tier (core/mid/local) learnt-clause store
 //! * inprocessing between restarts: clause vivification and
 //!   self-subsumption strengthening, proof-logged and RUP-checkable
-//!   ([`SolverFeatures`] selects all of the above per solver)
 //! * incremental solving under assumptions with final-conflict extraction
 //! * conflict-count and wall-clock budgets ([`SolveResult::Unknown`]) and
 //!   a cooperative stop flag
@@ -54,4 +55,4 @@ pub use clause::Tier;
 pub use lit::{ClauseRef, LBool, Lit, Var};
 pub use preprocess::{Preprocessor, SimplifiedCnf};
 pub use proof::{CheckProofError, Proof, ProofStep};
-pub use solver::{SolveResult, Solver, SolverFeatures, Stats};
+pub use solver::{SolveResult, Solver, SolverTuning, Stats};

@@ -12,16 +12,19 @@
 //!   exhausted" per §III-B of the paper.
 //!
 //! Internals: two-watched-literal propagation with blockers and dedicated
-//! binary-clause watch lists (the implied literal is inlined in the watcher,
-//! so 2-clauses — which dominate the one-hot/sequential-counter encodings —
-//! propagate without touching the clause arena), VSIDS with an indexed heap
-//! and phase saving, first-UIP learning with recursive clause minimization,
-//! Luby restarts, and arena garbage collection.
+//! binary- and ternary-clause watch lists (the other literals are inlined
+//! in the watcher, so 2- and 3-clauses — which dominate the
+//! one-hot/sequential-counter encodings — propagate without touching the
+//! clause arena), VSIDS with an indexed heap and phase saving, first-UIP
+//! learning with recursive clause minimization, chronological
+//! backtracking past long jumps, Glucose-style LBD restarts with
+//! postponement inside a Luby budget, target phases, and arena garbage
+//! collection.
 //!
-//! Inprocessing (see [`SolverFeatures`]) runs between restarts at decision
-//! level 0: clause vivification of irredundant and high-value learnt
-//! clauses, self-subsumption strengthening detected during conflict
-//! analysis, periodic rephasing from the best trail seen, and a three-tier
+//! Inprocessing runs between restarts at decision level 0: clause
+//! vivification of irredundant and high-value learnt clauses,
+//! self-subsumption strengthening detected during conflict analysis,
+//! periodic rephasing from the best trail seen, and a three-tier
 //! learnt-clause store (core / mid / local by LBD). Every clause rewrite is
 //! proof-logged (lemma before delete, so the shortened clause is
 //! RUP-checkable against a database still containing the original), and
@@ -114,107 +117,41 @@ pub struct Stats {
     pub target_rephases: u64,
 }
 
-/// Feature toggles for the propagation kernel and the inprocessing engine.
+/// The cadences and the jump threshold of the search policies.
 ///
-/// The default is everything on; [`SolverFeatures::legacy`] reproduces the
-/// pre-inprocessing MiniSat-era behavior and exists for A/B benchmarking
-/// ([`crate::Solver`] semantics — verdicts and optima — are identical
-/// either way).
+/// Production never sets it: every solver runs the defaults. It exists so
+/// the soundness fuzzers can fire inprocessing and chronological
+/// backtracking on formulas of 20 variables or fewer, which finish long
+/// before the default cadences come due (see [`Solver::set_tuning`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SolverFeatures {
-    /// Dedicated binary-clause watch lists with the implied literal
-    /// inlined. Must be chosen before any clause is added.
-    pub binary_watches: bool,
-    /// Dedicated ternary-clause watch lists with both other literals
-    /// inlined: every literal of a 3-clause watches it, so propagation
-    /// never dereferences the clause arena and watchers never migrate.
-    /// Must be chosen before any clause is added.
-    pub ternary_watches: bool,
-    /// Clause vivification between restarts.
-    pub vivify: bool,
-    /// Self-subsumption strengthening detected during conflict analysis.
-    pub otf_strengthen: bool,
-    /// Periodic rephasing from the best (longest) trail seen.
-    pub rephase: bool,
-    /// Three-tier learnt store (core/mid/local) instead of the single
-    /// activity-sorted reduce.
-    pub tiered_reduce: bool,
+pub struct SolverTuning {
     /// Conflicts between vivification passes.
     pub vivify_interval: u64,
     /// Conflicts between rephasings.
     pub rephase_interval: u64,
-    /// Chronological backtracking: when conflict analysis proposes a jump
-    /// longer than `chrono_threshold`, undo a single level instead and
-    /// record the asserting literal at its assertion level. The trail may
-    /// then hold out-of-order assignments; `cancel_until` repairs them.
-    pub chrono_backtrack: bool,
-    /// Maximum non-chronological jump distance before chronological
-    /// backtracking takes over. Ignored unless `chrono_backtrack` is set.
+    /// Maximum non-chronological jump distance: when conflict analysis
+    /// proposes a longer jump, the solver undoes a single level instead
+    /// and records the asserting literal at its assertion level. The
+    /// trail may then hold out-of-order assignments; `cancel_until`
+    /// repairs them. 0 makes every backjump chronological.
     pub chrono_threshold: u32,
-    /// Branching prefers externally supplied target polarities (the
-    /// synthesis incumbent) over saved phases, and the periodic rephaser
-    /// alternates between the best trail and the targets.
-    pub target_phase: bool,
-    /// Glucose-style restarts: restart as soon as the fast LBD average
-    /// rises well above the long-run average, instead of waiting out the
-    /// Luby budget.
-    pub glucose_restarts: bool,
-    /// Suppress an LBD-triggered restart while the trail is much deeper
-    /// than its long-run average at conflicts — the search is likely
-    /// closing in on a model. Ignored unless `glucose_restarts` is set.
-    pub restart_postpone: bool,
-    /// Structure-aware seeding: model builders may pre-set saved phases
-    /// and activity bumps from encoding structure (one-hot mapping groups,
-    /// sequential counters). Read by `olsq2-core`, not by the solver.
-    pub structure_seeding: bool,
+    /// Luby restart unit in conflicts. Must be positive.
+    pub restart_base: u64,
 }
 
-impl Default for SolverFeatures {
+impl Default for SolverTuning {
     fn default() -> Self {
-        SolverFeatures {
-            binary_watches: true,
-            ternary_watches: true,
-            vivify: true,
-            otf_strengthen: true,
-            rephase: true,
-            tiered_reduce: true,
+        SolverTuning {
             // Vivification prices in at roughly a restart's worth of
             // propagation per pass, so it only pays off once the learnt
             // database has real tenure; short solves never reach it.
             vivify_interval: 12_000,
             rephase_interval: 10_000,
-            chrono_backtrack: true,
             // Short jumps keep the non-chronological learning signal;
             // only genuinely long jumps (which discard whole subtrees of
             // consistent assignments) fall back to one-level undo.
             chrono_threshold: 100,
-            target_phase: true,
-            glucose_restarts: true,
-            restart_postpone: true,
-            structure_seeding: true,
-        }
-    }
-}
-
-impl SolverFeatures {
-    /// The pre-overhaul kernel: regular watches for all clauses, no
-    /// inprocessing, single activity-sorted reduce, MiniSat-era search
-    /// policies (Luby-only restarts, non-chronological backtracking,
-    /// saved phases only).
-    pub fn legacy() -> SolverFeatures {
-        SolverFeatures {
-            binary_watches: false,
-            ternary_watches: false,
-            vivify: false,
-            otf_strengthen: false,
-            rephase: false,
-            tiered_reduce: false,
-            chrono_backtrack: false,
-            target_phase: false,
-            glucose_restarts: false,
-            restart_postpone: false,
-            structure_seeding: false,
-            ..SolverFeatures::default()
+            restart_base: 100,
         }
     }
 }
@@ -358,9 +295,9 @@ pub struct Solver {
     unwatched: usize,
     learnts: Vec<ClauseRef>,
     watches: WatchLists<Watcher>,
-    /// Dedicated watch lists for 2-clauses (when the feature is on).
+    /// Dedicated watch lists for 2-clauses.
     bin_watches: WatchLists<BinWatcher>,
-    /// Dedicated watch lists for 3-clauses (when the feature is on).
+    /// Dedicated watch lists for 3-clauses.
     tern_watches: WatchLists<TernWatcher>,
     /// True while a deleted ternary clause may still have watchers in
     /// `tern_watches` (set at every ternary deletion, cleared by the
@@ -405,8 +342,8 @@ pub struct Solver {
     lbd_ema_fast: f64,
     /// Slow-horizon LBD exponential moving average (α = 2⁻¹²).
     lbd_ema_slow: f64,
-    /// Kernel/inprocessing feature toggles.
-    features: SolverFeatures,
+    /// Search cadences and the chronological-backtracking threshold.
+    tuning: SolverTuning,
     /// Variables at or above this index are never touched by inprocessing
     /// (activation literals, post-build allocations). Kept as the
     /// minimum over all [`Solver::set_inprocess_floor`] calls.
@@ -431,8 +368,7 @@ pub struct Solver {
     best_trail_len: usize,
     best_phase: Vec<bool>,
     /// Target polarity per variable (`Undef` = no target). Set from the
-    /// synthesis incumbent; consulted by branching and rephasing when the
-    /// `target_phase` feature is on.
+    /// synthesis incumbent; consulted by branching and rephasing.
     target_phase: Vec<LBool>,
     /// Alternates rephase sources between the best trail and the targets.
     rephase_flip: bool,
@@ -452,8 +388,6 @@ pub struct Solver {
     lit_set: StampSet,
     /// Decision-level set for counting a clause's LBD.
     level_set: StampSet,
-    /// Luby restart unit in conflicts.
-    restart_base: u64,
     // Scratch buffers for conflict analysis; `analyze_stack` holds the
     // minimizer's DFS frames (variable, next reason position).
     seen: Vec<Mark>,
@@ -475,7 +409,6 @@ fn distinct_levels(levels: &mut StampSet, vardata: &[VarData], lits: &[Lit]) -> 
 
 const VAR_DECAY: f64 = 0.95;
 const CLA_DECAY: f64 = 0.999;
-const RESTART_BASE: u64 = 100;
 
 impl Default for Solver {
     fn default() -> Self {
@@ -520,14 +453,14 @@ impl Solver {
             probe: Probe::disabled(),
             lbd_ema_fast: 0.0,
             lbd_ema_slow: 0.0,
-            features: SolverFeatures::default(),
+            tuning: SolverTuning::default(),
             inprocess_floor: usize::MAX,
             assumption_frozen: Vec::new(),
             save_phases: true,
             core_lemmas: false,
-            next_vivify: SolverFeatures::default().vivify_interval,
+            next_vivify: SolverTuning::default().vivify_interval,
             viv_cursor: [0, 0],
-            next_rephase: SolverFeatures::default().rephase_interval,
+            next_rephase: SolverTuning::default().rephase_interval,
             best_trail_len: 0,
             best_phase: Vec::new(),
             target_phase: Vec::new(),
@@ -540,7 +473,6 @@ impl Solver {
             pending_strengthen: Vec::new(),
             lit_set: StampSet::default(),
             level_set: StampSet::default(),
-            restart_base: RESTART_BASE,
             seen: Vec::new(),
             analyze_toclear: Vec::new(),
             analyze_stack: Vec::new(),
@@ -628,49 +560,19 @@ impl Solver {
         self.probe.clone()
     }
 
-    /// The fast (α = 2⁻⁵) and slow (α = 2⁻¹²) LBD exponential moving
-    /// averages over all learnt clauses, `(fast, slow)`. A fast average
-    /// well above the slow one means the search is currently deriving
-    /// much worse clauses than its long-run norm.
-    pub fn lbd_emas(&self) -> (f64, f64) {
-        (self.lbd_ema_fast, self.lbd_ema_slow)
-    }
-
-    /// Sets the Luby restart unit in conflicts (default 100).
+    /// Replaces the search cadences and the chronological-backtracking
+    /// threshold (see [`SolverTuning`]). May be called at any time: the
+    /// next vivification and rephase are rescheduled relative to the
+    /// current conflict count.
     ///
     /// # Panics
     ///
-    /// Panics if `base` is 0.
-    pub fn set_restart_base(&mut self, base: u64) {
-        assert!(base > 0, "restart base must be positive");
-        self.restart_base = base;
-    }
-
-    /// Selects kernel and inprocessing features (see [`SolverFeatures`]).
-    ///
-    /// Inprocessing toggles and cadences may change at any time; the next
-    /// vivify/rephase triggers are rescheduled relative to the current
-    /// conflict count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `binary_watches` or `ternary_watches` is flipped after
-    /// clauses were added — the watch schemes are not migrated in place.
-    pub fn set_features(&mut self, features: SolverFeatures) {
-        assert!(
-            (features.binary_watches == self.features.binary_watches
-                && features.ternary_watches == self.features.ternary_watches)
-                || self.db.is_empty(),
-            "watch scheme must be chosen before clauses are added"
-        );
-        self.features = features;
-        self.next_vivify = self.stats.conflicts + features.vivify_interval;
-        self.next_rephase = self.stats.conflicts + features.rephase_interval;
-    }
-
-    /// Current feature selection.
-    pub fn features(&self) -> SolverFeatures {
-        self.features
+    /// Panics if `tuning.restart_base` is 0.
+    pub fn set_tuning(&mut self, tuning: SolverTuning) {
+        assert!(tuning.restart_base > 0, "restart base must be positive");
+        self.tuning = tuning;
+        self.next_vivify = self.stats.conflicts + tuning.vivify_interval;
+        self.next_rephase = self.stats.conflicts + tuning.rephase_interval;
     }
 
     /// Forks a compacting, O(memcpy) snapshot of the root solver state.
@@ -682,7 +584,7 @@ impl Solver {
     /// activities, saved / best / target phases, VSIDS activities and
     /// heap order, the proof log (the child's future derivations extend
     /// a valid prefix, so its proofs check independently), and the
-    /// feature and restart-base configuration.
+    /// tuning.
     ///
     /// The child sheds everything *transient or externally owned*:
     /// statistics, restart/reduce/inprocessing schedules, LBD averages,
@@ -725,7 +627,7 @@ impl Solver {
         if self.tern_watches.wasted() > 0 {
             self.tern_watches.sweep(|_| true);
         }
-        let features = self.features;
+        let tuning = self.tuning;
         Solver {
             db: self.db.clone(),
             clauses: self.clauses.clone(),
@@ -760,14 +662,14 @@ impl Solver {
             probe: Probe::disabled(),
             lbd_ema_fast: 0.0,
             lbd_ema_slow: 0.0,
-            features,
+            tuning,
             inprocess_floor: self.inprocess_floor,
             assumption_frozen: Vec::new(),
             save_phases: true,
             core_lemmas: self.core_lemmas,
-            next_vivify: features.vivify_interval,
+            next_vivify: tuning.vivify_interval,
             viv_cursor: [0, 0],
-            next_rephase: features.rephase_interval,
+            next_rephase: tuning.rephase_interval,
             best_trail_len: 0,
             best_phase: self.best_phase.clone(),
             target_phase: self.target_phase.clone(),
@@ -780,7 +682,6 @@ impl Solver {
             pending_strengthen: self.pending_strengthen.clone(),
             lit_set: StampSet::default(),
             level_set: StampSet::default(),
-            restart_base: self.restart_base,
             seen: Vec::new(),
             analyze_toclear: Vec::new(),
             analyze_stack: Vec::new(),
@@ -799,9 +700,8 @@ impl Solver {
     }
 
     /// Sets one target polarity. Targets outrank saved phases in
-    /// branching and feed alternate rephasing passes while the
-    /// `target_phase` feature is on; they persist across solves until
-    /// overwritten.
+    /// branching and feed alternate rephasing passes; they persist across
+    /// solves until overwritten.
     pub fn set_target_phase(&mut self, var: Var, phase: bool) {
         if var.index() >= self.num_vars() {
             return;
@@ -821,16 +721,6 @@ impl Solver {
         }
         self.target_phase.clear();
         self.target_phase.extend_from_slice(&self.model);
-    }
-
-    /// Whether any target polarity is currently set.
-    pub fn has_target_phases(&self) -> bool {
-        self.target_phase.iter().any(|t| *t != LBool::Undef)
-    }
-
-    /// Clears all target polarities.
-    pub fn clear_target_phases(&mut self) {
-        self.target_phase.clear();
     }
 
     /// Declares that variables `floor..` must never be touched by
@@ -1112,12 +1002,12 @@ impl Solver {
     fn attach(&mut self, cref: ClauseRef) {
         let lits = self.db.lits(cref);
         let (l0, l1) = (lits[0], lits[1]);
-        if lits.len() == 2 && self.features.binary_watches {
+        if lits.len() == 2 {
             self.bin_watches
                 .push((!l0).code(), BinWatcher { cref, implied: l1 });
             self.bin_watches
                 .push((!l1).code(), BinWatcher { cref, implied: l0 });
-        } else if lits.len() == 3 && self.features.ternary_watches {
+        } else if lits.len() == 3 {
             let l2 = lits[2];
             self.tern_watches.push(
                 (!l0).code(),
@@ -1161,14 +1051,13 @@ impl Solver {
         }
         let first = self.clauses.len() - self.unwatched;
         self.unwatched = 0;
-        let (binary, ternary) = (self.features.binary_watches, self.features.ternary_watches);
         for &cref in &self.clauses[first..] {
             let lits = self.db.lits(cref);
             match lits.len() {
-                2 if binary => lits
+                2 => lits
                     .iter()
                     .for_each(|&l| self.bin_watches.announce((!l).code())),
-                3 if ternary => lits
+                3 => lits
                     .iter()
                     .for_each(|&l| self.tern_watches.announce((!l).code())),
                 _ => lits[..2]
@@ -1424,36 +1313,25 @@ impl Solver {
             return;
         }
         let lim = self.trail_lim[level as usize];
-        if self.features.chrono_backtrack {
-            // Trail repair: chronological backtracking records asserting
-            // literals below their block, so blocks above `level` may hold
-            // literals that logically belong at or below it. Keep those
-            // (relocated, in order, to the end of block `level`) and undo
-            // the rest. Kept literals are never decisions — a decision's
-            // recorded level equals its block index — so `trail_lim`
-            // stays consistent.
-            debug_assert!(self.cancel_buf.is_empty());
-            for idx in lim..self.trail.len() {
-                let lit = self.trail[idx];
-                let v = lit.var();
-                if self.level(v) <= level {
-                    self.cancel_buf.push(lit);
-                } else {
-                    self.assigns[v.index()] = LBool::Undef;
-                    self.order.insert(v, &self.activity);
-                }
-            }
-            self.trail.truncate(lim);
-            self.trail.append(&mut self.cancel_buf);
-        } else {
-            for idx in (lim..self.trail.len()).rev() {
-                let lit = self.trail[idx];
-                let v = lit.var();
+        // Trail repair: chronological backtracking records asserting
+        // literals below their block, so blocks above `level` may hold
+        // literals that logically belong at or below it. Keep those
+        // (relocated, in order, to the end of block `level`) and undo the
+        // rest. Kept literals are never decisions — a decision's recorded
+        // level equals its block index — so `trail_lim` stays consistent.
+        debug_assert!(self.cancel_buf.is_empty());
+        for idx in lim..self.trail.len() {
+            let lit = self.trail[idx];
+            let v = lit.var();
+            if self.level(v) <= level {
+                self.cancel_buf.push(lit);
+            } else {
                 self.assigns[v.index()] = LBool::Undef;
                 self.order.insert(v, &self.activity);
             }
-            self.trail.truncate(lim);
         }
+        self.trail.truncate(lim);
+        self.trail.append(&mut self.cancel_buf);
         self.trail_lim.truncate(level as usize);
         // Kept literals re-propagate: their implications above `level`
         // were just undone.
@@ -1715,41 +1593,29 @@ impl Solver {
     fn reduce_db(&mut self) {
         self.stats.reduces += 1;
         let learnts_before = self.learnts.len();
-        // Pick the deletion candidates. Tiered mode keeps core clauses
-        // forever, gives mid-tier clauses one reduce interval to
-        // participate in a conflict before demoting them, and only ranks
-        // the local pool; legacy mode ranks everything.
-        let mut ranked: Vec<ClauseRef> = if self.features.tiered_reduce {
-            let mut locals = Vec::new();
-            let mut demotions = 0u64;
-            for i in 0..self.learnts.len() {
-                let c = self.learnts[i];
-                if self.db.is_deleted(c) {
-                    continue;
-                }
-                match self.db.tier(c) {
-                    Tier::Core => {}
-                    Tier::Mid => {
-                        if self.db.is_used(c) {
-                            self.db.set_used(c, false);
-                        } else {
-                            self.db.set_tier(c, Tier::Local);
-                            demotions += 1;
-                            locals.push(c);
-                        }
-                    }
-                    Tier::Local => locals.push(c),
-                }
+        // Pick the deletion candidates: core clauses stay forever,
+        // mid-tier clauses get one reduce interval to participate in a
+        // conflict before demotion, and only the local pool is ranked.
+        let mut ranked = Vec::new();
+        for i in 0..self.learnts.len() {
+            let c = self.learnts[i];
+            if self.db.is_deleted(c) {
+                continue;
             }
-            self.stats.tier_demotions += demotions;
-            locals
-        } else {
-            self.learnts
-                .iter()
-                .copied()
-                .filter(|&c| !self.db.is_deleted(c))
-                .collect()
-        };
+            match self.db.tier(c) {
+                Tier::Core => {}
+                Tier::Mid => {
+                    if self.db.is_used(c) {
+                        self.db.set_used(c, false);
+                    } else {
+                        self.db.set_tier(c, Tier::Local);
+                        self.stats.tier_demotions += 1;
+                        ranked.push(c);
+                    }
+                }
+                Tier::Local => ranked.push(c),
+            }
+        }
         // Sort candidates: poor (high LBD, low activity) first.
         {
             let db = &self.db;
@@ -1763,9 +1629,8 @@ impl Solver {
         }
         let half = ranked.len() / 2;
         ranked.truncate(half);
-        let legacy_lbd_guard = !self.features.tiered_reduce;
         for &c in &ranked {
-            if self.db.len(c) > 2 && (!legacy_lbd_guard || self.db.lbd(c) > 3) && !self.locked(c) {
+            if self.db.len(c) > 2 && !self.locked(c) {
                 let lits = self.db.lits(c).to_vec();
                 self.log_proof(|| ProofStep::Delete(lits));
                 self.note_delete(c);
@@ -1974,14 +1839,13 @@ impl Solver {
     /// anywhere; either way none is stale afterwards. Long lists keep
     /// dropping dead watchers lazily in `propagate`.
     fn scrub_retired(&mut self, retired: &[ClauseRef], tern_stale_before: bool) {
-        let (binary, ternary) = (self.features.binary_watches, self.features.ternary_watches);
         let mut bin_codes = Vec::new();
         let mut tern_codes = Vec::new();
         for &c in retired {
             let lits = self.db.lits(c);
             let codes = match lits.len() {
-                2 if binary => &mut bin_codes,
-                3 if ternary => &mut tern_codes,
+                2 => &mut bin_codes,
+                3 => &mut tern_codes,
                 _ => continue,
             };
             codes.extend(lits.iter().map(|&l| (!l).code()));
@@ -2249,9 +2113,7 @@ impl Solver {
     /// set (the synthesis incumbent), alternate passes copy the targets
     /// instead, steering the search back toward the best layout found.
     fn rephase(&mut self) {
-        let use_target = self.features.target_phase
-            && self.rephase_flip
-            && self.target_phase.iter().any(|t| *t != LBool::Undef);
+        let use_target = self.rephase_flip && self.target_phase.iter().any(|t| *t != LBool::Undef);
         self.rephase_flip = !self.rephase_flip;
         if use_target {
             self.stats.rephases += 1;
@@ -2279,16 +2141,14 @@ impl Solver {
         if !self.ok {
             return;
         }
-        if self.features.otf_strengthen {
-            self.apply_pending_strengthenings();
-        }
-        if self.ok && self.features.vivify && self.stats.conflicts >= self.next_vivify {
+        self.apply_pending_strengthenings();
+        if self.ok && self.stats.conflicts >= self.next_vivify {
             self.vivify_round();
-            self.next_vivify = self.stats.conflicts + self.features.vivify_interval;
+            self.next_vivify = self.stats.conflicts + self.tuning.vivify_interval;
         }
-        if self.features.rephase && self.stats.conflicts >= self.next_rephase {
+        if self.stats.conflicts >= self.next_rephase {
             self.rephase();
-            self.next_rephase = self.stats.conflicts + self.features.rephase_interval;
+            self.next_rephase = self.stats.conflicts + self.tuning.rephase_interval;
         }
     }
 
@@ -2340,18 +2200,14 @@ impl Solver {
         }
     }
 
-    /// Polarity for a fresh decision: the target phase when one is set
-    /// (and the feature is on), otherwise the saved phase.
+    /// Polarity for a fresh decision: the target phase when one is set,
+    /// otherwise the saved phase.
     #[inline]
     fn branch_phase(&self, v: Var) -> bool {
-        if self.features.target_phase {
-            if let Some(&t) = self.target_phase.get(v.index()) {
-                if let Some(b) = t.to_option() {
-                    return b;
-                }
-            }
-        }
-        self.phase[v.index()]
+        self.target_phase
+            .get(v.index())
+            .and_then(|t| t.to_option())
+            .unwrap_or(self.phase[v.index()])
     }
 
     /// Solves under the given assumptions.
@@ -2394,7 +2250,7 @@ impl Solver {
         let stats_before = self.stats;
         let mut curr_restarts = 0u64;
         let result = loop {
-            let budget = self.restart_base * Self::luby(curr_restarts);
+            let budget = self.tuning.restart_base * Self::luby(curr_restarts);
             match self.search(budget, assumptions) {
                 Some(r) => break r,
                 None => {
@@ -2512,18 +2368,15 @@ impl Solver {
         self.lbd_sum += lbd;
     }
 
-    /// Restart decision for the current search pass. Legacy mode waits out
-    /// the Luby budget. Glucose mode additionally restarts as soon as the
-    /// fast LBD EMA rises `GLUCOSE_K` above the long-run LBD average
-    /// (recent learning is unusually poor), unless the trail is much
-    /// deeper than its long-run conflict-time average — then the search
-    /// looks close to a model and the restart is postponed for another
-    /// `GLUCOSE_MIN_CONFLICTS` conflicts.
+    /// Restart decision for the current search pass: due once the Luby
+    /// budget runs out, or as soon as the fast LBD EMA rises `GLUCOSE_K`
+    /// above the long-run LBD average (recent learning is unusually
+    /// poor), unless the trail is much deeper than its long-run
+    /// conflict-time average — then the search looks close to a model and
+    /// the restart is postponed for another `GLUCOSE_MIN_CONFLICTS`
+    /// conflicts.
     fn restart_due(&mut self, conflicts_here: u64, conflict_limit: u64) -> bool {
         let budget_due = conflicts_here >= conflict_limit;
-        if !self.features.glucose_restarts {
-            return budget_due;
-        }
         if self.stats.conflicts < self.restart_hold {
             return false;
         }
@@ -2534,8 +2387,7 @@ impl Solver {
         if !(budget_due || lbd_due) {
             return false;
         }
-        if self.features.restart_postpone
-            && warm
+        if warm
             && (self.trail.len() as f64)
                 > RESTART_BLOCK_R * (self.trail_depth_sum / self.avg_conflicts as f64)
         {
@@ -2616,7 +2468,7 @@ impl Solver {
                 // LBD half accumulates in `update_lbd_emas`).
                 self.trail_depth_sum += self.trail.len() as f64;
                 self.avg_conflicts += 1;
-                if self.features.rephase && self.trail.len() > self.best_trail_len {
+                if self.trail.len() > self.best_trail_len {
                     // The trail is at its longest right at the conflict;
                     // remember the polarities of the deepest one seen.
                     self.best_trail_len = self.trail.len();
@@ -2633,14 +2485,12 @@ impl Solver {
                 // analyze sees it as the current one. Every literal of the
                 // conflicting clause survives the repair, so it is still
                 // falsified afterwards.
-                if self.features.chrono_backtrack {
-                    let mut clevel = 0;
-                    for k in 0..self.db.len(confl) {
-                        clevel = clevel.max(self.level(self.db.lits(confl)[k].var()));
-                    }
-                    if clevel < self.decision_level() {
-                        self.cancel_until(clevel);
-                    }
+                let mut clevel = 0;
+                for k in 0..self.db.len(confl) {
+                    clevel = clevel.max(self.level(self.db.lits(confl)[k].var()));
+                }
+                if clevel < self.decision_level() {
+                    self.cancel_until(clevel);
                 }
                 if self.decision_level() == 0 {
                     self.ok = false;
@@ -2655,13 +2505,12 @@ impl Solver {
                 // instead and record the asserting literal at its
                 // assertion level.
                 let dl = self.decision_level();
-                let target =
-                    if self.features.chrono_backtrack && dl - bt > self.features.chrono_threshold {
-                        self.stats.chrono_backtracks += 1;
-                        dl - 1
-                    } else {
-                        bt
-                    };
+                let target = if dl - bt > self.tuning.chrono_threshold {
+                    self.stats.chrono_backtracks += 1;
+                    dl - 1
+                } else {
+                    bt
+                };
                 self.cancel_until(target);
                 if learnt.len() == 1 {
                     self.update_lbd_emas(1);
@@ -2676,9 +2525,7 @@ impl Solver {
                     self.attach(cref);
                     self.bump_clause(cref);
                     self.unchecked_enqueue_at(learnt[0], Some(cref), bt);
-                    if self.features.otf_strengthen {
-                        self.maybe_queue_strengthen(confl, &learnt, cref);
-                    }
+                    self.maybe_queue_strengthen(confl, &learnt, cref);
                 }
                 self.decay_activities();
                 if self.probe.sample_due(self.stats.conflicts) {
@@ -2844,7 +2691,7 @@ mod tests {
             last_conflicts = smp.conflicts;
             assert!(smp.lbd_ema_fast > 0.0 && smp.lbd_ema_slow > 0.0);
         }
-        let (fast, slow) = s.lbd_emas();
+        let (fast, slow) = (s.lbd_ema_fast, s.lbd_ema_slow);
         assert!(fast > 0.0 && slow > 0.0);
         // Fast horizon moves further from zero than the slow one early on.
         assert!(fast >= slow);
@@ -3073,34 +2920,28 @@ mod tests {
     }
 
     #[test]
-    fn binary_watches_agree_with_legacy_kernel() {
-        // Same UNSAT pigeonhole under both kernels, and the binary lists
-        // actually serve propagations when enabled.
-        for (features, expect_binary) in [
-            (SolverFeatures::default(), true),
-            (SolverFeatures::legacy(), false),
-        ] {
-            let mut s = Solver::new();
-            s.set_features(features);
-            let mut x = [[Lit(0); 3]; 4];
-            for p in 0..4 {
-                for h in 0..3 {
-                    x[p][h] = Lit::positive(s.new_var());
-                }
-            }
-            for p in 0..4 {
-                s.add_clause(x[p]);
-            }
+    fn binary_watches_serve_pigeonhole_propagations() {
+        // The pigeonhole stays UNSAT, and its at-most-one pairs propagate
+        // through the binary lists.
+        let mut s = Solver::new();
+        let mut x = [[Lit(0); 3]; 4];
+        for p in 0..4 {
             for h in 0..3 {
-                for p1 in 0..4 {
-                    for p2 in (p1 + 1)..4 {
-                        s.add_clause([!x[p1][h], !x[p2][h]]);
-                    }
+                x[p][h] = Lit::positive(s.new_var());
+            }
+        }
+        for p in 0..4 {
+            s.add_clause(x[p]);
+        }
+        for h in 0..3 {
+            for p1 in 0..4 {
+                for p2 in (p1 + 1)..4 {
+                    s.add_clause([!x[p1][h], !x[p2][h]]);
                 }
             }
-            assert_eq!(s.solve(&[]), SolveResult::Unsat);
-            assert_eq!(s.stats().binary_props > 0, expect_binary);
         }
+        assert_eq!(s.solve(&[]), SolveResult::Unsat);
+        assert!(s.stats().binary_props > 0);
     }
 
     #[test]
@@ -3176,11 +3017,11 @@ mod tests {
         // stays UNSAT, rephasing fires, and the proof checks.
         let mut s = Solver::new();
         s.enable_proof();
-        s.set_restart_base(1);
-        s.set_features(SolverFeatures {
+        s.set_tuning(SolverTuning {
             vivify_interval: 1,
             rephase_interval: 1,
-            ..SolverFeatures::default()
+            restart_base: 1,
+            ..SolverTuning::default()
         });
         let mut x = [[Lit(0); 3]; 4];
         for p in 0..4 {
@@ -3219,12 +3060,11 @@ mod tests {
         assert_eq!(s.stats().simplifies, after_first);
     }
 
-    /// Fully chronological feature set: every conflict undoes one level.
-    fn chrono_features() -> SolverFeatures {
-        SolverFeatures {
-            chrono_backtrack: true,
+    /// Fully chronological tuning: every conflict undoes one level.
+    fn chrono_tuning() -> SolverTuning {
+        SolverTuning {
             chrono_threshold: 0,
-            ..SolverFeatures::default()
+            ..SolverTuning::default()
         }
     }
 
@@ -3258,7 +3098,6 @@ mod tests {
         // asserting literal recorded at level 1 physically inside block 2,
         // then repair back to level 1 and to the root.
         let mut s = Solver::new();
-        s.set_features(chrono_features());
         let v = lits(&mut s, 4);
         let (a, b, c, d) = (v[0], v[1], v[2], v[3]);
         s.add_clause([!a, c]);
@@ -3300,7 +3139,7 @@ mod tests {
         // level 0 and `qhead` has caught up (otherwise a later
         // `simplify` or incremental solve would run on a stale fixpoint).
         let mut s = Solver::new();
-        s.set_features(chrono_features());
+        s.set_tuning(chrono_tuning());
         let mut x = [[Lit(0); 4]; 5];
         for p in 0..5 {
             for h in 0..4 {
@@ -3381,7 +3220,7 @@ mod tests {
             };
             let lit_of = |c: i32| Lit::new(Var::from_index(c.unsigned_abs() as usize - 1), c < 0);
             let mut s = Solver::new();
-            s.set_features(chrono_features());
+            s.set_tuning(chrono_tuning());
             for _ in 0..num_vars {
                 s.new_var();
             }
@@ -3424,7 +3263,7 @@ mod tests {
         // simplify() runs at the root on the repaired trail; it must not
         // lose relocated literals or their implications.
         let mut s = Solver::new();
-        s.set_features(chrono_features());
+        s.set_tuning(chrono_tuning());
         let v = lits(&mut s, 6);
         s.add_clause([v[0], v[1]]);
         s.add_clause([!v[0], v[2]]);
@@ -3444,7 +3283,6 @@ mod tests {
     #[test]
     fn glucose_restart_trigger_edge_cases() {
         let mut s = Solver::new();
-        s.set_features(SolverFeatures::default());
         // Cold start: no long-run average yet, so the LBD trigger must
         // hold its fire no matter how bad the fast EMA looks.
         s.lbd_ema_fast = 100.0;
@@ -3470,7 +3308,6 @@ mod tests {
     #[test]
     fn glucose_restart_postponement_blocks_and_rearms() {
         let mut s = Solver::new();
-        s.set_features(SolverFeatures::default());
         let v = lits(&mut s, 30);
         // Warm averages: mean conflict-trail depth 10, so a 20-deep trail
         // is "abnormally deep" (> 1.4 × 10) and must block the restart.
@@ -3499,42 +3336,12 @@ mod tests {
         s.cancel_until(0);
         s.stats.conflicts = 500 + GLUCOSE_MIN_CONFLICTS;
         assert!(s.restart_due(GLUCOSE_MIN_CONFLICTS + 10, 1_000));
-
-        // Postponement off: the deep trail no longer blocks.
-        let mut s2 = Solver::new();
-        s2.set_features(SolverFeatures {
-            restart_postpone: false,
-            ..SolverFeatures::default()
-        });
-        let v2 = lits(&mut s2, 30);
-        s2.avg_conflicts = GLUCOSE_MIN_CONFLICTS;
-        s2.lbd_sum = 2.0 * GLUCOSE_MIN_CONFLICTS as f64;
-        s2.trail_depth_sum = 10.0 * GLUCOSE_MIN_CONFLICTS as f64;
-        s2.lbd_ema_fast = 3.0;
-        s2.new_decision_level();
-        for &l in v2.iter().take(20) {
-            s2.unchecked_enqueue(l, None);
-        }
-        assert!(s2.restart_due(GLUCOSE_MIN_CONFLICTS + 10, 1_000));
     }
 
     #[test]
-    fn legacy_restarts_ignore_lbd_signal() {
-        let mut s = Solver::new();
-        s.set_features(SolverFeatures::legacy());
-        s.avg_conflicts = 100;
-        s.lbd_sum = 200.0;
-        s.lbd_ema_fast = 100.0; // would trigger instantly under glucose
-        assert!(!s.restart_due(999, 1_000), "legacy is Luby-budget only");
-        assert!(s.restart_due(1_000, 1_000));
-        assert_eq!(s.stats.blocked_restarts, 0);
-    }
-
-    #[test]
-    fn target_phases_steer_branching_when_enabled() {
-        // Unconstrained variables: with target_phase on, the model must
-        // reproduce the target polarities; legacy ignores them and falls
-        // back to the default phase (false).
+    fn target_phases_steer_branching() {
+        // Unconstrained variables: the model must reproduce the target
+        // polarities.
         let mut s = Solver::new();
         let v = lits(&mut s, 4);
         s.add_clause([v[0], v[1], v[2], v[3]]); // keep the instance nontrivial
@@ -3545,22 +3352,6 @@ mod tests {
         for (i, l) in v.iter().enumerate() {
             assert_eq!(s.model_value(*l), Some(i % 2 == 0), "target ignored");
         }
-
-        let mut s2 = Solver::new();
-        s2.set_features(SolverFeatures::legacy());
-        let w = lits(&mut s2, 4);
-        s2.add_clause([w[0], w[1], w[2], w[3]]);
-        for l in &w {
-            s2.set_target_phase(l.var(), true);
-        }
-        assert_eq!(s2.solve(&[]), SolveResult::Sat);
-        // Legacy branches on saved/default phase (false); the clause
-        // forces exactly one variable true.
-        let trues = w
-            .iter()
-            .filter(|l| s2.model_value(**l) == Some(true))
-            .count();
-        assert_eq!(trues, 1, "legacy must not follow targets");
     }
 
     #[test]
@@ -3570,11 +3361,10 @@ mod tests {
         s.add_clause([v[0]]);
         s.add_clause([!v[0], v[1]]);
         assert_eq!(s.solve(&[]), SolveResult::Sat);
-        assert!(!s.has_target_phases());
+        assert!(s.target_phase.is_empty());
         s.adopt_model_targets();
-        assert!(s.has_target_phases());
-        s.clear_target_phases();
-        assert!(!s.has_target_phases());
+        assert_eq!(s.target_phase, s.model);
+        assert_eq!(s.target_phase[v[1].var().index()], LBool::True);
     }
 
     /// Every watch list's clause sequence: binary, ternary, then long

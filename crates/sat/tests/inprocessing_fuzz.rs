@@ -10,7 +10,7 @@
 //! ≤20-variable brute-force reference; UNSAT proofs must RUP-check.
 
 use olsq2_prng::Rng;
-use olsq2_sat::{Lit, SolveResult, Solver, SolverFeatures, Var};
+use olsq2_sat::{Lit, SolveResult, Solver, SolverTuning, Var};
 
 #[derive(Debug, Clone)]
 struct Formula {
@@ -133,25 +133,24 @@ fn parity_system(rng: &mut Rng, num_vars: usize, equations: usize) -> Formula {
 
 /// Inprocessing cadence cranked far past production settings so that
 /// vivification, deferred strengthening, and rephasing all fire many
-/// times even on tiny formulas.
-fn aggressive_features() -> SolverFeatures {
-    SolverFeatures {
+/// times even on tiny formulas. The unit restart base restarts after
+/// every conflict: inprocessing runs at restart boundaries, so this
+/// maximizes how often the database is rewritten mid-solve.
+fn aggressive_tuning() -> SolverTuning {
+    SolverTuning {
         vivify_interval: 4,
         rephase_interval: 6,
-        ..SolverFeatures::default()
+        restart_base: 1,
+        ..SolverTuning::default()
     }
 }
 
 fn inprocessing_solver(f: &Formula, proof: bool) -> Solver {
     let mut s = Solver::new();
-    s.set_features(aggressive_features());
+    s.set_tuning(aggressive_tuning());
     if proof {
         s.enable_proof();
     }
-    // Restart after every conflict: inprocessing runs at restart
-    // boundaries, so this maximizes how often the database is rewritten
-    // mid-solve.
-    s.set_restart_base(1);
     for _ in 0..f.num_vars {
         s.new_var();
     }
@@ -166,9 +165,9 @@ fn inprocessing_fuzz_agrees_with_brute_force() {
     // Random corpus near the phase transition, solved with every
     // inprocessing pass firing at maximum frequency under proof logging.
     // Verdicts must match the exhaustive reference, SAT models must
-    // satisfy the formula, and — with no sharing in play — UNSAT proofs
-    // must fully RUP-check even though vivification and strengthening
-    // have been rewriting the clause database the proof talks about.
+    // satisfy the formula, and UNSAT proofs must fully RUP-check even
+    // though vivification and strengthening have been rewriting the
+    // clause database the proof talks about.
     let mut rng = Rng::seed_from_u64(0xF022_0007);
     let mut unsat_proofs = 0;
     for round in 0..120 {
@@ -240,29 +239,23 @@ fn inprocessing_agrees_on_crafted_families() {
 }
 
 /// Search-policy stress: fully chronological backtracking (every conflict
-/// undoes one level), target-phase branching, glucose restarts, and a
-/// rephaser firing every few conflicts — the harshest composition of the
-/// modernized search features.
-fn chrono_rephase_features() -> SolverFeatures {
-    SolverFeatures {
-        chrono_backtrack: true,
+/// undoes one level) on top of the aggressive cadence, so target-phase
+/// branching, glucose restarts and a rephaser firing every few conflicts
+/// all meet out-of-order trails — the harshest composition of the search
+/// policies.
+fn chrono_tuning() -> SolverTuning {
+    SolverTuning {
         chrono_threshold: 0,
-        target_phase: true,
-        glucose_restarts: true,
-        restart_postpone: true,
-        rephase_interval: 6,
-        vivify_interval: 4,
-        ..SolverFeatures::default()
+        ..aggressive_tuning()
     }
 }
 
 fn chrono_solver(f: &Formula, proof: bool) -> Solver {
     let mut s = Solver::new();
-    s.set_features(chrono_rephase_features());
+    s.set_tuning(chrono_tuning());
     if proof {
         s.enable_proof();
     }
-    s.set_restart_base(1);
     for _ in 0..f.num_vars {
         s.new_var();
     }

@@ -235,15 +235,6 @@ pub fn parse_request(line: &str) -> Result<SynthesisRequest, String> {
     if let Some(inc) = value.get("incremental") {
         config.incremental = inc.as_bool().ok_or("incremental must be a bool")?;
     }
-    // `legacy_solver` pins the job to the pre-modernization search policies
-    // (no chronological backtracking, glucose restarts, target phases, or
-    // structure seeding) — the service-side twin of the CLI's
-    // `--legacy-solver` flag, useful for A/B manifests.
-    if let Some(legacy) = value.get("legacy_solver") {
-        if legacy.as_bool().ok_or("legacy_solver must be a bool")? {
-            config.solver_features = olsq2_sat::SolverFeatures::legacy();
-        }
-    }
     let deadline = match value.get("deadline_ms") {
         None => None,
         Some(d) => Some(Duration::from_millis(

@@ -349,37 +349,18 @@ fn traced_jobs_produce_nested_spans_and_prometheus_metrics() {
 
 #[test]
 fn manifest_ignores_the_retired_bound_workers_key() {
-    // Manifests written for the removed bound-race scheduler and cube
-    // synthesizer still parse: their keys are ignored like any other
-    // unknown key, whatever their values.
+    // Manifests written for the removed bound-race scheduler, cube
+    // synthesizer and legacy solver kernel still parse: their keys are
+    // ignored like any other unknown key, whatever their values.
     for line in [
         r#"{"name":"r","device":"line4","objective":"swaps","bound_workers":4,"circuit":{"num_qubits":3,"gates":[["cx",0,1],["cx",1,2]]}}"#,
         r#"{"name":"c","device":"line4","objective":"swaps","cube_workers":4,"cube_depth":3,"circuit":{"num_qubits":3,"gates":[["cx",0,1],["cx",1,2]]}}"#,
         r#"{"name":"z","device":"line4","objective":"swaps","cube_workers":0,"cube_depth":99,"circuit":{"num_qubits":3,"gates":[["cx",0,1],["cx",1,2]]}}"#,
+        r#"{"name":"l","device":"line4","objective":"swaps","legacy_solver":true,"circuit":{"num_qubits":3,"gates":[["cx",0,1],["cx",1,2]]}}"#,
     ] {
         let req = manifest::parse_request(line).expect("parses");
         assert_eq!(req.objective, Objective::Swaps);
     }
-}
-
-#[test]
-fn manifest_legacy_solver_pins_search_features() {
-    let legacy = r#"{"name":"l","device":"line3","legacy_solver":true,"circuit":{"num_qubits":2,"gates":[["cx",0,1]]}}"#;
-    let req = manifest::parse_request(legacy).expect("parses");
-    assert_eq!(
-        req.config.solver_features,
-        olsq2::SolverFeatures::legacy(),
-        "legacy_solver:true must disable every modern search policy"
-    );
-
-    // Absent or false leaves the modern defaults in place.
-    let modern = r#"{"name":"m","device":"line3","legacy_solver":false,"circuit":{"num_qubits":2,"gates":[["cx",0,1]]}}"#;
-    let req = manifest::parse_request(modern).expect("parses");
-    assert_eq!(req.config.solver_features, olsq2::SolverFeatures::default());
-
-    // Non-boolean values are rejected with a readable error.
-    let bad = r#"{"name":"b","device":"line3","legacy_solver":"yes","circuit":{"num_qubits":2,"gates":[["cx",0,1]]}}"#;
-    assert!(manifest::parse_request(bad).is_err());
 }
 
 #[test]

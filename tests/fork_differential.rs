@@ -2,11 +2,10 @@
 //! service's snapshot-on-preempt resume: a model forked by
 //! [`FlatModel::fork`] (via [`ModelSeed`]) must be observationally
 //! identical to a freshly encoded one — same SAT/UNSAT verdict at every
-//! depth bound, same behavior across the [`SolverFeatures`] grid — and
-//! must produce refutations the RUP checker accepts. QAOA, QFT, and
-//! QUEKO instances cover the paper's benchmark families.
+//! depth bound — and must produce refutations the RUP checker accepts.
+//! QAOA, QFT, and QUEKO instances cover the paper's benchmark families.
 
-use olsq2::{FlatModel, ModelSeed, Olsq2Synthesizer, SolverFeatures, SynthesisConfig};
+use olsq2::{FlatModel, ModelSeed, Olsq2Synthesizer, SynthesisConfig};
 use olsq2_arch::{grid, line, CouplingGraph};
 use olsq2_circuit::generators::{qaoa_circuit, qft_decomposed, queko_circuit};
 use olsq2_circuit::{Circuit, DependencyGraph};
@@ -21,26 +20,6 @@ fn benchmarks() -> Vec<(&'static str, Circuit, CouplingGraph, usize)> {
         ("qaoa-4", qaoa_circuit(4, 11), line(4), 1),
         ("qft-4", qft_decomposed(4), line(4), 3),
         ("queko-2x3", queko, queko_dev, 1),
-    ]
-}
-
-/// Solver feature configurations a fork must behave identically under:
-/// the modern default, the legacy baseline, and a mixed point that turns
-/// off exactly the features with bespoke per-solver state (ternary watch
-/// lists, chronological backtracking) so the fork's state copy is on
-/// trial, not just the happy path.
-fn features_grid() -> Vec<(&'static str, SolverFeatures)> {
-    vec![
-        ("modern", SolverFeatures::default()),
-        ("legacy", SolverFeatures::legacy()),
-        (
-            "mixed",
-            SolverFeatures {
-                ternary_watches: false,
-                chrono_backtrack: false,
-                ..SolverFeatures::default()
-            },
-        ),
     ]
 }
 
@@ -86,35 +65,32 @@ fn assert_bound_descent_agrees(
     }
 }
 
-/// Model-level differential over the benchmark × feature grid: a model
-/// forked from a [`ModelSeed`] and a freshly encoded model with the same
-/// config must report the same verdict at every depth bound down to the
-/// first refutation. The seed serves two forks in turn, since a stored
-/// snapshot must survive every resume it serves.
+/// Model-level differential over the benchmarks: a model forked from a
+/// [`ModelSeed`] and a freshly encoded model with the same config must
+/// report the same verdict at every depth bound down to the first
+/// refutation. The seed serves two forks in turn, since a stored snapshot
+/// must survive every resume it serves.
 #[test]
-fn forked_members_match_fresh_builds_across_features() {
+fn forked_members_match_fresh_builds() {
     for (name, circuit, device, sd) in &benchmarks() {
         let t_ub = DependencyGraph::new(circuit).longest_chain().max(1) + 2;
-        for (fname, features) in features_grid() {
-            let mut cfg = SynthesisConfig::with_swap_duration(*sd);
-            cfg.solver_features = features;
-            let template = FlatModel::build(circuit, device, &cfg, t_ub).expect("template build");
-            let instance = ModelSeed::instance_fingerprint(circuit, device, &cfg);
-            let seed = ModelSeed::capture(template, instance);
-            for member in 1..=2usize {
-                let mut forked = seed
-                    .fork_for(&cfg, circuit, device, instance, t_ub)
-                    .expect("seed serves the same instance at the same window");
-                let mut fresh = FlatModel::build(circuit, device, &cfg, t_ub).expect("fresh build");
-                assert_bound_descent_agrees(
-                    &format!("{name}/{fname} member {member}"),
-                    circuit,
-                    device,
-                    &mut forked,
-                    &mut fresh,
-                    t_ub,
-                );
-            }
+        let cfg = SynthesisConfig::with_swap_duration(*sd);
+        let template = FlatModel::build(circuit, device, &cfg, t_ub).expect("template build");
+        let instance = ModelSeed::instance_fingerprint(circuit, device, &cfg);
+        let seed = ModelSeed::capture(template, instance);
+        for member in 1..=2usize {
+            let mut forked = seed
+                .fork_for(&cfg, circuit, device, instance, t_ub)
+                .expect("seed serves the same instance at the same window");
+            let mut fresh = FlatModel::build(circuit, device, &cfg, t_ub).expect("fresh build");
+            assert_bound_descent_agrees(
+                &format!("{name} member {member}"),
+                circuit,
+                device,
+                &mut forked,
+                &mut fresh,
+                t_ub,
+            );
         }
     }
 }

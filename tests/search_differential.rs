@@ -1,134 +1,78 @@
-//! Differential wall for the modernized search policies (chronological
+//! Differential wall for the search policies (chronological
 //! backtracking, target phases, glucose restarts, structure seeding).
 //!
-//! Every policy is a [`SolverFeatures`] toggle, and none of them may move
-//! an optimum: a seeded grid of feature configurations × instance families
-//! (QAOA, QFT, QUEKO rows, scrambled assumption cubes) must agree with the
-//! `legacy()` baseline on every answer, every layout must verify, and
-//! refutations produced under chronological backtracking — including the
-//! fully chronological `chrono_threshold = 0` regime, where *every*
-//! conflict undoes a single level — must replay through the independent
-//! RUP checker.
+//! None of them may move an optimum: QAOA and QFT optima are pinned by
+//! value, QUEKO rows must recover their construction's optimum, and every
+//! layout must verify. Scrambled assumption cubes under hostile target
+//! phases must agree with brute-force enumeration, and refutations
+//! produced under chronological backtracking — including the fully
+//! chronological `chrono_threshold = 0` regime, where *every* conflict
+//! undoes a single level — must replay through the independent RUP
+//! checker.
 
-use olsq2::{Olsq2Synthesizer, SolverFeatures, SynthesisConfig};
+use olsq2::{Olsq2Synthesizer, SynthesisConfig};
 use olsq2_arch::{grid, line};
 use olsq2_circuit::generators::{qaoa_circuit, qft_circuit, queko_circuit};
 use olsq2_layout::verify;
 use olsq2_prng::Rng;
-use olsq2_sat::{Lit, SolveResult, Solver, Var};
+use olsq2_sat::{Lit, SolveResult, Solver, SolverTuning, Var};
 
-/// The feature grid: the legacy baseline, the full modern set, and each
-/// new search policy alone on top of legacy (so a wrong answer names the
-/// culprit directly). The chrono-only row runs with `chrono_threshold: 0`
-/// — the harshest setting, where every backjump is replaced by a
-/// one-level undo and the trail is permanently out of order.
-fn feature_grid() -> Vec<(&'static str, SolverFeatures)> {
-    let legacy = SolverFeatures::legacy();
-    vec![
-        ("legacy", legacy),
-        ("modern", SolverFeatures::default()),
-        (
-            "chrono-only",
-            SolverFeatures {
-                chrono_backtrack: true,
-                chrono_threshold: 0,
-                ..legacy
-            },
-        ),
-        (
-            "glucose-only",
-            SolverFeatures {
-                glucose_restarts: true,
-                restart_postpone: true,
-                ..legacy
-            },
-        ),
-        (
-            "target-phase-only",
-            SolverFeatures {
-                target_phase: true,
-                ..legacy
-            },
-        ),
-        (
-            "seeding-only",
-            SolverFeatures {
-                structure_seeding: true,
-                ..legacy
-            },
-        ),
-    ]
-}
-
-fn config_with(features: SolverFeatures) -> SynthesisConfig {
-    SynthesisConfig {
-        swap_duration: 1,
-        solver_features: features,
-        ..SynthesisConfig::default()
+/// Fully chronological tuning: every backjump is replaced by a one-level
+/// undo, so the trail is permanently out of order.
+fn chrono_tuning() -> SolverTuning {
+    SolverTuning {
+        chrono_threshold: 0,
+        ..SolverTuning::default()
     }
 }
 
-/// Runs `optimize_depth` under every feature configuration and checks the
-/// answers against each other (and optionally a known optimum).
-fn assert_depth_agreement(
+/// Runs `optimize_depth` and checks the answer against `optimum`.
+fn assert_depth_optimum(
     label: &str,
     circuit: &olsq2_circuit::Circuit,
     device: &olsq2_arch::CouplingGraph,
-    known_optimum: Option<usize>,
+    optimum: usize,
 ) {
-    let mut baseline = None;
-    for (name, features) in feature_grid() {
-        let synth = Olsq2Synthesizer::new(config_with(features));
-        let out = synth.optimize_depth(circuit, device).expect("solves");
-        assert!(out.proven_optimal, "{label}/{name}: not proven optimal");
-        assert_eq!(
-            verify(circuit, device, &out.result),
-            Ok(()),
-            "{label}/{name}: layout fails verification"
-        );
-        let depth = out.result.depth;
-        if let Some(opt) = known_optimum {
-            assert_eq!(depth, opt, "{label}/{name}: missed the known optimum");
-        }
-        match baseline {
-            None => baseline = Some(depth),
-            Some(b) => assert_eq!(
-                depth, b,
-                "{label}/{name}: optimum moved against the legacy baseline"
-            ),
-        }
-    }
+    let synth = Olsq2Synthesizer::new(SynthesisConfig::with_swap_duration(1));
+    let out = synth.optimize_depth(circuit, device).expect("solves");
+    assert!(out.proven_optimal, "{label}: not proven optimal");
+    assert_eq!(
+        verify(circuit, device, &out.result),
+        Ok(()),
+        "{label}: layout fails verification"
+    );
+    assert_eq!(out.result.depth, optimum, "{label}: optimum moved");
 }
 
 #[test]
-fn qaoa_optima_invariant_across_feature_grid() {
+fn qaoa_optima_are_pinned() {
     let device = grid(3, 3);
-    for seed in [1u64, 7] {
+    for (seed, optimum) in [(1u64, 6), (7, 6)] {
         let circuit = qaoa_circuit(6, seed);
-        assert_depth_agreement(&format!("qaoa seed {seed}"), &circuit, &device, None);
+        assert_depth_optimum(&format!("qaoa seed {seed}"), &circuit, &device, optimum);
     }
 }
 
 #[test]
-fn qft_optima_invariant_across_feature_grid() {
+fn qft_optima_are_pinned() {
     // QFT(4) on a line forces routing; on a 2×2 grid it embeds tighter.
     let circuit = qft_circuit(4);
-    assert_depth_agreement("qft line4", &circuit, &line(4), None);
-    assert_depth_agreement("qft grid2x2", &circuit, &grid(2, 2), None);
+    assert_depth_optimum("qft line4", &circuit, &line(4), 10);
+    assert_depth_optimum("qft grid2x2", &circuit, &grid(2, 2), 9);
 }
 
 #[test]
-fn queko_rows_recover_construction_optimum_across_feature_grid() {
-    // QUEKO instances carry their optimum by construction, so this row of
-    // the grid checks absolute optimality, not just mutual agreement.
+fn queko_rows_recover_construction_optimum() {
+    // QUEKO instances carry their optimum by construction, so these rows
+    // check absolute optimality.
     let device = grid(3, 3);
     for (depth, seed) in [(3usize, 11u64), (4, 12)] {
         let q = queko_circuit(device.num_qubits(), device.edges(), depth, depth * 4, seed);
-        assert_depth_agreement(
+        assert_depth_optimum(
             &format!("queko depth {depth} seed {seed}"),
             &q.circuit,
             &device,
-            Some(q.optimal_depth),
+            q.optimal_depth,
         );
     }
 }
@@ -175,7 +119,7 @@ fn brute_force(num_vars: usize, clauses: &[Vec<i32>], extra_units: &[i32]) -> Op
 fn scrambled_solver(
     num_vars: usize,
     clauses: &[Vec<i32>],
-    features: SolverFeatures,
+    tuning: SolverTuning,
     seed: u64,
     proof: bool,
 ) -> Solver {
@@ -185,7 +129,7 @@ fn scrambled_solver(
         order.swap(i, rng.gen_range(0..=i));
     }
     let mut s = Solver::new();
-    s.set_features(features);
+    s.set_tuning(tuning);
     if proof {
         s.enable_proof();
     }
@@ -222,21 +166,23 @@ fn random_formula(rng: &mut Rng) -> (usize, Vec<Vec<i32>>) {
 #[test]
 fn scrambled_assumption_cubes_agree_with_brute_force() {
     // Each formula is solved under a full cube expansion of two random
-    // variables (all four sign combinations), per feature configuration,
-    // against exhaustive enumeration. Target phases are seeded with
-    // deliberately *hostile* polarities so a target-following brancher
-    // must still recover the right verdict.
+    // variables (all four sign combinations), under the default tuning
+    // and fully chronological backtracking, against exhaustive
+    // enumeration. Target phases are seeded with deliberately *hostile*
+    // polarities so the target-following brancher must still recover the
+    // right verdict.
     let mut rng = Rng::seed_from_u64(0x5EA2_C8D1);
     for round in 0..40 {
         let (num_vars, clauses) = random_formula(&mut rng);
         let a = rng.gen_range(1i32..=num_vars as i32);
         let b = rng.gen_range(1i32..=num_vars as i32);
-        for (name, features) in feature_grid() {
-            let mut s = scrambled_solver(num_vars, &clauses, features, 0xAB00 + round, false);
-            if features.target_phase {
-                for v in 0..num_vars {
-                    s.set_target_phase(Var::from_index(v), v % 2 == 0);
-                }
+        for (name, tuning) in [
+            ("default", SolverTuning::default()),
+            ("chrono", chrono_tuning()),
+        ] {
+            let mut s = scrambled_solver(num_vars, &clauses, tuning, 0xAB00 + round, false);
+            for v in 0..num_vars {
+                s.set_target_phase(Var::from_index(v), v % 2 == 0);
             }
             for signs in 0..4u32 {
                 let cube = [
@@ -285,11 +231,6 @@ fn chronological_refutations_replay_through_rup_checker() {
     // Fully chronological mode (threshold 0) on scrambled UNSAT formulas:
     // the DRAT log must still replay through the independent checker,
     // proving that out-of-order trails never corrupt clause learning.
-    let chrono = SolverFeatures {
-        chrono_backtrack: true,
-        chrono_threshold: 0,
-        ..SolverFeatures::default()
-    };
     let mut rng = Rng::seed_from_u64(0x5EA2_F00F);
     let mut refutations = 0;
     for round in 0..80 {
@@ -297,7 +238,7 @@ fn chronological_refutations_replay_through_rup_checker() {
         if brute_force(num_vars, &clauses, &[]).is_some() {
             continue;
         }
-        let mut s = scrambled_solver(num_vars, &clauses, chrono, 0xCB00 + round, true);
+        let mut s = scrambled_solver(num_vars, &clauses, chrono_tuning(), 0xCB00 + round, true);
         assert_eq!(s.solve(&[]), SolveResult::Unsat, "round {round}");
         let proof = s.take_proof().expect("proof recorded");
         assert!(proof.claims_unsat(), "round {round}");
@@ -316,11 +257,7 @@ fn pigeonhole_chrono_proof_checks_and_backtracks_chronologically() {
     // path must actually fire, and the refutation must still check.
     let (p, h) = (5usize, 4usize);
     let mut s = Solver::new();
-    s.set_features(SolverFeatures {
-        chrono_backtrack: true,
-        chrono_threshold: 0,
-        ..SolverFeatures::default()
-    });
+    s.set_tuning(chrono_tuning());
     s.enable_proof();
     let x: Vec<Vec<Lit>> = (0..p)
         .map(|_| (0..h).map(|_| Lit::positive(s.new_var())).collect())
@@ -361,15 +298,11 @@ fn synthesis_refutation_under_chrono_is_rup_checkable() {
         // A non-incremental build has no window guard, so the refutation
         // needs no assumptions and the log can close with ⊥.
         incremental: false,
-        solver_features: SolverFeatures {
-            chrono_backtrack: true,
-            chrono_threshold: 0,
-            ..SolverFeatures::default()
-        },
         ..SynthesisConfig::default()
     };
     let mut model =
         FlatModel::build(&q.circuit, &device, &config, q.optimal_depth + 2).expect("builds");
+    model.solver_mut().set_tuning(chrono_tuning());
     let too_tight = model.depth_bound(q.optimal_depth - 1);
     model.solver_mut().add_clause([too_tight]);
     assert_eq!(model.solve(&[]), SolveResult::Unsat);

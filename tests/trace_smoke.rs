@@ -5,7 +5,7 @@
 //! observability layer: everything `olsq2 trace-report` and the paper's
 //! timing tables need is in the file, not only in the process.
 
-use olsq2::{Olsq2Synthesizer, Recorder, SolverFeatures, SynthesisConfig};
+use olsq2::{Olsq2Synthesizer, Recorder, SynthesisConfig};
 use olsq2_arch::grid;
 use olsq2_circuit::generators::qaoa_circuit;
 use olsq2_service::json::{self, Json};
@@ -154,55 +154,4 @@ fn traced_qaoa_run_round_trips_through_jsonl() {
     };
     assert!(counter("sat.solves").unwrap_or(0) >= iterations.len() as u64);
     assert!(counter("sat.decisions").unwrap_or(0) > 0);
-}
-
-/// Regression for the `--legacy-solver` A/B path: a legacy-configured
-/// synthesis run must not exercise any of the modern search policies, so
-/// its trace counters for chronological backtracks, blocked restarts,
-/// and target rephasings stay at zero — otherwise a `trace-diff` of a
-/// legacy/modern pair would attribute time to policies both sides ran.
-#[test]
-fn legacy_solver_trace_pair_stays_meaningful() {
-    let circuit = qaoa_circuit(6, 2);
-    let device = grid(3, 3);
-    let run = |features: SolverFeatures| {
-        let recorder = Recorder::new();
-        let mut config = SynthesisConfig::with_swap_duration(1);
-        config.recorder = recorder.clone();
-        config.solver_features = features;
-        let out = Olsq2Synthesizer::new(config)
-            .optimize_depth(&circuit, &device)
-            .expect("synthesis succeeds");
-        (out, recorder.snapshot().to_jsonl())
-    };
-    let (legacy_out, legacy_trace) = run(SolverFeatures::legacy());
-    let (modern_out, _modern_trace) = run(SolverFeatures::default());
-
-    // Same optimum either way — the A/B pair compares time, not answers.
-    assert!(legacy_out.proven_optimal && modern_out.proven_optimal);
-    assert_eq!(legacy_out.result.depth, modern_out.result.depth);
-
-    let counter_total = |trace: &str, name: &str| -> u64 {
-        trace
-            .lines()
-            .filter_map(|l| json::parse(l).ok())
-            .filter(|j| j.get("type").and_then(Json::as_str) == Some("counter"))
-            .filter(|j| j.get("name").and_then(Json::as_str) == Some(name))
-            .filter_map(|j| j.get("value").and_then(Json::as_u64))
-            .max()
-            .unwrap_or(0)
-    };
-    for name in [
-        "sat.chrono_backtracks",
-        "sat.blocked_restarts",
-        "sat.target_rephases",
-    ] {
-        assert_eq!(
-            counter_total(&legacy_trace, name),
-            0,
-            "legacy run exercised a modern policy: {name}"
-        );
-    }
-    // The legacy trace still carries the classic counters, so diffs align.
-    assert!(counter_total(&legacy_trace, "sat.decisions") > 0);
 }
