@@ -47,6 +47,9 @@ pub enum SynthesisError {
     /// The depth window grew past the hard cap without a solution
     /// (indicates an unroutable instance).
     WindowExhausted,
+    /// The run panicked; the message is the panic payload. The service
+    /// contains a job's panic and reports it as this error.
+    Internal(String),
 }
 
 impl std::fmt::Display for SynthesisError {
@@ -59,6 +62,7 @@ impl std::fmt::Display for SynthesisError {
             SynthesisError::WindowExhausted => {
                 write!(f, "no solution within the maximum depth window")
             }
+            SynthesisError::Internal(msg) => write!(f, "internal error: {msg}"),
         }
     }
 }

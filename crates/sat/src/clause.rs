@@ -10,11 +10,10 @@
 //!   reduce flag for the tiered learnt store.
 //!
 //! Deleting a clause only marks it; [`ClauseDb::compact`] rebuilds the arena
-//! and returns a relocation table so the solver can patch watchers and
+//! and returns a [`Relocation`] table so the solver can patch watchers and
 //! reasons.
 
 use crate::lit::{ClauseRef, Lit};
-use std::collections::HashMap;
 use std::num::NonZeroU32;
 
 const LEARNT_BIT: u32 = 1;
@@ -266,30 +265,49 @@ impl ClauseDb {
     }
 
     /// Rebuilds the arena without deleted records and returns the
-    /// old-to-new relocation map. Every live [`ClauseRef`] held elsewhere
+    /// old-to-new [`Relocation`]. Every live [`ClauseRef`] held elsewhere
     /// (watchers, reasons, clause lists) must be translated through it.
-    pub fn compact(&mut self) -> HashMap<ClauseRef, ClauseRef> {
+    pub fn compact(&mut self) -> Relocation {
         let mut new_arena = Vec::with_capacity(self.arena.len() - self.wasted);
         new_arena.push(0);
-        let mut remap = HashMap::new();
+        let mut old = std::mem::take(&mut self.arena);
         let mut i = 1usize;
-        while i < self.arena.len() {
-            let header = self.arena[i];
+        while i < old.len() {
+            let header = old[i];
             let len = (header >> 2) as usize;
             let learnt = header & LEARNT_BIT != 0;
             let extra = if learnt { 1 + LEARNT_EXTRA } else { 1 };
             let record = extra + len;
-            if header & DELETED_BIT == 0 {
-                let old = ClauseRef(NonZeroU32::new(i as u32).expect("nonzero"));
-                let new = ClauseRef(NonZeroU32::new(new_arena.len() as u32).expect("nonzero"));
-                new_arena.extend_from_slice(&self.arena[i..i + record]);
-                remap.insert(old, new);
-            }
+            // The old header slot becomes the record's forwarding word.
+            old[i] = if header & DELETED_BIT == 0 {
+                let at = new_arena.len() as u32;
+                new_arena.extend_from_slice(&old[i..i + record]);
+                at
+            } else {
+                0
+            };
             i += record;
         }
         self.arena = new_arena;
         self.wasted = 0;
-        remap
+        Relocation { forward: old }
+    }
+}
+
+/// Where [`ClauseDb::compact`] moved each record: the old arena, with
+/// every record's header slot overwritten by the record's new index
+/// (`0` for a deleted record). A lookup is one array read.
+#[derive(Debug)]
+pub struct Relocation {
+    forward: Vec<u32>,
+}
+
+impl Relocation {
+    /// The new reference of the clause that lived at `old`, or `None` if
+    /// it was deleted. `old` must be a reference from before the compaction.
+    #[inline]
+    pub fn get(&self, old: ClauseRef) -> Option<ClauseRef> {
+        NonZeroU32::new(self.forward[old.0.get() as usize]).map(ClauseRef)
     }
 }
 
@@ -334,12 +352,16 @@ mod tests {
         db.delete(c2);
         assert!(db.is_deleted(c2));
         let remap = db.compact();
-        assert_eq!(remap.len(), 2);
-        let n1 = remap[&c1];
-        let n3 = remap[&c3];
+        let n1 = remap.get(c1).expect("live");
+        let n3 = remap.get(c3).expect("live");
         assert_eq!(db.lits(n1), &[lit(0), lit(1)]);
         assert_eq!(db.lits(n3), &[lit(5), lit(6)]);
-        assert!(!remap.contains_key(&c2));
+        assert_eq!(remap.get(c2), None);
+        assert_eq!(
+            db.arena.len(),
+            1 + 3 + 3,
+            "sentinel plus two binary records"
+        );
     }
 
     #[test]
@@ -371,7 +393,7 @@ mod tests {
         db.set_used(c, true);
         db.delete(dead);
         let remap = db.compact();
-        let n = remap[&c];
+        let n = remap.get(c).expect("live");
         assert_eq!(db.tier(n), Tier::Mid);
         assert!(db.is_used(n));
         assert_eq!(db.lits(n), &[lit(2), lit(3)]);

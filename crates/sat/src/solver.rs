@@ -297,14 +297,10 @@ pub struct Solver {
     watches: WatchLists<Watcher>,
     /// Dedicated watch lists for 2-clauses.
     bin_watches: WatchLists<BinWatcher>,
-    /// Dedicated watch lists for 3-clauses.
+    /// Dedicated watch lists for 3-clauses. Every deletion of a ternary
+    /// clause scrubs its three watchers at once (`scrub_retired`), so
+    /// these lists never hold a dead watcher.
     tern_watches: WatchLists<TernWatcher>,
-    /// True while a deleted ternary clause may still have watchers in
-    /// `tern_watches` (set at every ternary deletion, cleared by the
-    /// full watcher sweeps and by `simplify`'s scrub). While false — the
-    /// common case — the ternary scan skips the per-watcher arena header
-    /// load entirely.
-    tern_stale: bool,
     assigns: Vec<LBool>,
     vardata: Vec<VarData>,
     trail: Vec<Lit>,
@@ -427,7 +423,6 @@ impl Solver {
             watches: WatchLists::new(),
             bin_watches: WatchLists::new(),
             tern_watches: WatchLists::new(),
-            tern_stale: false,
             assigns: Vec::new(),
             vardata: Vec::new(),
             trail: Vec::new(),
@@ -636,7 +631,6 @@ impl Solver {
             watches: self.watches.clone(),
             bin_watches: self.bin_watches.clone(),
             tern_watches: self.tern_watches.clone(),
-            tern_stale: self.tern_stale,
             assigns: self.assigns.clone(),
             vardata: self.vardata.clone(),
             trail: self.trail.clone(),
@@ -1079,16 +1073,6 @@ impl Solver {
         }
     }
 
-    /// Records that `cref` is about to be deleted: a ternary deletion
-    /// leaves stale watchers behind until the next full sweep, so the
-    /// ternary scan must re-check clause liveness until then.
-    #[inline]
-    fn note_delete(&mut self, cref: ClauseRef) {
-        if self.db.len(cref) == 3 {
-            self.tern_stale = true;
-        }
-    }
-
     #[inline]
     fn unchecked_enqueue(&mut self, lit: Lit, reason: Option<ClauseRef>) {
         let level = self.decision_level();
@@ -1169,39 +1153,18 @@ impl Solver {
             // Ternary pass: both other literals are inline, so the
             // clause's status is decided from the assignment vector
             // alone. Watchers never migrate (all three literals watch),
-            // so the only maintenance is lazily dropping watchers of
-            // deleted clauses — ternary *learnts* are fair game for
-            // database reduction. Like the binary pass, nothing here
+            // and deleting a ternary clause scrubs its three watchers at
+            // once, so every watcher here is live and the scan never
+            // loads a clause header. Like the binary pass, nothing here
             // pushes to any ternary list, so the window snapshot holds.
             let trange = self.tern_watches.range_of(code);
             if !trange.is_empty() {
-                let len = trange.len();
-                // Detach the pool: the scan compacts its own window in
-                // place and touches no other list, and a local slice
-                // keeps the two-pointer loop free of aliasing with the
-                // enqueues.
-                let mut pool = self.tern_watches.take_pool();
-                let tws = &mut pool[trange];
-                // Watchers of deleted clauses can linger only between a
-                // ternary deletion and the next sweep or `simplify`
-                // scrub; outside that window the scan skips the arena
-                // header load entirely.
-                let stale = self.tern_stale;
+                // Detach the pool so the scan runs over a local slice
+                // (nothing in the loop touches any ternary list).
+                let pool = self.tern_watches.take_pool();
                 let mut tern_conflict = None;
-                let mut j = 0usize;
-                let mut i = 0usize;
-                while i < len {
-                    let w = tws[i];
-                    i += 1;
-                    if stale && self.db.is_deleted(w.cref) {
-                        continue; // lazily drop watcher of a deleted clause
-                    }
-                    // Compact only once a deletion opened a gap: the
-                    // common all-live scan then never dirties the line.
-                    if j + 1 != i {
-                        tws[j] = w;
-                    }
-                    j += 1;
+                for w in &pool[trange] {
+                    debug_assert!(!self.db.is_deleted(w.cref));
                     let a = self.value(w.others[0]);
                     let b = self.value(w.others[1]);
                     if a == LBool::True || b == LBool::True {
@@ -1209,10 +1172,7 @@ impl Solver {
                     }
                     match (a, b) {
                         (LBool::False, LBool::False) => {
-                            // Conflict: keep remaining watchers and stop.
                             tern_conflict = Some(w.cref);
-                            tws.copy_within(i..len, j);
-                            j += len - i;
                             break;
                         }
                         (LBool::False, LBool::Undef) => {
@@ -1227,7 +1187,6 @@ impl Solver {
                     }
                 }
                 self.tern_watches.restore_pool(pool);
-                self.tern_watches.truncate(code, j);
                 if let Some(cref) = tern_conflict {
                     self.qhead = self.trail.len();
                     return Some(cref);
@@ -1629,14 +1588,13 @@ impl Solver {
         }
         let half = ranked.len() / 2;
         ranked.truncate(half);
+        ranked.retain(|&c| self.db.len(c) > 2 && !self.locked(c));
         for &c in &ranked {
-            if self.db.len(c) > 2 && !self.locked(c) {
-                let lits = self.db.lits(c).to_vec();
-                self.log_proof(|| ProofStep::Delete(lits));
-                self.note_delete(c);
-                self.db.delete(c);
-            }
+            let lits = self.db.lits(c).to_vec();
+            self.log_proof(|| ProofStep::Delete(lits));
+            self.db.delete(c);
         }
+        self.scrub_retired(&ranked);
         let db = &self.db;
         self.learnts.retain(|&c| !db.is_deleted(c));
         if self.db.wasted_ratio() > 0.3 {
@@ -1666,46 +1624,44 @@ impl Solver {
 
     fn garbage_collect(&mut self) {
         let remap = self.db.compact();
-        self.watches.sweep(|w| match remap.get(&w.cref) {
-            Some(&n) => {
+        self.watches.sweep(|w| match remap.get(w.cref) {
+            Some(n) => {
                 w.cref = n;
                 true
             }
             None => false,
         });
-        self.bin_watches.sweep(|w| match remap.get(&w.cref) {
-            Some(&n) => {
+        self.bin_watches.sweep(|w| match remap.get(w.cref) {
+            Some(n) => {
                 w.cref = n;
                 true
             }
             None => false,
         });
-        self.tern_watches.sweep(|w| match remap.get(&w.cref) {
-            Some(&n) => {
+        self.tern_watches.sweep(|w| match remap.get(w.cref) {
+            Some(n) => {
                 w.cref = n;
                 true
             }
             None => false,
         });
-        self.tern_stale = false;
-        self.pending_strengthen.retain_mut(|p| {
-            match (remap.get(&p.target), remap.get(&p.support)) {
-                (Some(&t), Some(&s)) => {
+        self.pending_strengthen
+            .retain_mut(|p| match (remap.get(p.target), remap.get(p.support)) {
+                (Some(t), Some(s)) => {
                     p.target = t;
                     p.support = s;
                     true
                 }
                 _ => false,
-            }
-        });
+            });
         for vd in &mut self.vardata {
             if let Some(r) = vd.reason {
-                vd.reason = remap.get(&r).copied();
+                vd.reason = remap.get(r);
             }
         }
         let translate = |list: &mut Vec<ClauseRef>| {
-            list.retain_mut(|c| match remap.get(c) {
-                Some(&n) => {
+            list.retain_mut(|c| match remap.get(*c) {
+                Some(n) => {
                     *c = n;
                     true
                 }
@@ -1745,9 +1701,6 @@ impl Solver {
         debug_assert_eq!(self.qhead, self.trail.len(), "propagation incomplete");
         self.simp_trail_len = self.trail.len();
         self.stats.simplifies += 1;
-        // Stale ternary watchers from earlier deletions (reduce,
-        // inprocessing) can sit in any list: only a full sweep finds them.
-        let tern_stale_before = self.tern_stale;
         // The clauses this pass retires; only their lists get scrubbed.
         let mut retired = Vec::new();
         // Note on proofs: satisfied-clause deletions are NOT logged. They
@@ -1772,7 +1725,6 @@ impl Solver {
                 for &l in self.db.lits(c) {
                     match self.value(l) {
                         LBool::True => {
-                            self.note_delete(c);
                             self.db.delete(c);
                             retired.push(c);
                             self.stats.simplify_removed += 1;
@@ -1811,7 +1763,6 @@ impl Solver {
                     self.db.set_lbd(new_cref, old_lbd.min(shrunk.len() as u32));
                     self.db.set_activity(new_cref, old_act);
                 }
-                self.note_delete(c);
                 self.db.delete(c);
                 retired.push(c);
                 self.attach(new_cref);
@@ -1824,21 +1775,20 @@ impl Solver {
                 &mut self.learnts
             }) = keep;
         }
-        self.scrub_retired(&retired, tern_stale_before);
+        self.scrub_retired(&retired);
         if self.db.wasted_ratio() > 0.3 {
             self.garbage_collect();
         }
     }
 
-    /// Drops the watchers of the clauses one `simplify` pass retired from
-    /// the binary and ternary lists that held them, and only from those:
-    /// two or three lists per clause, each scrubbed once, watcher order
-    /// kept. Binary lists must never hold a dead watcher (the binary scan
-    /// does not check). Ternary lists get the full sweep instead when
-    /// `tern_stale_before` says older deletions may have left watchers
-    /// anywhere; either way none is stale afterwards. Long lists keep
-    /// dropping dead watchers lazily in `propagate`.
-    fn scrub_retired(&mut self, retired: &[ClauseRef], tern_stale_before: bool) {
+    /// Drops the watchers of just-deleted clauses from the binary and
+    /// ternary lists that held them, and only from those: two or three
+    /// lists per clause, each scrubbed once, watcher order kept. Every
+    /// binary or ternary deletion goes through here (`simplify`,
+    /// `reduce_db`, `replace_clause`), so neither the binary nor the
+    /// ternary scan ever meets a dead watcher and neither checks. Long
+    /// lists keep dropping dead watchers lazily in `propagate`.
+    fn scrub_retired(&mut self, retired: &[ClauseRef]) {
         let mut bin_codes = Vec::new();
         let mut tern_codes = Vec::new();
         for &c in retired {
@@ -1856,16 +1806,11 @@ impl Solver {
         for code in bin_codes {
             self.bin_watches.retain(code, |w| !db.is_deleted(w.cref));
         }
-        if tern_stale_before {
-            self.tern_watches.sweep(|w| !db.is_deleted(w.cref));
-        } else {
-            tern_codes.sort_unstable();
-            tern_codes.dedup();
-            for code in tern_codes {
-                self.tern_watches.retain(code, |w| !db.is_deleted(w.cref));
-            }
+        tern_codes.sort_unstable();
+        tern_codes.dedup();
+        for code in tern_codes {
+            self.tern_watches.retain(code, |w| !db.is_deleted(w.cref));
         }
-        self.tern_stale = false;
     }
 
     /// Replaces the clause at `clauses`/`learnts` slot `idx` (selected by
@@ -1891,15 +1836,17 @@ impl Solver {
         match new.len() {
             0 => {
                 // All literals refuted at the root: the formula is UNSAT.
-                self.note_delete(c);
                 self.db.delete(c);
+                self.scrub_retired(&[c]);
                 self.ok = false;
                 self.log_proof(|| ProofStep::Empty);
             }
             1 => {
-                // The slot keeps the retired cref; list pruning is lazy.
-                self.note_delete(c);
+                // The slot keeps the retired cref; long-list pruning is
+                // lazy, but the ternary lists are clean before the unit
+                // propagates.
                 self.db.delete(c);
+                self.scrub_retired(&[c]);
                 match self.value(new[0]) {
                     LBool::True => {}
                     LBool::False => {
@@ -1925,8 +1872,8 @@ impl Solver {
                     self.db
                         .set_tier(new_cref, self.db.tier(c).max(Tier::for_lbd(lbd)));
                 }
-                self.note_delete(c);
                 self.db.delete(c);
+                self.scrub_retired(&[c]);
                 self.attach(new_cref);
                 if which == 0 {
                     self.clauses[idx] = new_cref;
@@ -3504,6 +3451,41 @@ mod tests {
     }
 
     #[test]
+    fn reduction_scrubs_the_watchers_of_deleted_ternary_learnts() {
+        let mut s = Solver::new();
+        let v = lits(&mut s, 10);
+        // Long problem clauses keep the arena's dead share low, so no
+        // garbage collection sweeps the lists behind the scrub's back.
+        for _ in 0..4 {
+            for w in v.windows(5) {
+                s.add_clause(w.iter().copied());
+            }
+        }
+        s.attach_pending();
+        for w in v.windows(3) {
+            let c = s.db.alloc(w, true);
+            s.attach(c);
+            s.learnts.push(c);
+        }
+        s.reduce_db();
+        assert_eq!(
+            s.learnts.len(),
+            4,
+            "half of the eight local learnts retired"
+        );
+        assert!(s.db.wasted_ratio() > 0.0, "no garbage collection ran");
+        let [_, tern, _] = watch_sequences(&s);
+        assert_eq!(tern.iter().flatten().count(), 3 * s.learnts.len());
+        for cref in tern.iter().flatten() {
+            assert!(
+                !s.db.is_deleted(*cref),
+                "dead ternary watcher survived reduction"
+            );
+        }
+        assert_eq!(s.solve(&[]), SolveResult::Sat);
+    }
+
+    #[test]
     fn simplify_leaves_no_dead_binary_or_ternary_watcher() {
         let mut s = Solver::new();
         let v = lits(&mut s, 6);
@@ -3526,7 +3508,6 @@ mod tests {
         assert_eq!(s.stats().simplify_removed, 2);
         assert_eq!(s.stats().simplify_strengthened, 1);
         assert!(s.db.wasted_ratio() > 0.0, "garbage collection ran");
-        assert!(!s.tern_stale);
         let [bin, tern, _] = watch_sequences(&s);
         for cref in bin.iter().chain(&tern).flatten() {
             assert!(!s.db.is_deleted(*cref), "dead watcher survived simplify");

@@ -152,12 +152,15 @@ pub fn translate_hit(canonical: &LayoutResult, relabel: &[u16]) -> LayoutResult 
     result
 }
 
-/// Hit/miss counters of a [`ResultCache`].
+/// Hit/miss counters of a [`ResultCache`]. In a service, each request
+/// that reaches an answer or a solve counts once: a hit when it is
+/// answered without a solve (from the cache, or from the in-flight solve
+/// of a duplicate), a miss when it solves.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups that found an entry.
+    /// Requests answered without a solve.
     pub hits: u64,
-    /// Lookups that found nothing.
+    /// Requests that solved.
     pub misses: u64,
     /// Entries evicted to make room.
     pub evictions: u64,
@@ -242,18 +245,21 @@ impl ResultCache {
         recency.insert(*clock, key.clone());
     }
 
-    /// Looks up a key, refreshing its recency on a hit.
-    pub fn get(&mut self, key: &CacheKey) -> Option<CachedResult> {
-        match self.map.get_mut(key) {
-            Some(entry) => {
-                Self::touch(entry, &mut self.recency, &mut self.clock, key);
-                self.stats.hits += 1;
-                Some(entry.value.clone())
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
+    /// Looks up a key, refreshing its recency on a hit. A lookup counts
+    /// nothing: the service counts a request once, when it knows how the
+    /// request was answered (see [`ResultCache::record`]).
+    pub fn lookup(&mut self, key: &CacheKey) -> Option<CachedResult> {
+        let entry = self.map.get_mut(key)?;
+        Self::touch(entry, &mut self.recency, &mut self.clock, key);
+        Some(entry.value.clone())
+    }
+
+    /// Counts one request as a hit (answered without a solve) or a miss.
+    pub fn record(&mut self, hit: bool) {
+        if hit {
+            self.stats.hits += 1;
+        } else {
+            self.stats.misses += 1;
         }
     }
 
@@ -414,16 +420,19 @@ mod tests {
         cache.insert(keys[0].clone(), dummy_result(vec![0, 1, 2, 3]));
         cache.insert(keys[1].clone(), dummy_result(vec![1, 0, 2, 3]));
         // Refresh key 0, then insert key 2: key 1 must be the victim.
-        assert!(cache.get(&keys[0]).is_some());
+        assert!(cache.lookup(&keys[0]).is_some());
         cache.insert(keys[2].clone(), dummy_result(vec![2, 1, 0, 3]));
         assert_eq!(cache.len(), 2);
-        assert!(cache.get(&keys[0]).is_some(), "refreshed entry survives");
-        assert!(cache.get(&keys[1]).is_none(), "LRU entry evicted");
-        assert!(cache.get(&keys[2]).is_some());
+        assert!(cache.lookup(&keys[0]).is_some(), "refreshed entry survives");
+        assert!(cache.lookup(&keys[1]).is_none(), "LRU entry evicted");
+        assert!(cache.lookup(&keys[2]).is_some());
         let stats = cache.stats();
         assert_eq!(stats.evictions, 1);
-        assert_eq!(stats.hits, 3);
-        assert_eq!(stats.misses, 1);
+        assert_eq!((stats.hits, stats.misses), (0, 0), "lookups count nothing");
+        cache.record(true);
+        cache.record(false);
+        cache.record(true);
+        assert_eq!((cache.stats().hits, cache.stats().misses), (2, 1));
     }
 
     #[test]
@@ -436,7 +445,10 @@ mod tests {
         cache.insert(key.clone(), dummy_result(vec![1, 0]));
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.stats().evictions, 0);
-        assert_eq!(cache.get(&key).unwrap().result.initial_mapping, vec![1, 0]);
+        assert_eq!(
+            cache.lookup(&key).unwrap().result.initial_mapping,
+            vec![1, 0]
+        );
     }
 
     #[test]

@@ -14,6 +14,11 @@
 //! * [`ResultCache`] — keyed by a structural hash of the circuit *up to
 //!   qubit relabeling*, the device coupling graph, and the
 //!   result-relevant configuration, with LRU eviction;
+//! * single-flight admission — a request whose key is already queued or
+//!   running waits for that solve and completes from its answer instead
+//!   of solving again (see [`service`]);
+//! * panic containment — a panicking job fails alone, and its worker
+//!   keeps serving;
 //! * per-job deadlines enforced through the solver's cooperative budget
 //!   machinery; on expiry the job returns the best-so-far incumbent
 //!   (published by the optimization loops via [`olsq2::IncumbentSlot`])

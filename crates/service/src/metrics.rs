@@ -62,7 +62,8 @@ pub struct TenantStats {
 pub struct ServiceMetrics {
     /// Jobs accepted into the queue.
     pub submitted: u64,
-    /// Jobs currently waiting in the queue.
+    /// Jobs currently waiting: in the queue, or as followers of an
+    /// in-flight duplicate.
     pub queued: u64,
     /// Jobs currently executing on a worker.
     pub running: u64,
@@ -133,7 +134,7 @@ impl MetricsCollector {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        self.inner.lock().expect("metrics lock")
+        crate::service::lock(&self.inner)
     }
 
     pub(crate) fn on_submit(&self, tenant: &str) {
@@ -166,17 +167,21 @@ impl MetricsCollector {
     ) {
         let mut m = self.lock();
         m.running = m.running.saturating_sub(1);
-        m.done += 1;
         if degraded {
             m.degraded += 1;
         }
-        m.latencies_us.push(latency.as_micros() as u64);
         if let Some(s) = stats {
             m.solver.add(s);
         }
-        let t = m.tenant(tenant);
-        t.done += 1;
-        t.latencies_us.push(latency.as_micros() as u64);
+        m.done(latency, tenant);
+    }
+
+    /// A waiting job completed without running: a cache hit at submit or
+    /// a follower released with its leader's answer.
+    pub(crate) fn on_release(&self, latency: Duration, tenant: &str) {
+        let mut m = self.lock();
+        m.queued = m.queued.saturating_sub(1);
+        m.done(latency, tenant);
     }
 
     /// Credits in-place window extensions performed by a finished job.
@@ -245,6 +250,15 @@ impl MetricsCollector {
 }
 
 impl Inner {
+    fn done(&mut self, latency: Duration, tenant: &str) {
+        let us = latency.as_micros() as u64;
+        self.done += 1;
+        self.latencies_us.push(us);
+        let t = self.tenant(tenant);
+        t.done += 1;
+        t.latencies_us.push(us);
+    }
+
     fn tenant(&mut self, name: &str) -> &mut TenantInner {
         // entry() would allocate the key on every call; tenant sets are
         // tiny, so probe first.
@@ -282,7 +296,7 @@ pub fn prometheus_text(m: &ServiceMetrics, recorder: &olsq2_obs::Recorder) -> St
     prom.counter("olsq2_jobs_submitted", "Jobs accepted", m.submitted as f64);
     prom.gauge(
         "olsq2_jobs_queued",
-        "Jobs waiting in the queue",
+        "Jobs waiting in the queue or for an in-flight duplicate",
         m.queued as f64,
     );
     prom.gauge(

@@ -1,12 +1,13 @@
 //! Request and job types of the synthesis service.
 
+use crate::service::lock;
 use olsq2::{SynthesisConfig, SynthesisError};
 use olsq2_arch::CouplingGraph;
 use olsq2_circuit::Circuit;
 use olsq2_layout::LayoutResult;
 use olsq2_sat::Stats;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 /// What the service should optimize for a request.
@@ -100,7 +101,9 @@ pub struct SynthesisRequest {
     /// Per-job wall-clock deadline, measured from the moment a worker
     /// picks the job up. On expiry the job degrades to the best incumbent
     /// found so far (tagged non-optimal) instead of failing, if any
-    /// solution was reached.
+    /// solution was reached. A job with a deadline always runs its own
+    /// solve: it never waits for an in-flight duplicate, and none waits
+    /// for it.
     pub deadline: Option<Duration>,
     /// Queue priority.
     pub priority: Priority,
@@ -145,11 +148,15 @@ pub struct JobOutput {
     /// `true` when the deadline cut the run short and this is the
     /// best-so-far incumbent rather than a completed optimization.
     pub degraded: bool,
-    /// `true` when served from the canonicalizing cache.
+    /// `true` when answered without a solve: from the canonicalizing
+    /// cache, or from the in-flight solve of a relabeled duplicate.
     pub cache_hit: bool,
-    /// Queue wait, from submission to a worker picking the job up.
+    /// Queue wait, from submission to a worker picking the job up. For a
+    /// job answered without a solve it runs from submission to release:
+    /// the moment its answer was at hand (at once for a cache hit, when
+    /// its leader finished for a follower of an in-flight duplicate).
     pub wait: Duration,
-    /// Service time, from pickup to completion.
+    /// Service time, from pickup (or release) to completion.
     pub service_time: Duration,
     /// Solver statistics (absent on cache hits).
     pub solver_stats: Option<Stats>,
@@ -158,7 +165,7 @@ pub struct JobOutput {
 /// Observable state of a job.
 #[derive(Debug, Clone)]
 pub enum JobStatus {
-    /// Waiting in the queue.
+    /// Waiting in the queue, or for the in-flight solve of a duplicate.
     Queued,
     /// A worker is executing it.
     Running,
@@ -200,7 +207,7 @@ impl JobShared {
     }
 
     pub(crate) fn set_status(&self, status: JobStatus) {
-        let mut guard = self.status.lock().expect("job status lock");
+        let mut guard = lock(&self.status);
         *guard = status;
         self.done.notify_all();
     }
@@ -238,19 +245,24 @@ impl JobHandle {
 
     /// The job's current status, without blocking.
     pub fn poll(&self) -> JobStatus {
-        self.shared.status.lock().expect("job status lock").clone()
+        lock(&self.shared.status).clone()
     }
 
     /// Blocks until the job reaches a terminal status and returns it.
     pub fn wait(&self) -> JobStatus {
-        let mut guard = self.shared.status.lock().expect("job status lock");
+        let mut guard = lock(&self.shared.status);
         while !guard.is_terminal() {
-            guard = self.shared.done.wait(guard).expect("job status lock");
+            guard = self
+                .shared
+                .done
+                .wait(guard)
+                .unwrap_or_else(PoisonError::into_inner);
         }
         guard.clone()
     }
 
-    /// Requests cancellation. A queued job is dropped before it runs; a
+    /// Requests cancellation. A queued job is dropped before it runs, a
+    /// follower of an in-flight duplicate when its leader ends; a
     /// running job aborts at the solver's next check point, surfacing as
     /// [`JobStatus::Cancelled`] (or as a degraded [`JobStatus::Done`] if
     /// an incumbent was already found).

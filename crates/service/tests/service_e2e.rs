@@ -464,3 +464,91 @@ fn snapshot_on_preempt_resumes_resubmissions_from_a_fork() {
     );
     service.shutdown();
 }
+
+#[test]
+fn twin_admitted_while_its_original_is_in_flight_runs_no_second_solve() {
+    // Both workers are held by blockers until the original and its
+    // relabeled twin are admitted, so the original is queued and the twin
+    // must follow it. Then the blockers are cancelled: one worker solves
+    // the original, and the other finds no twin to solve a second time.
+    let recorder = olsq2::Recorder::new();
+    let mut service = SynthesisService::start(ServiceConfig {
+        workers: 2,
+        recorder: recorder.clone(),
+        ..ServiceConfig::default()
+    });
+    let blockers: Vec<_> = (0..2)
+        .map(|i| {
+            let mut r = SynthesisRequest::new(
+                format!("blocker-{i}"),
+                qaoa_circuit(8, 4),
+                grid(3, 3),
+                Objective::Swaps,
+            );
+            r.config.swap_duration = 1;
+            // A deadline keeps the two identical blockers from coalescing,
+            // so each holds a worker.
+            r.deadline = Some(Duration::from_secs(600));
+            service.submit(r).expect("room")
+        })
+        .collect();
+    while blockers
+        .iter()
+        .any(|b| matches!(b.poll(), JobStatus::Queued))
+    {
+        std::thread::yield_now();
+    }
+    let original = qaoa_circuit(8, 4);
+    let twin = original.permute_qubits(&[3, 5, 0, 4, 1, 2, 7, 6]);
+    let request = |name: &str, circuit: &Circuit| {
+        let mut r = SynthesisRequest::new(name, circuit.clone(), grid(3, 3), Objective::Depth);
+        r.config.swap_duration = 1;
+        r
+    };
+    let first = service
+        .submit(request("original", &original))
+        .expect("room");
+    let second = service.submit(request("twin", &twin)).expect("room");
+    assert_eq!(
+        service.metrics().queued,
+        2,
+        "the twin waits with its original"
+    );
+    for blocker in &blockers {
+        blocker.cancel();
+    }
+    let (JobStatus::Done(a), JobStatus::Done(b)) = (first.wait(), second.wait()) else {
+        panic!("both jobs complete")
+    };
+    assert!(!a.cache_hit && a.proven_optimal);
+    assert!(b.cache_hit && b.proven_optimal && !b.degraded);
+    assert!(b.solver_stats.is_none(), "the twin runs no solver");
+    assert_eq!(b.result.depth, a.result.depth);
+    assert_eq!(verify(&twin, &grid(3, 3), &b.result), Ok(()));
+    for blocker in &blockers {
+        assert!(blocker.wait().is_terminal());
+    }
+    let m = service.metrics();
+    assert_eq!(
+        (m.cache.misses, m.cache.hits),
+        (3, 1),
+        "the blockers and the original solve; the twin does not"
+    );
+    assert_eq!((m.queued, m.running), (0, 0));
+
+    // The twin's span names the leader it followed.
+    let snap = recorder.snapshot();
+    let field = |span: &olsq2_obs::SpanData, key: &str| {
+        span.fields
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.to_string())
+    };
+    let twin_span = snap
+        .spans
+        .iter()
+        .find(|s| s.name == "job" && field(s, "name").as_deref() == Some("twin"))
+        .expect("the twin has a job span");
+    assert_eq!(field(twin_span, "leader"), Some(first.id().to_string()));
+    service.shutdown();
+}
