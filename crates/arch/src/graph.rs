@@ -200,6 +200,80 @@ impl CouplingGraph {
             .map(|&q| self.edge_between(p, q).expect("adjacency implies edge"))
             .collect()
     }
+
+    /// BFS distances from `p` to every qubit, indexed by qubit.
+    fn distances_from(&self, p: u16) -> &[u16] {
+        let row = p as usize * self.num_qubits;
+        &self.distances[row..row + self.num_qubits]
+    }
+
+    /// A center of the graph: a qubit of least eccentricity (its distance
+    /// to the farthest qubit), ties going to the lowest index.
+    pub fn center(&self) -> u16 {
+        (0..self.num_qubits as u16)
+            .min_by_key(|&p| self.distances_from(p).iter().max())
+            .expect("a coupling graph has qubits")
+    }
+
+    /// The ball of `size` qubits around [`CouplingGraph::center`]: the
+    /// qubits taken in (distance from the center, index) order and the
+    /// subgraph they induce. Every taken qubit at distance `d > 0` has a
+    /// neighbor at `d − 1`, taken before it, so on a connected graph the
+    /// ball is connected. `size` is clamped to `1..=num_qubits()`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use olsq2_arch::grid;
+    /// let ball = grid(3, 3).ball(5);
+    /// assert_eq!(ball.nodes(), &[4, 1, 3, 5, 7]); // the center, then its neighbors
+    /// assert_eq!(ball.graph().num_edges(), 4);
+    /// assert!(ball.graph().is_connected());
+    /// ```
+    pub fn ball(&self, size: usize) -> SubGraph {
+        let from_center = self.distances_from(self.center());
+        let mut nodes: Vec<u16> = (0..self.num_qubits as u16).collect();
+        nodes.sort_unstable_by_key(|&p| (from_center[p as usize], p));
+        nodes.truncate(size.clamp(1, self.num_qubits));
+        let mut local = vec![None; self.num_qubits];
+        for (i, &p) in nodes.iter().enumerate() {
+            local[p as usize] = Some(i as u16);
+        }
+        let edges = self
+            .edges
+            .iter()
+            .filter_map(|&(a, b)| Some((local[a as usize]?, local[b as usize]?)))
+            .collect();
+        let graph = CouplingGraph::new(
+            format!("{}-ball{}", self.name, nodes.len()),
+            nodes.len(),
+            edges,
+        )
+        .expect("an induced subgraph is a valid coupling graph");
+        SubGraph { graph, nodes }
+    }
+}
+
+/// A subgraph of a device together with its node map: qubit `i` of
+/// [`SubGraph::graph`] is device qubit [`SubGraph::nodes`]`()[i]`. Built
+/// by [`CouplingGraph::ball`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SubGraph {
+    graph: CouplingGraph,
+    nodes: Vec<u16>,
+}
+
+impl SubGraph {
+    /// The subgraph, its qubits numbered `0..nodes().len()`.
+    pub fn graph(&self) -> &CouplingGraph {
+        &self.graph
+    }
+
+    /// The node map: `nodes()[i]` is the device qubit that qubit `i` of
+    /// [`SubGraph::graph`] stands for.
+    pub fn nodes(&self) -> &[u16] {
+        &self.nodes
+    }
 }
 
 impl fmt::Display for CouplingGraph {
@@ -287,5 +361,60 @@ mod tests {
         let g = CouplingGraph::new("star", 4, vec![(0, 1), (0, 2), (0, 3)]).expect("valid");
         assert_eq!(g.edges_at(0), vec![0, 1, 2]);
         assert_eq!(g.edges_at(2), vec![1]);
+    }
+
+    #[test]
+    fn center_has_least_eccentricity_and_lowest_index() {
+        assert_eq!(crate::line(5).center(), 2);
+        assert_eq!(crate::grid(3, 3).center(), 4);
+        // An even line has two centers; the lower index wins.
+        assert_eq!(crate::line(4).center(), 1);
+    }
+
+    #[test]
+    fn ball_takes_qubits_in_distance_then_index_order() {
+        let line = crate::line(5);
+        assert_eq!(line.ball(1).nodes(), &[2]);
+        assert_eq!(line.ball(3).nodes(), &[2, 1, 3]);
+        assert_eq!(line.ball(4).nodes(), &[2, 1, 3, 0]);
+        // Sizes clamp to the device.
+        assert_eq!(line.ball(0).nodes(), &[2]);
+        assert_eq!(line.ball(9).nodes(), &[2, 1, 3, 0, 4]);
+        let grid = crate::grid(3, 3);
+        assert_eq!(grid.ball(6).nodes(), &[4, 1, 3, 5, 7, 0]);
+    }
+
+    /// On every size of a real device the ball has the requested size, is
+    /// connected, holds exactly the device edges between its qubits (mapped
+    /// through the node map), and comes out the same on every call.
+    #[test]
+    fn ball_is_the_connected_induced_subgraph() {
+        for device in [crate::sycamore54(), crate::aspen4(), crate::grid(4, 3)] {
+            let n = device.num_qubits();
+            for size in 1..=n {
+                let ball = device.ball(size);
+                let (sub, nodes) = (ball.graph(), ball.nodes());
+                assert_eq!(sub.num_qubits(), size);
+                assert_eq!(nodes.len(), size);
+                assert!(sub.is_connected(), "{} ball {size}", device.name());
+                let mut distinct = nodes.to_vec();
+                distinct.sort_unstable();
+                distinct.dedup();
+                assert_eq!(distinct.len(), size, "node map is injective");
+                for i in 0..size as u16 {
+                    for j in 0..size as u16 {
+                        let (p, q) = (nodes[i as usize], nodes[j as usize]);
+                        assert_eq!(sub.is_adjacent(i, j), device.is_adjacent(p, q));
+                    }
+                }
+                let induced = device
+                    .edges()
+                    .iter()
+                    .filter(|&&(a, b)| nodes.contains(&a) && nodes.contains(&b))
+                    .count();
+                assert_eq!(sub.num_edges(), induced);
+                assert_eq!(device.ball(size), ball, "ball choice is deterministic");
+            }
+        }
     }
 }

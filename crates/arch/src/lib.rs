@@ -27,4 +27,4 @@ pub use devices::{
     aspen4, complete, device_by_name, eagle127, grid, heavy_hex, ibm_qx2, ibm_qx5, ibm_tokyo, line,
     sycamore54,
 };
-pub use graph::{BuildGraphError, CouplingGraph};
+pub use graph::{BuildGraphError, CouplingGraph, SubGraph};

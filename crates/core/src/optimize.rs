@@ -6,11 +6,12 @@
 
 use crate::config::SynthesisConfig;
 use crate::model::{FlatModel, ModelError, ModelSeed};
-use olsq2_arch::CouplingGraph;
+use olsq2_arch::{CouplingGraph, SubGraph};
 use olsq2_circuit::{Circuit, DependencyGraph};
-use olsq2_layout::LayoutResult;
+use olsq2_layout::{LayoutResult, SwapOp};
 use olsq2_obs::SpanGuard;
 use olsq2_sat::{Proof, ProofStep, SolveResult, Solver, Stats};
+use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
 /// Stable trace-field value for a solve result.
@@ -35,6 +36,45 @@ fn seal_refutation(solver: &Solver) -> Option<Proof> {
     }
     proof.push(ProofStep::Empty);
     Some(proof)
+}
+
+/// The sub-device [`Olsq2Synthesizer::optimize_depth`] probes first: the
+/// `2·|Q|` qubits nearest the center of a connected device with more
+/// qubits than that. `2·|Q|` leaves the layout room to route: on
+/// Sycamore, qft-4 misses its DAG bound on balls of 4 and 6 qubits and
+/// reaches it on 8, and qaoa-8 misses on 8 and 10 and reaches it on 12
+/// and 16.
+fn sub_device(circuit: &Circuit, graph: &CouplingGraph) -> Option<SubGraph> {
+    let size = 2 * circuit.num_qubits();
+    (size < graph.num_qubits() && graph.is_connected()).then(|| graph.ball(size))
+}
+
+/// A layout on `ball`'s subgraph as the same layout on `graph`: qubits
+/// through the node map, each SWAP onto the device edge between its
+/// endpoints. Schedule and depth stay as they are.
+fn lift(result: LayoutResult, ball: &SubGraph, graph: &CouplingGraph) -> LayoutResult {
+    let nodes = ball.nodes();
+    let initial_mapping = result
+        .initial_mapping
+        .iter()
+        .map(|&p| nodes[p as usize])
+        .collect();
+    let swaps = result
+        .swaps
+        .iter()
+        .map(|s| {
+            let (a, b) = ball.graph().edge(s.edge);
+            let edge = graph
+                .edge_between(nodes[a as usize], nodes[b as usize])
+                .expect("a ball edge is a device edge");
+            SwapOp { edge, ..*s }
+        })
+        .collect();
+    LayoutResult {
+        initial_mapping,
+        swaps,
+        ..result
+    }
 }
 
 /// Errors from the synthesis drivers.
@@ -90,9 +130,13 @@ pub struct SynthesisOutcome {
     pub iterations: usize,
     /// Wall-clock time spent.
     pub elapsed: Duration,
-    /// `(variables, clauses)` of the final model.
+    /// `(variables, clauses)` of the final model. When
+    /// [`Olsq2Synthesizer::optimize_depth`] proved the optimum on its
+    /// sub-device, that is the sub-device model.
     pub formula_size: (usize, usize),
-    /// Cumulative solver statistics.
+    /// Cumulative solver statistics of the run: the sub-device model's
+    /// alone after a sub-device proof, the sum of both models' after a
+    /// sub-device miss.
     pub solver_stats: Stats,
     /// Number of in-place window extensions performed on the final model
     /// (zero when the incremental path is disabled or never triggered).
@@ -154,6 +198,9 @@ struct Walk {
     /// The sealed refutation of the UNSAT probe that proved `result`
     /// optimal (proof mode only).
     refutation: Option<Proof>,
+    /// Statistics of the solvers the walk ran before `model`'s (the
+    /// sub-device probe's, after a miss); part of the run's totals.
+    retired: Stats,
 }
 
 impl Olsq2Synthesizer {
@@ -193,6 +240,18 @@ impl Olsq2Synthesizer {
             }
         }
         let span = self.config.recorder.span("encode");
+        self.encode(&span, circuit, graph, t_ub)
+    }
+
+    /// Encodes a fresh model inside the `encode` span `span`, tagging it
+    /// with the window and the per-family formula sizes.
+    fn encode(
+        &self,
+        span: &SpanGuard,
+        circuit: &Circuit,
+        graph: &CouplingGraph,
+        t_ub: usize,
+    ) -> Result<FlatModel, SynthesisError> {
         span.set("t_ub", t_ub);
         let model = FlatModel::build(circuit, graph, &self.config, t_ub)?;
         if self.config.recorder.is_enabled() {
@@ -342,6 +401,19 @@ impl Olsq2Synthesizer {
                 self.iteration_span("swaps", &[("t_bound", t_bound), ("swap_bound", k)])
             }
         };
+        self.probe_in(&span, model, deadline, t_bound, swap_bound)
+    }
+
+    /// The body of [`Olsq2Synthesizer::probe`], timed into the already
+    /// open `iteration` span `span`.
+    fn probe_in(
+        &self,
+        span: &SpanGuard,
+        model: &mut FlatModel,
+        deadline: Option<Instant>,
+        t_bound: usize,
+        swap_bound: Option<(usize, usize)>,
+    ) -> SolveResult {
         let encode_start = Instant::now();
         let act_d = model.depth_bound(t_bound);
         let acts = match swap_bound {
@@ -355,7 +427,7 @@ impl Olsq2Synthesizer {
         let res = model.solve(&acts);
         span.set("solve_us", solve_start.elapsed().as_micros() as u64);
         span.set("result", result_str(res));
-        Self::set_iteration_deltas(&span, stats_before, model.solver_mut().stats());
+        Self::set_iteration_deltas(span, stats_before, model.solver_mut().stats());
         res
     }
 
@@ -374,17 +446,20 @@ impl Olsq2Synthesizer {
             iterations,
             proven,
             refutation,
+            retired,
         } = walk;
         if !proven {
             self.capture_snapshot(circuit, graph, &mut model);
         }
+        let mut solver_stats = retired;
+        solver_stats += model.solver_mut().stats();
         SynthesisOutcome {
             result,
             proven_optimal: proven,
             iterations,
             elapsed: start.elapsed(),
             formula_size: model.formula_size(),
-            solver_stats: model.solver_mut().stats(),
+            solver_stats,
             extensions: model.extensions(),
             refutation: refutation.filter(|_| proven),
         }
@@ -435,23 +510,100 @@ impl Olsq2Synthesizer {
         }
     }
 
+    /// The sub-device first probe of [`Olsq2Synthesizer::optimize_depth`]:
+    /// encodes the flat model on `ball` with window `T_UB = T_LB` and
+    /// probes `depth ≤ T_LB` once. SAT is the optimum, because `T_LB`
+    /// bounds the depth on every device and a layout on an induced
+    /// subgraph is a layout on the device: the walk breaks there, with
+    /// the layout lifted to device qubits. UNSAT proves nothing about the
+    /// device, so the walk continues on it, carrying this probe's solver
+    /// statistics. A budget cut ends the run.
+    fn sub_device_probe(
+        &self,
+        circuit: &Circuit,
+        graph: &CouplingGraph,
+        ball: &SubGraph,
+        deadline: Option<Instant>,
+        t_lb: usize,
+    ) -> Result<ControlFlow<Walk, Stats>, SynthesisError> {
+        let size = ball.nodes().len();
+        let span = self.config.recorder.span("encode");
+        span.set("sub_device", size);
+        let mut model = self.encode(&span, circuit, ball.graph(), t_lb)?;
+        drop(span);
+        let span = self.iteration_span("depth", &[("t_bound", t_lb), ("sub_device", size)]);
+        let res = self.probe_in(&span, &mut model, deadline, t_lb, None);
+        drop(span);
+        match res {
+            SolveResult::Sat => {
+                let result = lift(model.extract(), ball, graph);
+                debug_assert_eq!(olsq2_layout::verify(circuit, graph, &result), Ok(()));
+                self.publish_incumbent(&result);
+                Ok(ControlFlow::Break(Walk {
+                    model,
+                    result,
+                    iterations: 1,
+                    proven: true,
+                    refutation: None,
+                    retired: Stats::default(),
+                }))
+            }
+            SolveResult::Unsat => Ok(ControlFlow::Continue(model.solver_mut().stats())),
+            SolveResult::Unknown => Err(SynthesisError::BudgetExhausted),
+        }
+    }
+
+    /// Whether the run's deadline has passed or its stop flag is raised.
+    fn cut(&self, deadline: Option<Instant>) -> bool {
+        deadline.is_some_and(|d| Instant::now() >= d)
+            || self
+                .config
+                .stop_flag
+                .as_ref()
+                .is_some_and(|stop| stop.load(std::sync::atomic::Ordering::Relaxed))
+    }
+
     /// The depth walk of §III-B-1 under one `optimize_depth` span: start
     /// from `T_B = T_LB` and relax geometrically (`r = 1.3` below 100,
     /// else `1.1`) until the first SAT, then decrement until UNSAT, the
     /// structural lower bound, or the budget. Seals the decisive UNSAT
-    /// under [`SynthesisConfig::proof_log`].
+    /// under [`SynthesisConfig::proof_log`]. With `sub_device_first`, the
+    /// walk starts with [`Olsq2Synthesizer::sub_device_probe`] where
+    /// [`sub_device`] applies and ends there on SAT; after an UNSAT it
+    /// walks the full device as usual, counting that probe too.
     fn depth_phase(
         &self,
         circuit: &Circuit,
         graph: &CouplingGraph,
         deadline: Option<Instant>,
+        sub_device_first: bool,
     ) -> Result<Walk, SynthesisError> {
         let outer = self.config.recorder.span("optimize_depth");
         let dag = self.dependency_graph(circuit);
         let t_lb = dag.longest_chain().max(1);
+        outer.set("t_lb", t_lb);
+        let mut iterations = 0usize;
+        let mut retired = Stats::default();
+        if let Some(ball) = sub_device_first
+            .then(|| sub_device(circuit, graph))
+            .flatten()
+        {
+            iterations += 1;
+            match self.sub_device_probe(circuit, graph, &ball, deadline, t_lb)? {
+                ControlFlow::Break(walk) => {
+                    outer.set("iterations", iterations);
+                    outer.set("proven_optimal", true);
+                    return Ok(walk);
+                }
+                ControlFlow::Continue(stats) => retired = stats,
+            }
+            // Never encode the full device once the budget is spent.
+            if self.cut(deadline) {
+                return Err(SynthesisError::BudgetExhausted);
+            }
+        }
         let mut t_ub = self.initial_t_ub(t_lb);
         let mut model = self.build_model(circuit, graph, t_ub)?;
-        let mut iterations = 0usize;
 
         // Phase 1: relax until the first SAT.
         let mut t_b = t_lb;
@@ -484,7 +636,6 @@ impl Olsq2Synthesizer {
                 }
             }
         };
-        outer.set("t_lb", t_lb);
 
         // Phase 2: decrement until UNSAT (or the lower bound is reached).
         let mut proven = false;
@@ -516,12 +667,33 @@ impl Olsq2Synthesizer {
             iterations,
             proven,
             refutation,
+            retired,
         })
     }
 
     /// Depth optimization (§III-B-1): start from `T_B = T_LB`, relax
     /// geometrically (`r = 1.3` below 100, else `1.1`) until SAT, then
     /// decrement until UNSAT.
+    ///
+    /// When the device has more than `2·|Q|` qubits, the walk first
+    /// encodes the model on the connected ball of the `2·|Q|` qubits
+    /// nearest the device's center ([`CouplingGraph::ball`]), with
+    /// window `T_UB = T_LB`, and probes `depth ≤ T_LB` there once:
+    ///
+    /// * **SAT** — the answer is optimal: `T_LB` bounds the depth on any
+    ///   device, and a layout on an induced subgraph is a layout on the
+    ///   device. It comes back lifted to device qubits, proven, after one
+    ///   iteration and without a refutation (as for any optimum at
+    ///   `T_LB`); the full device is never encoded, and `formula_size`
+    ///   and `solver_stats` describe the sub-device model.
+    /// * **UNSAT** — proves nothing about the device. The walk runs on
+    ///   the full device as if the probe had not happened; `iterations`
+    ///   and `solver_stats` also count the probe.
+    /// * **Budget cut** — [`SynthesisError::BudgetExhausted`].
+    ///
+    /// Both probes' `encode` and `iteration` spans nest under the run's
+    /// `optimize_depth` span; the sub-device ones carry `sub_device`,
+    /// the ball's qubit count.
     ///
     /// # Errors
     ///
@@ -533,7 +705,7 @@ impl Olsq2Synthesizer {
         graph: &CouplingGraph,
     ) -> Result<SynthesisOutcome, SynthesisError> {
         let start = Instant::now();
-        let walk = self.depth_phase(circuit, graph, self.deadline())?;
+        let walk = self.depth_phase(circuit, graph, self.deadline(), true)?;
         Ok(self.finish(circuit, graph, start, walk))
     }
 
@@ -545,7 +717,9 @@ impl Olsq2Synthesizer {
     ///
     /// The SWAP phase runs on the depth phase's warm model — its learned
     /// clauses and cached depth activators carry over, and nothing is
-    /// re-encoded — so `solver_stats` covers every probe of the run.
+    /// re-encoded — so `solver_stats` covers every probe of the run. That
+    /// phase needs the full-device model, so the depth phase here skips
+    /// [`Olsq2Synthesizer::optimize_depth`]'s sub-device probe.
     ///
     /// # Errors
     ///
@@ -562,8 +736,9 @@ impl Olsq2Synthesizer {
             mut model,
             result: mut current,
             mut iterations,
+            retired,
             ..
-        } = self.depth_phase(circuit, graph, deadline)?;
+        } = self.depth_phase(circuit, graph, deadline, false)?;
         let mut current_depth = current.depth;
         let capacity = current.swap_count().max(1);
         let mut t_ub = model.t_ub();
@@ -647,6 +822,7 @@ impl Olsq2Synthesizer {
             iterations,
             proven,
             refutation,
+            retired,
         };
         Ok(SwapOptimizationOutcome {
             best: self.finish(circuit, graph, start, walk),

@@ -6,8 +6,8 @@
 //! and the per-iteration solver deltas (`conflicts`, `decisions`,
 //! `propagations`, `restarts`). Given two traces of the *same instance*
 //! under different configurations, [`diff`] aligns iterations by
-//! (objective, t_bound, swap_bound) in schedule order and classifies
-//! each pairwise delta:
+//! (objective, t_bound, swap_bound, sub_device) in schedule order and
+//! classifies each pairwise delta:
 //!
 //! * **encode** — the time moved in the encoding step;
 //! * **solve-throughput** — solve time moved while the search did the
@@ -39,6 +39,9 @@ pub struct IterationRow {
     pub t_bound: Option<u64>,
     /// SWAP-count bound, when present.
     pub swap_bound: Option<i64>,
+    /// Qubit count of the sub-device the probe ran on; `None` for a probe
+    /// on the whole device.
+    pub sub_device: Option<u64>,
     /// Wall-clock duration of the whole iteration.
     pub total_us: u64,
     /// Time spent (re)encoding the model.
@@ -67,11 +70,22 @@ impl IterationRow {
         if let Some(s) = self.swap_bound {
             let _ = write!(k, " swaps≤{s}");
         }
+        if let Some(n) = self.sub_device {
+            let _ = write!(k, " sub={n}");
+        }
         k
     }
 
-    fn align_key(&self) -> (String, Option<u64>, Option<i64>) {
-        (self.objective.clone(), self.t_bound, self.swap_bound)
+    /// The alignment coordinates. The device is one of them: a probe on a
+    /// sub-device answers a different question than the same bound on the
+    /// whole device.
+    fn align_key(&self) -> (String, Option<u64>, Option<i64>, Option<u64>) {
+        (
+            self.objective.clone(),
+            self.t_bound,
+            self.swap_bound,
+            self.sub_device,
+        )
     }
 
     /// Decisions per conflict — the cheap search-shape fingerprint.
@@ -131,6 +145,7 @@ pub fn parse_side(text: &str) -> Result<TraceSide, String> {
                         .to_string(),
                     t_bound: fields.get("t_bound").and_then(JsonValue::as_u64),
                     swap_bound: fields.get("swap_bound").and_then(JsonValue::as_i64),
+                    sub_device: fields.get("sub_device").and_then(JsonValue::as_u64),
                     total_us: v.get("dur_us").and_then(JsonValue::as_u64).unwrap_or(0),
                     encode_us: u("encode_us"),
                     solve_us: u("solve_us"),
@@ -261,12 +276,9 @@ pub fn diff_sides(
     label_a: &str,
     label_b: &str,
 ) -> DiffReport {
-    // Match by (objective, t_bound, swap_bound) with occurrence index,
-    // so revisited bounds pair up in schedule order.
-    let mut b_index: HashMap<
-        (String, Option<u64>, Option<i64>),
-        std::collections::VecDeque<usize>,
-    > = HashMap::new();
+    // Match by (objective, t_bound, swap_bound, sub_device) with
+    // occurrence index, so revisited bounds pair up in schedule order.
+    let mut b_index: HashMap<_, std::collections::VecDeque<usize>> = HashMap::new();
     for (i, row) in side_b.iterations.iter().enumerate() {
         b_index.entry(row.align_key()).or_default().push_back(i);
     }
@@ -615,6 +627,42 @@ mod tests {
         let text = report.render();
         assert!(text.contains("flight died: 1 samples kept"));
         assert!(text.contains("640 conflicts"));
+    }
+
+    /// A probe on a sub-device never pairs with the same bound on the
+    /// whole device: the parent's full-device `depth T=21` and the
+    /// change's sub-device `depth T=21` are one row each, and only the
+    /// full-device probes at the same bound match.
+    #[test]
+    fn sub_device_probes_align_apart_from_full_device_probes() {
+        let sub = |line: String| line.replace("\"result\"", "\"sub_device\":8,\"result\"");
+        let a = trace(&[
+            iter_line(21, 0, 90_000, 60_000, 30_000, 1_385),
+            iter_line(22, 0, 9_000, 1_000, 8_000, 90),
+        ]);
+        let b = trace(&[
+            sub(iter_line(21, 0, 3_000, 2_000, 1_000, 56)),
+            iter_line(21, 0, 90_000, 60_000, 30_000, 1_385),
+            iter_line(22, 0, 9_000, 1_000, 8_000, 90),
+        ]);
+        let side_b = parse_side(&b).expect("parses");
+        assert_eq!(side_b.iterations[0].sub_device, Some(8));
+        assert_eq!(side_b.iterations[1].sub_device, None);
+        let report = diff(&a, &b, "parent", "change").expect("diffs");
+        assert_eq!(report.matched(), 2);
+        let rows: Vec<(&str, Verdict)> = report
+            .rows
+            .iter()
+            .map(|r| (r.key.as_str(), r.verdict))
+            .collect();
+        assert_eq!(
+            rows,
+            vec![
+                ("depth T=21 swaps≤0", Verdict::Par),
+                ("depth T=22 swaps≤0", Verdict::Par),
+                ("depth T=21 swaps≤0 sub=8", Verdict::OnlyB),
+            ]
+        );
     }
 
     #[test]

@@ -117,6 +117,54 @@ pub struct Stats {
     pub target_rephases: u64,
 }
 
+/// Adds every counter of `rhs`: the totals of a run that used more than
+/// one solver.
+impl std::ops::AddAssign for Stats {
+    fn add_assign(&mut self, rhs: Stats) {
+        // Destructured, so a new counter cannot be left out of the sum.
+        let Stats {
+            conflicts,
+            decisions,
+            propagations,
+            restarts,
+            learnts,
+            reduces,
+            minimized_lits,
+            simplifies,
+            simplify_removed,
+            simplify_strengthened,
+            vivified,
+            strengthened,
+            binary_props,
+            ternary_props,
+            tier_demotions,
+            rephases,
+            chrono_backtracks,
+            blocked_restarts,
+            target_rephases,
+        } = rhs;
+        self.conflicts += conflicts;
+        self.decisions += decisions;
+        self.propagations += propagations;
+        self.restarts += restarts;
+        self.learnts += learnts;
+        self.reduces += reduces;
+        self.minimized_lits += minimized_lits;
+        self.simplifies += simplifies;
+        self.simplify_removed += simplify_removed;
+        self.simplify_strengthened += simplify_strengthened;
+        self.vivified += vivified;
+        self.strengthened += strengthened;
+        self.binary_props += binary_props;
+        self.ternary_props += ternary_props;
+        self.tier_demotions += tier_demotions;
+        self.rephases += rephases;
+        self.chrono_backtracks += chrono_backtracks;
+        self.blocked_restarts += blocked_restarts;
+        self.target_rephases += target_rephases;
+    }
+}
+
 /// The cadences and the jump threshold of the search policies.
 ///
 /// Production never sets it: every solver runs the defaults. It exists so
@@ -301,7 +349,10 @@ pub struct Solver {
     /// clause scrubs its three watchers at once (`scrub_retired`), so
     /// these lists never hold a dead watcher.
     tern_watches: WatchLists<TernWatcher>,
-    assigns: Vec<LBool>,
+    /// Truth value of every literal, indexed by [`Lit::code`]. Both
+    /// literals of a variable are written together (one `True` and one
+    /// `False`, or both `Undef`), so [`Solver::value`] is a single load.
+    vals: Vec<LBool>,
     vardata: Vec<VarData>,
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
@@ -423,7 +474,7 @@ impl Solver {
             watches: WatchLists::new(),
             bin_watches: WatchLists::new(),
             tern_watches: WatchLists::new(),
-            assigns: Vec::new(),
+            vals: Vec::new(),
             vardata: Vec::new(),
             trail: Vec::new(),
             trail_lim: Vec::new(),
@@ -478,8 +529,8 @@ impl Solver {
 
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
-        let v = Var(self.assigns.len() as u32);
-        self.assigns.push(LBool::Undef);
+        let v = Var(self.num_vars() as u32);
+        self.vals.extend([LBool::Undef; 2]);
         self.vardata.push(VarData {
             reason: None,
             level: 0,
@@ -499,7 +550,7 @@ impl Solver {
 
     /// Number of allocated variables.
     pub fn num_vars(&self) -> usize {
-        self.assigns.len()
+        self.vals.len() / 2
     }
 
     /// Number of problem (non-learned) clauses currently retained.
@@ -631,7 +682,7 @@ impl Solver {
             watches: self.watches.clone(),
             bin_watches: self.bin_watches.clone(),
             tern_watches: self.tern_watches.clone(),
-            assigns: self.assigns.clone(),
+            vals: self.vals.clone(),
             vardata: self.vardata.clone(),
             trail: self.trail.clone(),
             trail_lim: Vec::new(),
@@ -854,7 +905,7 @@ impl Solver {
     /// Truth value of `lit` under the current partial assignment.
     #[inline]
     pub fn value(&self, lit: Lit) -> LBool {
-        self.assigns[lit.var().index()].apply_sign(lit.is_negative())
+        self.vals[lit.code()]
     }
 
     /// Truth value of `lit` in the most recent satisfying model.
@@ -1089,7 +1140,8 @@ impl Solver {
         debug_assert_eq!(self.value(lit), LBool::Undef);
         debug_assert!(level <= self.decision_level());
         let v = lit.var().index();
-        self.assigns[v] = LBool::from(lit.is_positive());
+        self.vals[lit.code()] = LBool::True;
+        self.vals[(!lit).code()] = LBool::False;
         self.vardata[v] = VarData { reason, level };
         if self.save_phases {
             self.phase[v] = lit.is_positive();
@@ -1285,7 +1337,8 @@ impl Solver {
             if self.level(v) <= level {
                 self.cancel_buf.push(lit);
             } else {
-                self.assigns[v.index()] = LBool::Undef;
+                self.vals[lit.code()] = LBool::Undef;
+                self.vals[(!lit).code()] = LBool::Undef;
                 self.order.insert(v, &self.activity);
             }
         }
@@ -1590,8 +1643,9 @@ impl Solver {
         ranked.truncate(half);
         ranked.retain(|&c| self.db.len(c) > 2 && !self.locked(c));
         for &c in &ranked {
-            let lits = self.db.lits(c).to_vec();
-            self.log_proof(|| ProofStep::Delete(lits));
+            if let Some(proof) = &mut self.proof {
+                proof.push(ProofStep::Delete(self.db.lits(c).to_vec()));
+            }
             self.db.delete(c);
         }
         self.scrub_retired(&ranked);
@@ -1752,10 +1806,10 @@ impl Solver {
                 // keeps at least two unfalsified literals (one unfalsified
                 // literal would have been propagated, satisfying it).
                 debug_assert!(shrunk.len() >= 2, "unit survived root propagation");
-                let shrunk_for_proof = shrunk.clone();
-                self.log_proof(|| ProofStep::Lemma(shrunk_for_proof));
-                let original = self.db.lits(c).to_vec();
-                self.log_proof(|| ProofStep::Delete(original));
+                if let Some(proof) = &mut self.proof {
+                    proof.push(ProofStep::Lemma(shrunk.clone()));
+                    proof.push(ProofStep::Delete(self.db.lits(c).to_vec()));
+                }
                 let learnt = self.db.is_learnt(c);
                 let meta = learnt.then(|| (self.db.lbd(c), self.db.activity(c)));
                 let new_cref = self.db.alloc(&shrunk, learnt);
@@ -1829,10 +1883,10 @@ impl Solver {
         } else {
             self.learnts[idx]
         };
-        let new_for_proof = new.to_vec();
-        self.log_proof(|| ProofStep::Lemma(new_for_proof));
-        let old = self.db.lits(c).to_vec();
-        self.log_proof(|| ProofStep::Delete(old));
+        if let Some(proof) = &mut self.proof {
+            proof.push(ProofStep::Lemma(new.to_vec()));
+            proof.push(ProofStep::Delete(self.db.lits(c).to_vec()));
+        }
         match new.len() {
             0 => {
                 // All literals refuted at the root: the formula is UNSAT.
@@ -2141,7 +2195,7 @@ impl Solver {
     fn pick_branch(&mut self) -> Option<Lit> {
         loop {
             let v = self.order.pop(&self.activity)?;
-            if self.assigns[v.index()] == LBool::Undef {
+            if self.vals[Lit::positive(v).code()] == LBool::Undef {
                 return Some(Lit::new(v, !self.branch_phase(v)));
             }
         }
@@ -2521,8 +2575,9 @@ impl Solver {
                 }
                 match self.pick_branch() {
                     None => {
-                        // All variables assigned: model found.
-                        self.model = self.assigns.clone();
+                        // All variables assigned: model found. The
+                        // positive literals' values are the variables'.
+                        self.model.extend(self.vals.iter().step_by(2));
                         return Some(SolveResult::Sat);
                     }
                     Some(next) => {
@@ -2581,6 +2636,60 @@ mod tests {
         s.add_clause([!v[0], !v[3]]);
         // v0 forced true, then v2, v3, contradiction with ¬v3.
         assert_eq!(s.solve(&[]), SolveResult::Unsat);
+    }
+
+    /// Two solvers' stats add counter by counter. Every counter holds a
+    /// different value, so one added into the wrong field shows.
+    #[test]
+    fn stats_add_every_counter() {
+        let one = Stats {
+            conflicts: 1,
+            decisions: 2,
+            propagations: 3,
+            restarts: 4,
+            learnts: 5,
+            reduces: 6,
+            minimized_lits: 7,
+            simplifies: 8,
+            simplify_removed: 9,
+            simplify_strengthened: 10,
+            vivified: 11,
+            strengthened: 12,
+            binary_props: 13,
+            ternary_props: 14,
+            tier_demotions: 15,
+            rephases: 16,
+            chrono_backtracks: 17,
+            blocked_restarts: 18,
+            target_rephases: 19,
+        };
+        let mut sum = Stats::default();
+        sum += one;
+        sum += one;
+        assert_eq!(
+            sum,
+            Stats {
+                conflicts: 2,
+                decisions: 4,
+                propagations: 6,
+                restarts: 8,
+                learnts: 10,
+                reduces: 12,
+                minimized_lits: 14,
+                simplifies: 16,
+                simplify_removed: 18,
+                simplify_strengthened: 20,
+                vivified: 22,
+                strengthened: 24,
+                binary_props: 26,
+                ternary_props: 28,
+                tier_demotions: 30,
+                rephases: 32,
+                chrono_backtracks: 34,
+                blocked_restarts: 36,
+                target_rephases: 38,
+            }
+        );
     }
 
     #[test]

@@ -4,16 +4,22 @@
 //! Under proof logging the flat synthesizer's decisive UNSAT probe comes
 //! back as a sealed refutation the RUP checker accepts; a run of either
 //! synthesizer stopped mid-probe hands back either a verified incumbent or
-//! `BudgetExhausted`; and both synthesizers' SWAP optima are pinned to
-//! known values.
+//! `BudgetExhausted`; both synthesizers' SWAP optima are pinned to known
+//! values; and `optimize_depth`'s sub-device first probe proves the DAG
+//! bound on a ball of the device, or hands over to the full-device walk
+//! with its probe counted.
 
 use olsq2::{
-    Olsq2Synthesizer, SynthesisConfig, SynthesisError, SynthesisOutcome, TbOlsq2Synthesizer,
+    Olsq2Synthesizer, Recorder, SynthesisConfig, SynthesisError, SynthesisOutcome,
+    TbOlsq2Synthesizer,
 };
-use olsq2_arch::{grid, line, CouplingGraph};
-use olsq2_circuit::generators::{qaoa_circuit, qft_decomposed, queko_circuit, tof_circuit};
+use olsq2_arch::{grid, line, sycamore54, CouplingGraph};
+use olsq2_circuit::generators::{
+    qaoa_circuit, qft_decomposed, queko_circuit, tof_circuit, toffoli_circuit,
+};
 use olsq2_circuit::{Circuit, DependencyGraph, Gate, GateKind};
 use olsq2_layout::verify;
+use olsq2_obs::{FieldValue, SpanData};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -244,4 +250,192 @@ fn stop_flag_sweep_leaves_incumbents_valid() {
             }
         }
     }
+}
+
+fn u64_field(span: &SpanData, key: &str) -> Option<u64> {
+    span.fields.iter().find_map(|(k, v)| match v {
+        FieldValue::U64(x) if k == key => Some(*x),
+        _ => None,
+    })
+}
+
+/// `optimize_depth` on `device`, traced, optionally under proof logging.
+fn traced_depth(
+    circuit: &Circuit,
+    device: &CouplingGraph,
+    sd: usize,
+    proof_log: bool,
+) -> (Result<SynthesisOutcome, SynthesisError>, Vec<SpanData>) {
+    let recorder = Recorder::new();
+    let mut config = SynthesisConfig::with_swap_duration(sd);
+    config.recorder = recorder.clone();
+    config.proof_log = proof_log;
+    let out = Olsq2Synthesizer::new(config).optimize_depth(circuit, device);
+    (out, recorder.snapshot().spans)
+}
+
+fn named<'a>(spans: &'a [SpanData], name: &str) -> Vec<&'a SpanData> {
+    spans.iter().filter(|s| s.name == name).collect()
+}
+
+/// Every `encode` and `iteration` span nests under the run's single
+/// `optimize_depth` span, and the iteration spans' conflicts add up to
+/// the outcome's `solver_stats`.
+fn assert_spans_account_for(name: &str, out: &SynthesisOutcome, spans: &[SpanData]) {
+    let outer = named(spans, "optimize_depth");
+    assert_eq!(outer.len(), 1, "{name}: one optimize_depth span");
+    for s in named(spans, "encode")
+        .into_iter()
+        .chain(named(spans, "iteration"))
+    {
+        assert_eq!(s.parent, Some(outer[0].id), "{name}: {} nests", s.name);
+    }
+    let iterations = named(spans, "iteration");
+    assert_eq!(
+        iterations.len(),
+        out.iterations,
+        "{name}: one span per probe"
+    );
+    let conflicts: u64 = iterations
+        .iter()
+        .map(|s| u64_field(s, "conflicts").expect("iteration conflicts"))
+        .sum();
+    assert_eq!(
+        out.solver_stats.conflicts, conflicts,
+        "{name}: stats add up"
+    );
+}
+
+/// Depth at the DAG bound on a ball of `2·|Q|` device qubits is the
+/// device optimum: one sub-device encode, one probe, proven, and the
+/// lifted layout verifies on the full device. Under proof logging there
+/// is nothing to refute.
+#[test]
+fn sub_device_probe_proves_the_dag_bound() {
+    let hits = [
+        ("qft-4/grid3x3", qft_decomposed(4), grid(3, 3), 3, 21),
+        ("qaoa-8/sycamore", qaoa_circuit(8, 42), sycamore54(), 1, 8),
+    ];
+    for (name, circuit, device, sd, depth) in hits {
+        assert_eq!(DependencyGraph::new(&circuit).longest_chain(), depth);
+        let ball = 2 * circuit.num_qubits() as u64;
+        for proof_log in [false, true] {
+            let (out, spans) = traced_depth(&circuit, &device, sd, proof_log);
+            let out = out.unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert!(out.proven_optimal, "{name}: optimum not proven");
+            assert_eq!(out.result.depth, depth, "{name}");
+            assert_eq!(out.iterations, 1, "{name}");
+            assert!(out.refutation.is_none(), "{name}: nothing to refute");
+            assert_eq!(verify(&circuit, &device, &out.result), Ok(()), "{name}");
+            let encodes = named(&spans, "encode");
+            assert_eq!(encodes.len(), 1, "{name}: the full device is never encoded");
+            assert_eq!(u64_field(encodes[0], "sub_device"), Some(ball), "{name}");
+            let iterations = named(&spans, "iteration");
+            assert_eq!(u64_field(iterations[0], "sub_device"), Some(ball), "{name}");
+            assert_spans_account_for(name, &out, &spans);
+        }
+    }
+}
+
+/// A Toffoli on grid3x3 needs two steps beyond its DAG bound of 11, so
+/// the probe on the 6-qubit ball is UNSAT and the full-device walk finds
+/// and proves depth 13 as if the probe had not run. The run counts the
+/// probe: two encodes (sub-device first), and `solver_stats` is the sum
+/// of both models' probes. Under proof logging the full device's
+/// decisive UNSAT comes back as a refutation the checker accepts.
+#[test]
+fn sub_device_miss_walks_the_full_device() {
+    let circuit = toffoli_circuit();
+    let device = grid(3, 3);
+    assert_eq!(DependencyGraph::new(&circuit).longest_chain(), 11);
+    for proof_log in [false, true] {
+        let (out, spans) = traced_depth(&circuit, &device, 3, proof_log);
+        let out = out.expect("synthesis");
+        assert!(out.proven_optimal);
+        assert_eq!(out.result.depth, 13);
+        assert_eq!(verify(&circuit, &device, &out.result), Ok(()));
+        let encodes: Vec<Option<u64>> = named(&spans, "encode")
+            .iter()
+            .map(|s| u64_field(s, "sub_device"))
+            .collect();
+        assert_eq!(encodes, vec![Some(6), None]);
+        let iterations = named(&spans, "iteration");
+        assert_eq!(u64_field(iterations[0], "sub_device"), Some(6));
+        assert!(iterations[1..]
+            .iter()
+            .all(|s| u64_field(s, "sub_device").is_none()));
+        assert_spans_account_for("toffoli/grid3x3", &out, &spans);
+        if proof_log {
+            assert_refutation_checks("toffoli/grid3x3", &out);
+        }
+    }
+}
+
+/// A run whose budget is spent by the end of the sub-device probe ends
+/// `BudgetExhausted` and never encodes the full device: a preset stop
+/// flag cuts the probe on qaoa-8/sycamore, and a zero time budget on
+/// toffoli/grid3x3 has passed when its probe ends (UNSAT, or cut if the
+/// probe reaches the solver's deadline check).
+#[test]
+fn spent_budget_never_encodes_the_full_device() {
+    let stopped: fn(&mut SynthesisConfig) = |c| c.stop_flag = Some(Arc::new(AtomicBool::new(true)));
+    let no_time: fn(&mut SynthesisConfig) = |c| c.time_budget = Some(Duration::ZERO);
+    let cases = [
+        (
+            "qaoa-8/sycamore",
+            qaoa_circuit(8, 42),
+            sycamore54(),
+            1,
+            stopped,
+            16,
+        ),
+        (
+            "toffoli/grid3x3",
+            toffoli_circuit(),
+            grid(3, 3),
+            3,
+            no_time,
+            6,
+        ),
+    ];
+    for (name, circuit, device, sd, spend, ball) in cases {
+        let recorder = Recorder::new();
+        let mut config = SynthesisConfig::with_swap_duration(sd);
+        config.recorder = recorder.clone();
+        spend(&mut config);
+        let out = Olsq2Synthesizer::new(config).optimize_depth(&circuit, &device);
+        assert!(
+            matches!(out, Err(SynthesisError::BudgetExhausted)),
+            "{name}: {out:?}"
+        );
+        let spans = recorder.snapshot().spans;
+        let encodes: Vec<Option<u64>> = named(&spans, "encode")
+            .iter()
+            .map(|s| u64_field(s, "sub_device"))
+            .collect();
+        assert_eq!(encodes, vec![Some(ball)], "{name}");
+    }
+}
+
+/// `optimize_swaps` runs its SWAP phase on the depth phase's model, so
+/// its depth phase stays on the full device even where a ball would fit:
+/// one encode, no sub-device probe, and a layout that verifies.
+#[test]
+fn swap_objective_skips_the_sub_device_probe() {
+    let device = grid(3, 3);
+    let recorder = Recorder::new();
+    let mut config = SynthesisConfig::with_swap_duration(1);
+    config.recorder = recorder.clone();
+    let out = Olsq2Synthesizer::new(config)
+        .optimize_swaps(&triangle(), &device)
+        .expect("synthesis");
+    assert!(out.best.proven_optimal);
+    assert_eq!(out.best.result.swap_count(), 1);
+    assert_eq!(verify(&triangle(), &device, &out.best.result), Ok(()));
+    let spans = recorder.snapshot().spans;
+    let encodes: Vec<Option<u64>> = named(&spans, "encode")
+        .iter()
+        .map(|s| u64_field(s, "sub_device"))
+        .collect();
+    assert_eq!(encodes, vec![None]);
 }
