@@ -315,14 +315,14 @@ fn synthesis_refutation_under_chrono_is_rup_checkable() {
 }
 
 /// Pins the search itself, not just its answers: the solver counts and
-/// formula size of three fixed runs. A change that only speeds up clause
+/// formula size of five fixed runs, two of which grow their window. A change that only speeds up clause
 /// intake, encoding or minimization must leave every figure here as it
 /// is; a change that alters the search order on purpose updates them.
 #[test]
 fn search_counts_are_pinned() {
     use olsq2::TbOlsq2Synthesizer;
     use olsq2_arch::device_by_name;
-    use olsq2_circuit::generators::qft_decomposed;
+    use olsq2_circuit::generators::{qft_decomposed, tof_circuit};
     // (conflicts, propagations, decisions, (vars, clauses)).
     let counts = |out: &olsq2::SynthesisOutcome| {
         let s = out.solver_stats;
@@ -361,5 +361,33 @@ fn search_counts_are_pinned() {
         counts(&out),
         (448, 94_601, 709, (836, 3619)),
         "TB qaoa-6/grid2x3"
+    );
+
+    // Two runs that outgrow their first window, so the formulas a window
+    // extension appends are pinned too: a tight flat window
+    // (`tub_factor = 1.0`) and TB's SWAP phase relaxing past its block
+    // window.
+    let mut tight = SynthesisConfig::with_swap_duration(3);
+    tight.tub_factor = 1.0;
+    let out = Olsq2Synthesizer::new(tight)
+        .optimize_depth(&qft_decomposed(4), &line4)
+        .expect("solves");
+    assert_eq!(out.result.depth, 28);
+    assert_eq!(
+        (counts(&out), out.extensions),
+        ((3056, 836_051, 6193, (4505, 46_706)), 1),
+        "qft-4/line4, tub_factor 1.0"
+    );
+
+    let line5 = device_by_name("line5").expect("known device");
+    let out = TbOlsq2Synthesizer::new(SynthesisConfig::with_swap_duration(3))
+        .optimize_swaps(&tof_circuit(3), &line5)
+        .expect("solves")
+        .outcome;
+    assert_eq!(out.result.swap_count(), 4);
+    assert_eq!(
+        (counts(&out), out.extensions),
+        ((1548, 200_635, 2361, (1516, 7109)), 1),
+        "TB tof-3/line5"
     );
 }
