@@ -4,13 +4,11 @@
 //! olsq2 --qasm <file|-> --device <name> [--objective depth|swaps|blocks]
 //!       [--swap-duration N] [--budget SECS] [--encoding int|bv|euf]
 //!       [--tool olsq2|tb|sabre|satmap|astar] [--output out.qasm]
-//!       [--no-incremental]
 //!       [--trace-out trace.jsonl] [--report]
 //!       [--flight-out flight.jsonl] [--flight-every N] [--flight-capacity N]
 //!
 //! olsq2 serve-batch --manifest <file|-> [--output <file|->]
-//!       [--workers N] [--queue N] [--cache N] [--no-incremental]
-//!       [--snapshot-on-preempt]
+//!       [--workers N] [--queue N] [--cache N] [--snapshot-on-preempt]
 //!       [--trace-out trace.jsonl] [--prom-out metrics.prom] [--prom-every SECS]
 //!       [--http ADDR] [--flight-dir DIR] [--flight-every N] [--flight-capacity N]
 //!       [--report]
@@ -47,7 +45,7 @@
 //! Observability: `--trace-out` arms a recorder and dumps its JSONL trace
 //! (spans, events, counters, histograms) to the given path; `--report`
 //! prints the human-readable span tree instead of (or in addition to) the
-//! raw trace; `--prom-out` writes service metrics plus recorder counters
+//! raw trace. Both are written when synthesis fails, too; `--prom-out` writes service metrics plus recorder counters
 //! in the Prometheus text format. `trace-report` re-renders a saved
 //! JSONL trace as the span-tree report offline.
 //!
@@ -79,9 +77,8 @@ use std::sync::OnceLock;
 use std::time::Duration;
 
 /// The armed flight recorder and its dump path, set once before synthesis
-/// starts. `fail` exits the process without unwinding (destructors never
-/// run) and panics bypass the success path entirely, so both routes reach
-/// the ring through this global rather than through scope.
+/// starts. Panics bypass the normal exit path entirely, so the panic hook
+/// reaches the ring through this global rather than through scope.
 static FLIGHT: OnceLock<(olsq2::Probe, String)> = OnceLock::new();
 
 /// Dumps the armed flight ring (if any) as versioned JSONL. Idempotent:
@@ -105,12 +102,10 @@ fn usage() -> ! {
         "usage: olsq2 --qasm <file|-> --device <name> \\
           [--objective depth|swaps] [--tool olsq2|tb|sabre|satmap|astar] \\
           [--swap-duration N] [--budget SECS] [--encoding int|bv|euf] [--output out.qasm] \\
-          [--no-incremental] \\
           [--trace-out trace.jsonl] [--report] \\
           [--flight-out flight.jsonl] [--flight-every N] [--flight-capacity N]
        olsq2 serve-batch --manifest <file|-> [--output <file|->] \\
-          [--workers N] [--queue N] [--cache N] [--no-incremental] \\
-          [--snapshot-on-preempt] \\
+          [--workers N] [--queue N] [--cache N] [--snapshot-on-preempt] \\
           [--trace-out trace.jsonl] [--prom-out metrics.prom] [--prom-every SECS] \\
           [--http ADDR] [--flight-dir DIR] [--flight-every N] [--flight-capacity N] \\
           [--report]
@@ -162,7 +157,6 @@ fn serve_batch(args: impl Iterator<Item = String>) {
             "--workers" => config.workers = val(&mut args).parse().unwrap_or_else(|_| usage()),
             "--queue" => config.queue_capacity = val(&mut args).parse().unwrap_or_else(|_| usage()),
             "--cache" => config.cache_capacity = val(&mut args).parse().unwrap_or_else(|_| usage()),
-            "--no-incremental" => config.incremental = false,
             "--snapshot-on-preempt" => config.snapshot_on_preempt = true,
             "--trace-out" => trace_out = Some(val(&mut args)),
             "--prom-out" => prom_out = Some(val(&mut args)),
@@ -739,7 +733,6 @@ fn main() {
     let mut output: Option<String> = None;
     let mut trace_out: Option<String> = None;
     let mut report = false;
-    let mut incremental = true;
     let mut flight_out: Option<String> = None;
     let mut flight_every = 128u64;
     let mut flight_capacity = 4096usize;
@@ -764,7 +757,6 @@ fn main() {
             "--output" => output = Some(val(&mut args)),
             "--trace-out" => trace_out = Some(val(&mut args)),
             "--report" => report = true,
-            "--no-incremental" => incremental = false,
             "--flight-out" => flight_out = Some(val(&mut args)),
             "--flight-every" => {
                 flight_every = val(&mut args)
@@ -828,9 +820,9 @@ fn main() {
         olsq2::Probe::disabled()
     };
     if let Some(path) = &flight_out {
-        // Arm the dump-on-exit paths before synthesis starts: `fail` exits
-        // without running destructors, and a panic in the search would
-        // otherwise lose exactly the samples worth reading.
+        // Arm the dump-on-panic path before synthesis starts: a panic in
+        // the search would otherwise lose exactly the samples worth
+        // reading.
         let _ = FLIGHT.set((probe.clone(), path.clone()));
         let default_hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
@@ -844,57 +836,56 @@ fn main() {
         time_budget: budget,
         recorder: recorder.clone(),
         probe: probe.clone(),
-        incremental,
         ..SynthesisConfig::default()
     };
 
-    let result: LayoutResult = match (tool.as_str(), objective.as_str()) {
-        ("olsq2", "depth") => {
-            let out = Olsq2Synthesizer::new(config)
-                .optimize_depth(&circuit, &device)
-                .unwrap_or_else(|e| fail(&e));
-            eprintln!(
-                "optimal: {} ({} solver calls, {} window extension(s))",
-                out.proven_optimal, out.iterations, out.extensions
-            );
-            out.result
-        }
-        ("olsq2", "swaps") => {
-            let out = Olsq2Synthesizer::new(config)
-                .optimize_swaps(&circuit, &device)
-                .unwrap_or_else(|e| fail(&e));
-            eprintln!(
-                "optimal: {} (pareto points: {:?}, {} window extension(s))",
-                out.best.proven_optimal, out.pareto, out.best.extensions
-            );
-            out.best.result
-        }
-        ("tb", "depth" | "blocks") => {
-            let out = TbOlsq2Synthesizer::new(config)
-                .optimize_blocks(&circuit, &device)
-                .unwrap_or_else(|e| fail(&e));
-            eprintln!(
-                "blocks: {} ({} window extension(s))",
-                out.block_count, out.outcome.extensions
-            );
-            out.outcome.result
-        }
-        ("tb", "swaps") => {
-            let out = TbOlsq2Synthesizer::new(config)
-                .optimize_swaps(&circuit, &device)
-                .unwrap_or_else(|e| fail(&e));
-            eprintln!(
-                "optimal: {} ({} blocks, {} window extension(s))",
-                out.outcome.proven_optimal, out.block_count, out.outcome.extensions
-            );
-            out.outcome.result
-        }
+    let outcome: Result<LayoutResult, String> = match (tool.as_str(), objective.as_str()) {
+        ("olsq2", "depth") => Olsq2Synthesizer::new(config)
+            .optimize_depth(&circuit, &device)
+            .map(|out| {
+                eprintln!(
+                    "optimal: {} ({} solver calls, {} window extension(s))",
+                    out.proven_optimal, out.iterations, out.extensions
+                );
+                out.result
+            })
+            .map_err(|e| e.to_string()),
+        ("olsq2", "swaps") => Olsq2Synthesizer::new(config)
+            .optimize_swaps(&circuit, &device)
+            .map(|out| {
+                eprintln!(
+                    "optimal: {} (pareto points: {:?}, {} window extension(s))",
+                    out.best.proven_optimal, out.pareto, out.best.extensions
+                );
+                out.best.result
+            })
+            .map_err(|e| e.to_string()),
+        ("tb", "depth" | "blocks") => TbOlsq2Synthesizer::new(config)
+            .optimize_blocks(&circuit, &device)
+            .map(|out| {
+                eprintln!(
+                    "blocks: {} ({} window extension(s))",
+                    out.block_count, out.outcome.extensions
+                );
+                out.outcome.result
+            })
+            .map_err(|e| e.to_string()),
+        ("tb", "swaps") => TbOlsq2Synthesizer::new(config)
+            .optimize_swaps(&circuit, &device)
+            .map(|out| {
+                eprintln!(
+                    "optimal: {} ({} blocks, {} window extension(s))",
+                    out.outcome.proven_optimal, out.block_count, out.outcome.extensions
+                );
+                out.outcome.result
+            })
+            .map_err(|e| e.to_string()),
         ("sabre", _) => {
             let cfg = olsq2_heuristic::SabreConfig {
                 swap_duration,
                 ..Default::default()
             };
-            olsq2_heuristic::sabre_route(&circuit, &device, &cfg).unwrap_or_else(|e| fail(&e))
+            olsq2_heuristic::sabre_route(&circuit, &device, &cfg).map_err(|e| e.to_string())
         }
         ("satmap", _) => {
             let cfg = olsq2_heuristic::SatMapConfig {
@@ -903,21 +894,27 @@ fn main() {
                 ..Default::default()
             };
             olsq2_heuristic::satmap_route(&circuit, &device, &cfg)
-                .unwrap_or_else(|e| fail(&e))
-                .result
+                .map(|out| out.result)
+                .map_err(|e| e.to_string())
         }
         ("astar", _) => {
             let cfg = olsq2_heuristic::AstarConfig {
                 swap_duration,
                 ..Default::default()
             };
-            olsq2_heuristic::astar_route(&circuit, &device, &cfg).unwrap_or_else(|e| fail(&e))
+            olsq2_heuristic::astar_route(&circuit, &device, &cfg).map_err(|e| e.to_string())
         }
         _ => usage(),
     };
 
+    // A failed run's trace and flight ring (deadline expiry, say) show how
+    // far it got, so both are written before the outcome is looked at.
     emit_trace(&recorder, trace_out.as_deref(), report);
     emit_flight();
+    let result = outcome.unwrap_or_else(|e| {
+        eprintln!("synthesis failed: {e}");
+        std::process::exit(1)
+    });
 
     if let Err(violations) = verify(&circuit, &device, &result) {
         eprintln!("INTERNAL ERROR: result failed verification: {violations:?}");
@@ -941,12 +938,4 @@ fn main() {
             eprintln!("wrote physical circuit to {path}");
         }
     }
-}
-
-fn fail(e: &dyn std::fmt::Display) -> ! {
-    eprintln!("synthesis failed: {e}");
-    // Deadline expiry and refused window extensions land here; the flight
-    // ring holds the search's final moments, so dump it before dying.
-    emit_flight();
-    std::process::exit(1)
 }

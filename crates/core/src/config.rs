@@ -136,10 +136,6 @@ pub struct SynthesisConfig {
     /// every intermediate solution here, so a deadline-bound caller can
     /// recover the incumbent when the budget expires mid-descent.
     pub incumbent: Option<crate::IncumbentSlot>,
-    /// Seed the solver's branching order with domain knowledge (§V of the
-    /// paper): initial-mapping variables first, then gate times, leaving
-    /// SWAP variables to be derived — "place, then schedule, then route".
-    pub seed_variable_order: bool,
     /// Use the commutation-aware dependency graph (gate absorption,
     /// Tan & Cong ICCAD'21, the paper's ref. \[23\]): provably commuting
     /// gates are left unordered, widening the solution space — QAOA's ZZ
@@ -159,14 +155,6 @@ pub struct SynthesisConfig {
     /// [`olsq2_obs::Probe::write_jsonl`] when a run dies. The default
     /// disabled probe costs one branch per conflict.
     pub probe: olsq2_obs::Probe,
-    /// Zero-rebuild incremental encoding: when the depth/block window must
-    /// grow, extend the live model in place (keeping all learned clauses,
-    /// VSIDS activity, and saved phases) instead of rebuilding from
-    /// scratch. Window-scoped constraints are guarded on a generation
-    /// literal; superseded generations are root-falsified and reclaimed by
-    /// the solver's simplification pass. `false` forces the old
-    /// rebuild-on-growth path (A/B comparisons, debugging).
-    pub incremental: bool,
     /// Record clausal proofs on every solver this run builds (enabled
     /// *before* the first clause, as the log requires). UNSAT iterations
     /// can then justify themselves: [`crate::Olsq2Synthesizer`] seals
@@ -197,11 +185,9 @@ impl Default for SynthesisConfig {
             pareto_relax_limit: None,
             stop_flag: None,
             incumbent: None,
-            seed_variable_order: false,
             commutation_aware: false,
             recorder: olsq2_obs::Recorder::disabled(),
             probe: olsq2_obs::Probe::disabled(),
-            incremental: true,
             proof_log: false,
             model_seed: None,
             snapshot_slot: None,

@@ -16,15 +16,16 @@
 // Indexed `for` loops are deliberate here: time-step/edge index loops mirror the paper's formulation.
 #![allow(clippy::needless_range_loop)]
 use crate::config::{MappingEncoding, SynthesisConfig, TimeEncoding};
-use crate::vars::{transition_step, FdVar, TimeVars};
+use crate::vars::{
+    adjacency_steps, mapping_steps, transition_step, transitions_into, FdVar, TimeVars,
+};
 use olsq2_arch::CouplingGraph;
 use olsq2_circuit::{Circuit, DependencyGraph, Operands};
-use olsq2_encode::{
-    at_most_one, gates, BatchSink, CardinalityNetwork, CnfSink, ConstraintFamily, FamilyTally,
-};
+use olsq2_encode::{gates, BatchSink, CardinalityNetwork, CnfSink, ConstraintFamily, FamilyTally};
 use olsq2_layout::{LayoutResult, SwapOp};
 use olsq2_sat::{Lit, SolveResult, Solver};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Errors raised while constructing a model.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,12 +96,11 @@ pub struct FlatModel {
     swap_card: Option<CardinalityNetwork>,
     num_gates: usize,
     tally: FamilyTally,
-    /// Current window-generation guard (incremental builds only): the
-    /// active at-least-one/domain-bound constraints for the time variables
-    /// are conditional on it, and every solve assumes it. Superseded
-    /// guards are permanently falsified at the root by
+    /// Current window-generation guard: the time variables' domain
+    /// constraints are conditional on it, and every solve assumes it.
+    /// Superseded guards are permanently falsified at the root by
     /// [`FlatModel::extend_window`].
-    window_guard: Option<Lit>,
+    window_guard: Lit,
     /// Number of in-place window extensions performed.
     extensions: usize,
 }
@@ -147,8 +147,8 @@ impl FlatModel {
         if !graph.is_connected() && nq > 1 {
             return Err(ModelError::DisconnectedDevice);
         }
-        let sd = config.swap_duration.max(1);
         let t_ub = t_ub.max(1);
+        let steps = 0..t_ub;
         let mut solver = Solver::new();
         if config.proof_log {
             // Before any clause: the log must contain every original.
@@ -156,69 +156,18 @@ impl FlatModel {
         }
         let enc = config.encoding;
         let mut tally = FamilyTally::new();
-        let mut mark = tally.mark(&solver);
 
         // --- Mapping variables + injectivity -------------------------------
-        let new_mapping_var = |s: &mut Solver| match enc.mapping {
-            MappingEncoding::OneHot | MappingEncoding::InverseOneHot => {
-                FdVar::new_onehot(s, np, enc.amo)
-            }
-            MappingEncoding::Binary => FdVar::new_binary(s, np),
-        };
-        let mut mapping: Vec<Vec<FdVar>> = (0..nq)
-            .map(|_| (0..t_ub).map(|_| new_mapping_var(&mut solver)).collect())
-            .collect();
-
-        // Injectivity is pure clause emission: stage it through a
-        // BatchSink so the clauses land via one bulk hand-off per buffer
-        // instead of a solver call each.
-        let mut batch = BatchSink::new(&mut solver);
-        match enc.mapping {
-            MappingEncoding::OneHot => {
-                // Pairwise per (t, p): the "int"-style injectivity.
-                for t in 0..t_ub {
-                    for p in 0..np {
-                        let sels: Vec<Lit> = (0..nq)
-                            .map(|q| mapping[q][t].eq_lit(&mut batch, p))
-                            .collect();
-                        at_most_one(&mut batch, &sels, enc.amo);
-                    }
-                }
-            }
-            MappingEncoding::Binary => {
-                // Pairwise difference per (t, q<q'): at least one bit of the
-                // two bit-vectors differs.
-                for t in 0..t_ub {
-                    for q1 in 0..nq {
-                        for q2 in (q1 + 1)..nq {
-                            let diff = fd_differs(&mut batch, &mapping[q1][t], &mapping[q2][t]);
-                            batch.add_clause(&[diff]);
-                        }
-                    }
-                }
-            }
-            MappingEncoding::InverseOneHot => {
-                // EUF-style: an inverse family π_inv(p, t) over Q ∪ {free}
-                // with channeling; injectivity follows from π_inv being a
-                // function (its exactly-one constraint).
-                for t in 0..t_ub {
-                    let mut inv: Vec<FdVar> = (0..np)
-                        .map(|_| FdVar::new_onehot(&mut batch, nq + 1, enc.amo))
-                        .collect();
-                    for q in 0..nq {
-                        for p in 0..np {
-                            let m = mapping[q][t].eq_lit(&mut batch, p);
-                            let i = inv[p].eq_lit(&mut batch, q);
-                            batch.add_clause(&[!m, i]);
-                            batch.add_clause(&[!i, m]);
-                        }
-                    }
-                }
-            }
-        }
-        drop(batch);
-
-        mark = tally.credit_since(ConstraintFamily::Mapping, &solver, mark);
+        let mark = tally.mark(&solver);
+        let mut mapping = vec![Vec::new(); nq];
+        mapping_steps(
+            &mut BatchSink::new(&mut solver),
+            &mut mapping,
+            np,
+            enc,
+            steps.clone(),
+        );
+        let mark = tally.credit_since(ConstraintFamily::Mapping, &solver, mark);
 
         // --- Time variables + dependencies ---------------------------------
         let dag = if config.commutation_aware {
@@ -226,21 +175,8 @@ impl FlatModel {
         } else {
             DependencyGraph::new(circuit)
         };
-        // Incremental builds guard the window-scoped domain constraints on
-        // a generation literal so the window can later grow in place (see
-        // [`FlatModel::extend_window`]); the guard is assumed on every
-        // solve. Non-incremental builds emit them unconditionally.
-        let window_guard = config
-            .incremental
-            .then(|| Lit::positive(CnfSink::new_var(&mut solver)));
-        let mut time = TimeVars::new(
-            &mut solver,
-            circuit.num_gates(),
-            t_ub,
-            enc.time,
-            enc.amo,
-            window_guard,
-        );
+        let mut time = TimeVars::new(circuit.num_gates(), enc.time, enc.amo);
+        let window_guard = time.grow(&mut solver, t_ub).expect("an empty window grows");
         for &(g, g2) in dag.dependencies() {
             time.assert_before(&mut solver, g, g2);
         }
@@ -270,238 +206,25 @@ impl FlatModel {
                 }
             }
         }
+        tally.credit_since(ConstraintFamily::Dependency, &solver, mark);
 
-        mark = tally.credit_since(ConstraintFamily::Dependency, &solver, mark);
-
-        // --- SWAP variables -------------------------------------------------
-        let ne = graph.num_edges();
-        let swap_lits: Vec<Vec<Lit>> = (0..ne)
-            .map(|_| {
-                (0..t_ub)
-                    .map(|_| Lit::positive(CnfSink::new_var(&mut solver)))
-                    .collect()
-            })
-            .collect();
-        // A SWAP cannot finish before S_D - 1.
-        for lits in &swap_lits {
-            for &l in lits.iter().take(sd - 1) {
-                solver.add_clause([!l]);
-            }
-        }
-        // SWAP/SWAP exclusion: overlapping windows on edges sharing a qubit.
-        for e1 in 0..ne {
-            let (a1, b1) = graph.edge(e1);
-            for e2 in e1..ne {
-                let (a2, b2) = graph.edge(e2);
-                let shares = e1 == e2 || a1 == a2 || a1 == b2 || b1 == a2 || b1 == b2;
-                if !shares {
-                    continue;
-                }
-                for t1 in (sd - 1)..t_ub {
-                    let upper = (t1 + sd).min(t_ub);
-                    // Windows (t-S_D, t] intersect iff |t1 - t2| < S_D; for
-                    // the same edge only emit each unordered pair once.
-                    let lower = if e1 == e2 {
-                        t1 + 1
-                    } else {
-                        (t1 + 1).saturating_sub(sd).max(sd - 1)
-                    };
-                    for t2 in lower..upper {
-                        if e1 == e2 && t1 == t2 {
-                            continue;
-                        }
-                        solver.add_clause([!swap_lits[e1][t1], !swap_lits[e2][t2]]);
-                    }
-                }
-            }
-        }
-
-        mark = tally.credit_since(ConstraintFamily::Swap, &solver, mark);
-
-        // The scheduling families dominate the formula; stage them in bulk.
-        let mut batch = BatchSink::new(&mut solver);
-        match style {
-            ModelStyle::Olsq2 => {
-                // --- Valid two-qubit gate scheduling (Eq. 1) ----------------
-                // Cache the adjacency disjunction per (qubit pair, t).
-                let mut adj_cache: HashMap<(u16, u16, usize), Lit> = HashMap::new();
-                let mut clause = Vec::new();
-                for (g, gate) in circuit.gates().iter().enumerate() {
-                    if let Operands::Two(q1, q2) = gate.operands {
-                        let (qa, qb) = (q1.min(q2), q1.max(q2));
-                        for t in 0..t_ub {
-                            let adj = match adj_cache.get(&(qa, qb, t)) {
-                                Some(&l) => l,
-                                None => {
-                                    let mut pair_lits = Vec::with_capacity(2 * ne);
-                                    for e in 0..ne {
-                                        let (pa, pb) = graph.edge(e);
-                                        for (x, y) in [(pa, pb), (pb, pa)] {
-                                            let la = mapping[qa as usize][t]
-                                                .eq_lit(&mut batch, x as usize);
-                                            let lb = mapping[qb as usize][t]
-                                                .eq_lit(&mut batch, y as usize);
-                                            pair_lits.push(gates::and_lit(&mut batch, la, lb));
-                                        }
-                                    }
-                                    let l = gates::or_all(&mut batch, &pair_lits);
-                                    adj_cache.insert((qa, qb, t), l);
-                                    l
-                                }
-                            };
-                            // (t_g == t) → adjacent(qa, qb, t)
-                            clause.clear();
-                            time.var(g).push_neq(t, &mut clause);
-                            clause.push(adj);
-                            batch.add_clause(&clause);
-                        }
-                    }
-                }
-
-                // --- Valid SWAP insertion (Eq. 2–3) -------------------------
-                // A SWAP finishing at t occupies its endpoints during the
-                // window (t - S_D, t]; no gate touching those physical
-                // qubits may be scheduled in that window.
-                for (g, gate) in circuit.gates().iter().enumerate() {
-                    let qubits: Vec<u16> = gate.operands.qubits().collect();
-                    for e in 0..ne {
-                        let (pa, pb) = graph.edge(e);
-                        for t in (sd - 1)..t_ub {
-                            for t_prime in (t + 1 - sd)..=t {
-                                for &q in &qubits {
-                                    for p in [pa, pb] {
-                                        // (t_g == t') ∧ (π_q^t == p) → ¬σ_e^t
-                                        clause.clear();
-                                        time.var(g).push_neq(t_prime, &mut clause);
-                                        mapping[q as usize][t].push_neq(p as usize, &mut clause);
-                                        clause.push(!swap_lits[e][t]);
-                                        batch.add_clause(&clause);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            ModelStyle::OlsqBaseline => {
-                // Original OLSQ: per-gate space variables with consistency
-                // constraints, and overlap constraints expressed through
-                // them (the redundancy Improvement 1 removes).
-                let mut space: Vec<FdVar> = Vec::with_capacity(circuit.num_gates());
-                for gate in circuit.gates() {
-                    let domain = match gate.operands {
-                        Operands::One(_) => np,
-                        Operands::Two(..) => ne,
-                    };
-                    let var = match enc.mapping {
-                        MappingEncoding::OneHot | MappingEncoding::InverseOneHot => {
-                            FdVar::new_onehot(&mut batch, domain, enc.amo)
-                        }
-                        MappingEncoding::Binary => FdVar::new_binary(&mut batch, domain),
-                    };
-                    space.push(var);
-                }
-                // Consistency between space, time, and mapping variables.
-                let (mut clause, mut conj) = (Vec::new(), Vec::new());
-                for (g, gate) in circuit.gates().iter().enumerate() {
-                    match gate.operands {
-                        Operands::One(q) => {
-                            // (t_g == t ∧ x_g == p) → π_q^t == p.
-                            for t in 0..t_ub {
-                                for p in 0..np {
-                                    conj.clear();
-                                    mapping[q as usize][t].push_eq(p, &mut conj);
-                                    for &bit in &conj {
-                                        clause.clear();
-                                        time.var(g).push_neq(t, &mut clause);
-                                        space[g].push_neq(p, &mut clause);
-                                        clause.push(bit);
-                                        batch.add_clause(&clause);
-                                    }
-                                }
-                            }
-                        }
-                        Operands::Two(q1, q2) => {
-                            // (t_g == t ∧ x_g == e) → endpoints match in
-                            // either orientation.
-                            for t in 0..t_ub {
-                                for e in 0..ne {
-                                    let (pa, pb) = graph.edge(e);
-                                    let mut orient = Vec::with_capacity(2);
-                                    for (x, y) in [(pa, pb), (pb, pa)] {
-                                        let la =
-                                            mapping[q1 as usize][t].eq_lit(&mut batch, x as usize);
-                                        let lb =
-                                            mapping[q2 as usize][t].eq_lit(&mut batch, y as usize);
-                                        orient.push(gates::and_lit(&mut batch, la, lb));
-                                    }
-                                    let both = gates::or_all(&mut batch, &orient);
-                                    clause.clear();
-                                    time.var(g).push_neq(t, &mut clause);
-                                    space[g].push_neq(e, &mut clause);
-                                    clause.push(both);
-                                    batch.add_clause(&clause);
-                                }
-                            }
-                        }
-                    }
-                }
-                // Overlap via space variables (OLSQ Eq. 7–8 analogue).
-                for (g, gate) in circuit.gates().iter().enumerate() {
-                    for e in 0..ne {
-                        let (pa, pb) = graph.edge(e);
-                        for t in (sd - 1)..t_ub {
-                            for t_prime in (t + 1 - sd)..=t {
-                                match gate.operands {
-                                    Operands::One(_) => {
-                                        for p in [pa, pb] {
-                                            clause.clear();
-                                            time.var(g).push_neq(t_prime, &mut clause);
-                                            space[g].push_neq(p as usize, &mut clause);
-                                            clause.push(!swap_lits[e][t]);
-                                            batch.add_clause(&clause);
-                                        }
-                                    }
-                                    Operands::Two(..) => {
-                                        // Any edge sharing a qubit with e
-                                        // (including e itself).
-                                        for e2 in 0..ne {
-                                            let (qa, qb) = graph.edge(e2);
-                                            let shares = e2 == e
-                                                || qa == pa
-                                                || qa == pb
-                                                || qb == pa
-                                                || qb == pb;
-                                            if !shares {
-                                                continue;
-                                            }
-                                            clause.clear();
-                                            time.var(g).push_neq(t_prime, &mut clause);
-                                            space[g].push_neq(e2, &mut clause);
-                                            clause.push(!swap_lits[e][t]);
-                                            batch.add_clause(&clause);
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        drop(batch);
-
-        mark = tally.credit_since(ConstraintFamily::Scheduling, &solver, mark);
-
-        // --- SWAP transformation (mapping consistency) ----------------------
-        let mut batch = BatchSink::new(&mut solver);
-        for t in 0..t_ub.saturating_sub(1) {
-            let qubits = mapping.iter().map(|m| (&m[t], &m[t + 1]));
-            transition_step(&mut batch, graph, qubits, |e| swap_lits[e][t]);
-        }
-        drop(batch);
-
-        tally.credit_since(ConstraintFamily::Transition, &solver, mark);
+        let mut model = FlatModel {
+            solver,
+            mapping,
+            time,
+            swap_lits: vec![Vec::new(); graph.num_edges()],
+            t_ub,
+            sd: config.swap_duration.max(1),
+            style,
+            config: config.clone(),
+            depth_bounds: HashMap::new(),
+            swap_card: None,
+            num_gates: circuit.num_gates(),
+            tally,
+            window_guard,
+            extensions: 0,
+        };
+        model.emit_steps(circuit, graph, steps);
 
         // Structure-aware seeding: in an exactly-one group all but one
         // selector end up false, and optimal layouts use few SWAPs, so
@@ -514,11 +237,12 @@ impl FlatModel {
         // slower, tof-3: 1.3× slower), while 0.25 keeps the
         // placement-first ordering on instances it helps (qaoa-10,
         // qft-4/5) without the fixation.
+        let solver = &mut model.solver;
         if matches!(
             enc.mapping,
             MappingEncoding::OneHot | MappingEncoding::InverseOneHot
         ) {
-            for per_t in &mapping {
+            for per_t in &model.mapping {
                 for fd in per_t {
                     for l in fd.raw_lits() {
                         solver.set_saved_phase(l.var(), false);
@@ -530,30 +254,15 @@ impl FlatModel {
             }
         }
         if enc.time == TimeEncoding::OneHot {
-            for g in 0..circuit.num_gates() {
-                for l in time.var(g).raw_lits() {
+            for g in 0..model.num_gates {
+                for l in model.time.var(g).raw_lits() {
                     solver.set_saved_phase(l.var(), false);
                 }
             }
         }
-        for per_t in &swap_lits {
+        for per_t in &model.swap_lits {
             for &sl in per_t {
                 solver.set_saved_phase(sl.var(), false);
-            }
-        }
-
-        // Domain-informed branching order (§V): decide the initial
-        // placement first, then gate times; SWAPs follow by propagation.
-        if config.seed_variable_order {
-            for per_t in &mapping {
-                for l in per_t[0].raw_lits() {
-                    solver.boost_activity(l.var(), 2.0);
-                }
-            }
-            for g in 0..circuit.num_gates() {
-                for l in time.var(g).raw_lits() {
-                    solver.boost_activity(l.var(), 1.0);
-                }
             }
         }
 
@@ -562,23 +271,234 @@ impl FlatModel {
         // over them encode cross-solve contracts, so inprocessing must
         // leave them exactly as written.
         solver.set_inprocess_floor(solver.num_vars());
+        Ok(model)
+    }
 
-        Ok(FlatModel {
-            solver,
-            mapping,
-            time,
-            swap_lits,
-            t_ub,
-            sd,
-            style,
-            config: config.clone(),
-            depth_bounds: HashMap::new(),
-            swap_card: None,
-            num_gates: circuit.num_gates(),
-            tally,
-            window_guard,
-            extensions: 0,
-        })
+    /// Runs one family emitter and credits what it adds to `family`.
+    fn credit<R>(&mut self, family: ConstraintFamily, emit: impl FnOnce(&mut Self) -> R) -> R {
+        let mark = self.tally.mark(&self.solver);
+        let out = emit(self);
+        self.tally.credit_since(family, &self.solver, mark);
+        out
+    }
+
+    /// The families that follow the mapping and time variables, over
+    /// `steps`, in build order: SWAP variables, scheduling, transition.
+    fn emit_steps(&mut self, circuit: &Circuit, graph: &CouplingGraph, steps: Range<usize>) {
+        self.credit(ConstraintFamily::Swap, |m| {
+            m.swap_steps(graph, steps.clone())
+        });
+        self.credit(ConstraintFamily::Scheduling, |m| match m.style {
+            ModelStyle::Olsq2 => m.scheduling_steps(circuit, graph, steps.clone()),
+            ModelStyle::OlsqBaseline => m.baseline_scheduling(circuit, graph),
+        });
+        self.credit(ConstraintFamily::Transition, |m| {
+            m.transition_steps(graph, steps)
+        });
+    }
+
+    /// The SWAP family over `steps`: one variable per edge and step, frozen
+    /// false below `S_D - 1` (a SWAP cannot finish earlier), and SWAP/SWAP
+    /// exclusion between overlapping windows on edges sharing a qubit.
+    fn swap_steps(&mut self, graph: &CouplingGraph, steps: Range<usize>) {
+        let (sd, to) = (self.sd, steps.end);
+        for row in &mut self.swap_lits {
+            row.extend(steps.clone().map(|_| Lit::positive(self.solver.new_var())));
+        }
+        for row in &self.swap_lits {
+            for &l in &row[steps.start.min(sd - 1)..to.min(sd - 1)] {
+                self.solver.add_clause([!l]);
+            }
+        }
+        let ne = graph.num_edges();
+        for e1 in 0..ne {
+            let (a1, b1) = graph.edge(e1);
+            for e2 in e1..ne {
+                let (a2, b2) = graph.edge(e2);
+                let shares = e1 == e2 || a1 == a2 || a1 == b2 || b1 == a2 || b1 == b2;
+                if !shares {
+                    continue;
+                }
+                for t1 in (sd - 1)..to {
+                    let upper = (t1 + sd).min(to);
+                    // Windows (t-S_D, t] intersect iff |t1 - t2| < S_D; for
+                    // the same edge only emit each unordered pair once.
+                    let lower = if e1 == e2 {
+                        t1 + 1
+                    } else {
+                        (t1 + 1).saturating_sub(sd).max(sd - 1)
+                    };
+                    for t2 in lower..upper {
+                        // Pairs of earlier steps were emitted with them.
+                        if t1 < steps.start && t2 < steps.start {
+                            continue;
+                        }
+                        self.solver
+                            .add_clause([!self.swap_lits[e1][t1], !self.swap_lits[e2][t2]]);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The scheduling family over `steps` (the scheduling families
+    /// dominate the formula; staged in bulk):
+    ///
+    /// * valid two-qubit gates (Eq. 1), shared with TB;
+    /// * valid SWAP insertion (Eq. 2–3): a SWAP finishing at t occupies
+    ///   its endpoints during the window (t - S_D, t], so no gate touching
+    ///   those physical qubits may be scheduled in that window. Every pair
+    ///   has its SWAP finish time in `steps`: a finish time pairs only
+    ///   with gate times at or before it.
+    fn scheduling_steps(&mut self, circuit: &Circuit, graph: &CouplingGraph, steps: Range<usize>) {
+        let sd = self.sd;
+        let mut batch = BatchSink::new(&mut self.solver);
+        adjacency_steps(
+            &mut batch,
+            circuit,
+            graph,
+            &mut self.mapping,
+            &self.time,
+            steps.clone(),
+        );
+        let mut clause = Vec::new();
+        for (g, gate) in circuit.gates().iter().enumerate() {
+            let qubits: Vec<u16> = gate.operands.qubits().collect();
+            for e in 0..graph.num_edges() {
+                let (pa, pb) = graph.edge(e);
+                for t in (sd - 1).max(steps.start)..steps.end {
+                    for t_prime in (t + 1 - sd)..=t {
+                        for &q in &qubits {
+                            for p in [pa, pb] {
+                                // (t_g == t') ∧ (π_q^t == p) → ¬σ_e^t
+                                clause.clear();
+                                self.time.var(g).push_neq(t_prime, &mut clause);
+                                self.mapping[q as usize][t].push_neq(p as usize, &mut clause);
+                                clause.push(!self.swap_lits[e][t]);
+                                batch.add_clause(&clause);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The scheduling family of the original OLSQ over the whole window:
+    /// per-gate space variables with consistency constraints, and overlap
+    /// constraints expressed through them (the redundancy Improvement 1
+    /// removes). This style never grows its window.
+    fn baseline_scheduling(&mut self, circuit: &Circuit, graph: &CouplingGraph) {
+        let (np, ne, sd, t_ub) = (graph.num_qubits(), graph.num_edges(), self.sd, self.t_ub);
+        let enc = self.config.encoding;
+        let (mapping, time, swap_lits) = (&mut self.mapping, &self.time, &self.swap_lits);
+        let mut batch = BatchSink::new(&mut self.solver);
+        let mut space: Vec<FdVar> = Vec::with_capacity(circuit.num_gates());
+        for gate in circuit.gates() {
+            let domain = match gate.operands {
+                Operands::One(_) => np,
+                Operands::Two(..) => ne,
+            };
+            let var = match enc.mapping {
+                MappingEncoding::OneHot | MappingEncoding::InverseOneHot => {
+                    FdVar::new_onehot(&mut batch, domain, enc.amo)
+                }
+                MappingEncoding::Binary => FdVar::new_binary(&mut batch, domain),
+            };
+            space.push(var);
+        }
+        // Consistency between space, time, and mapping variables.
+        let (mut clause, mut conj) = (Vec::new(), Vec::new());
+        for (g, gate) in circuit.gates().iter().enumerate() {
+            match gate.operands {
+                Operands::One(q) => {
+                    // (t_g == t ∧ x_g == p) → π_q^t == p.
+                    for t in 0..t_ub {
+                        for p in 0..np {
+                            conj.clear();
+                            mapping[q as usize][t].push_eq(p, &mut conj);
+                            for &bit in &conj {
+                                clause.clear();
+                                time.var(g).push_neq(t, &mut clause);
+                                space[g].push_neq(p, &mut clause);
+                                clause.push(bit);
+                                batch.add_clause(&clause);
+                            }
+                        }
+                    }
+                }
+                Operands::Two(q1, q2) => {
+                    // (t_g == t ∧ x_g == e) → endpoints match in
+                    // either orientation.
+                    for t in 0..t_ub {
+                        for e in 0..ne {
+                            let (pa, pb) = graph.edge(e);
+                            let mut orient = Vec::with_capacity(2);
+                            for (x, y) in [(pa, pb), (pb, pa)] {
+                                let la = mapping[q1 as usize][t].eq_lit(&mut batch, x as usize);
+                                let lb = mapping[q2 as usize][t].eq_lit(&mut batch, y as usize);
+                                orient.push(gates::and_lit(&mut batch, la, lb));
+                            }
+                            let both = gates::or_all(&mut batch, &orient);
+                            clause.clear();
+                            time.var(g).push_neq(t, &mut clause);
+                            space[g].push_neq(e, &mut clause);
+                            clause.push(both);
+                            batch.add_clause(&clause);
+                        }
+                    }
+                }
+            }
+        }
+        // Overlap via space variables (OLSQ Eq. 7–8 analogue).
+        for (g, gate) in circuit.gates().iter().enumerate() {
+            for e in 0..ne {
+                let (pa, pb) = graph.edge(e);
+                for t in (sd - 1)..t_ub {
+                    for t_prime in (t + 1 - sd)..=t {
+                        match gate.operands {
+                            Operands::One(_) => {
+                                for p in [pa, pb] {
+                                    clause.clear();
+                                    time.var(g).push_neq(t_prime, &mut clause);
+                                    space[g].push_neq(p as usize, &mut clause);
+                                    clause.push(!swap_lits[e][t]);
+                                    batch.add_clause(&clause);
+                                }
+                            }
+                            Operands::Two(..) => {
+                                // Any edge sharing a qubit with e
+                                // (including e itself).
+                                for e2 in 0..ne {
+                                    let (qa, qb) = graph.edge(e2);
+                                    let shares =
+                                        e2 == e || qa == pa || qa == pb || qb == pa || qb == pb;
+                                    if !shares {
+                                        continue;
+                                    }
+                                    clause.clear();
+                                    time.var(g).push_neq(t_prime, &mut clause);
+                                    space[g].push_neq(e2, &mut clause);
+                                    clause.push(!swap_lits[e][t]);
+                                    batch.add_clause(&clause);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The mapping transformation over the transitions that end in
+    /// `steps` (staged in bulk).
+    fn transition_steps(&mut self, graph: &CouplingGraph, steps: Range<usize>) {
+        let (mapping, swap_lits) = (&self.mapping, &self.swap_lits);
+        let mut batch = BatchSink::new(&mut self.solver);
+        for t in transitions_into(steps) {
+            let qubits = mapping.iter().map(|m| (&m[t], &m[t + 1]));
+            transition_step(&mut batch, graph, qubits, |e| swap_lits[e][t]);
+        }
     }
 
     /// Forks this model without re-encoding: the underlying solver state
@@ -623,6 +543,7 @@ impl FlatModel {
 
     /// Grows the depth window to `new_t_ub` **in place**: appends the new
     /// time steps' variables and constraint families onto the live solver,
+    /// through the same per-family emitters the build runs over `0..T_UB`,
     /// keeping every learned clause, VSIDS activity, and saved phase. The
     /// encoding is time-resolved, so all clauses over steps `0..old_t_ub`
     /// remain valid verbatim; only the window-scoped domain constraints
@@ -631,9 +552,8 @@ impl FlatModel {
     /// exploits to physically retire the dead constraints).
     ///
     /// Returns `false` without extending when the model cannot extend —
-    /// built non-incrementally, the baseline style, or a binary time
-    /// encoding that would need a wider bit-vector. The caller falls back
-    /// to a rebuild then.
+    /// the baseline style, or a binary time encoding that would need a
+    /// wider bit-vector. The caller falls back to a rebuild then.
     ///
     /// `circuit` and `graph` must be the ones the model was built from.
     ///
@@ -646,9 +566,6 @@ impl FlatModel {
         graph: &CouplingGraph,
         new_t_ub: usize,
     ) -> bool {
-        let Some(old_guard) = self.window_guard else {
-            return false;
-        };
         if self.style != ModelStyle::Olsq2 {
             return false;
         }
@@ -657,239 +574,47 @@ impl FlatModel {
         if new_t_ub == self.t_ub {
             return true;
         }
-        let old_t_ub = self.t_ub;
-        let nq = self.mapping.len();
-        let np = graph.num_qubits();
-        let ne = graph.num_edges();
-        let sd = self.sd;
+        let steps = self.t_ub..new_t_ub;
         let enc = self.config.encoding;
-
-        // --- Time variables: new guard generation + dependency re-emit ----
-        let mut mark = self.tally.mark(&self.solver);
-        let new_guard = Lit::positive(CnfSink::new_var(&mut self.solver));
-        if !self.time.extend(&mut self.solver, new_t_ub, new_guard) {
+        let grown = self.credit(ConstraintFamily::Dependency, |m| {
+            m.time.grow(&mut m.solver, new_t_ub)
+        });
+        let Some(new_guard) = grown else {
             return false; // binary width grew: caller rebuilds
-        }
-        mark = self
-            .tally
-            .credit_since(ConstraintFamily::Dependency, &self.solver, mark);
-
-        // --- Mapping variables + injectivity for the new steps ------------
-        for q in 0..nq {
-            for _ in old_t_ub..new_t_ub {
-                let var = match enc.mapping {
-                    MappingEncoding::OneHot | MappingEncoding::InverseOneHot => {
-                        FdVar::new_onehot(&mut self.solver, np, enc.amo)
-                    }
-                    MappingEncoding::Binary => FdVar::new_binary(&mut self.solver, np),
-                };
-                self.mapping[q].push(var);
+        };
+        self.credit(ConstraintFamily::Mapping, |m| {
+            let mut batch = BatchSink::new(&mut m.solver);
+            let np = graph.num_qubits();
+            mapping_steps(&mut batch, &mut m.mapping, np, enc, steps.clone());
+        });
+        self.emit_steps(circuit, graph, steps.clone());
+        self.credit(ConstraintFamily::Cardinality, |m| {
+            // Cached bounds cover the new steps under their own
+            // activators, in depth order for a deterministic clause order.
+            let mut depth_acts: Vec<(usize, Lit)> =
+                m.depth_bounds.iter().map(|(&d, &a)| (d, a)).collect();
+            depth_acts.sort_unstable_by_key(|&(d, _)| d);
+            for (depth, act) in depth_acts {
+                m.depth_bound_steps(act, depth, steps.clone());
             }
-        }
-        let mapping = &mut self.mapping;
-        let mut batch = BatchSink::new(&mut self.solver);
-        match enc.mapping {
-            MappingEncoding::OneHot => {
-                for t in old_t_ub..new_t_ub {
-                    for p in 0..np {
-                        let sels: Vec<Lit> = (0..nq)
-                            .map(|q| mapping[q][t].eq_lit(&mut batch, p))
-                            .collect();
-                        at_most_one(&mut batch, &sels, enc.amo);
-                    }
+            if let Some(card) = &mut m.swap_card {
+                let new_inputs: Vec<Lit> = m
+                    .swap_lits
+                    .iter()
+                    .flat_map(|row| row[steps.start..].iter().copied())
+                    .collect();
+                // Invalidated bound activators (adder-network rebuilds)
+                // are permanently retired; callers re-request their bounds.
+                for l in card.extend(&mut m.solver, &new_inputs) {
+                    m.solver.add_clause([!l]);
                 }
             }
-            MappingEncoding::Binary => {
-                for t in old_t_ub..new_t_ub {
-                    for q1 in 0..nq {
-                        for q2 in (q1 + 1)..nq {
-                            let diff = fd_differs(&mut batch, &mapping[q1][t], &mapping[q2][t]);
-                            batch.add_clause(&[diff]);
-                        }
-                    }
-                }
-            }
-            MappingEncoding::InverseOneHot => {
-                for t in old_t_ub..new_t_ub {
-                    let mut inv: Vec<FdVar> = (0..np)
-                        .map(|_| FdVar::new_onehot(&mut batch, nq + 1, enc.amo))
-                        .collect();
-                    for q in 0..nq {
-                        for p in 0..np {
-                            let m = mapping[q][t].eq_lit(&mut batch, p);
-                            let i = inv[p].eq_lit(&mut batch, q);
-                            batch.add_clause(&[!m, i]);
-                            batch.add_clause(&[!i, m]);
-                        }
-                    }
-                }
-            }
-        }
-        drop(batch);
-        mark = self
-            .tally
-            .credit_since(ConstraintFamily::Mapping, &self.solver, mark);
-
-        // --- SWAP variables for the new steps + exclusions ----------------
-        for e in 0..ne {
-            for t in old_t_ub..new_t_ub {
-                let l = Lit::positive(CnfSink::new_var(&mut self.solver));
-                if t < sd - 1 {
-                    self.solver.add_clause([!l]);
-                }
-                self.swap_lits[e].push(l);
-            }
-        }
-        // Replicate the build-time exclusion loops at the larger window,
-        // skipping pairs whose finish times both predate the extension
-        // (those clauses were already emitted).
-        for e1 in 0..ne {
-            let (a1, b1) = graph.edge(e1);
-            for e2 in e1..ne {
-                let (a2, b2) = graph.edge(e2);
-                let shares = e1 == e2 || a1 == a2 || a1 == b2 || b1 == a2 || b1 == b2;
-                if !shares {
-                    continue;
-                }
-                for t1 in (sd - 1)..new_t_ub {
-                    let upper = (t1 + sd).min(new_t_ub);
-                    let lower = if e1 == e2 {
-                        t1 + 1
-                    } else {
-                        (t1 + 1).saturating_sub(sd).max(sd - 1)
-                    };
-                    for t2 in lower..upper {
-                        if (e1 == e2 && t1 == t2) || (t1 < old_t_ub && t2 < old_t_ub) {
-                            continue;
-                        }
-                        self.solver
-                            .add_clause([!self.swap_lits[e1][t1], !self.swap_lits[e2][t2]]);
-                    }
-                }
-            }
-        }
-        mark = self
-            .tally
-            .credit_since(ConstraintFamily::Swap, &self.solver, mark);
-
-        // --- Scheduling validity for the new steps (Eq. 1–3) --------------
-        let mapping = &mut self.mapping;
-        let time = &self.time;
-        let swap_lits = &self.swap_lits;
-        let mut batch = BatchSink::new(&mut self.solver);
-        let mut adj_cache: HashMap<(u16, u16, usize), Lit> = HashMap::new();
-        let mut clause = Vec::new();
-        for (g, gate) in circuit.gates().iter().enumerate() {
-            if let Operands::Two(q1, q2) = gate.operands {
-                let (qa, qb) = (q1.min(q2), q1.max(q2));
-                for t in old_t_ub..new_t_ub {
-                    let adj = match adj_cache.get(&(qa, qb, t)) {
-                        Some(&l) => l,
-                        None => {
-                            let mut pair_lits = Vec::with_capacity(2 * ne);
-                            for e in 0..ne {
-                                let (pa, pb) = graph.edge(e);
-                                for (x, y) in [(pa, pb), (pb, pa)] {
-                                    let la = mapping[qa as usize][t].eq_lit(&mut batch, x as usize);
-                                    let lb = mapping[qb as usize][t].eq_lit(&mut batch, y as usize);
-                                    pair_lits.push(gates::and_lit(&mut batch, la, lb));
-                                }
-                            }
-                            let l = gates::or_all(&mut batch, &pair_lits);
-                            adj_cache.insert((qa, qb, t), l);
-                            l
-                        }
-                    };
-                    clause.clear();
-                    time.var(g).push_neq(t, &mut clause);
-                    clause.push(adj);
-                    batch.add_clause(&clause);
-                }
-            }
-        }
-        // Eq. 2–3: every new pair has a new finish time (a swap finishing
-        // at t blocks gates in (t - S_D, t], so old finish times only pair
-        // with old gate times, which were covered by the build).
-        for (g, gate) in circuit.gates().iter().enumerate() {
-            let qubits: Vec<u16> = gate.operands.qubits().collect();
-            for e in 0..ne {
-                let (pa, pb) = graph.edge(e);
-                for t in (sd - 1).max(old_t_ub)..new_t_ub {
-                    for t_prime in (t + 1 - sd)..=t {
-                        for &q in &qubits {
-                            for p in [pa, pb] {
-                                clause.clear();
-                                time.var(g).push_neq(t_prime, &mut clause);
-                                mapping[q as usize][t].push_neq(p as usize, &mut clause);
-                                clause.push(!swap_lits[e][t]);
-                                batch.add_clause(&clause);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        drop(batch);
-        mark = self
-            .tally
-            .credit_since(ConstraintFamily::Scheduling, &self.solver, mark);
-
-        // --- Mapping transformation across the seam and new steps ---------
-        let mapping = &self.mapping;
-        let swap_lits = &self.swap_lits;
-        let mut batch = BatchSink::new(&mut self.solver);
-        for t in (old_t_ub - 1)..(new_t_ub - 1) {
-            let qubits = mapping.iter().map(|m| (&m[t], &m[t + 1]));
-            transition_step(&mut batch, graph, qubits, |e| swap_lits[e][t]);
-        }
-        drop(batch);
-        mark = self
-            .tally
-            .credit_since(ConstraintFamily::Transition, &self.solver, mark);
-
-        // --- Patch cached bound activations over the new steps ------------
-        // A one-hot depth bound issued before the extension knows nothing
-        // about the new time selectors or swap literals; forbid them under
-        // the same activator. (Binary comparators cover the full bit width
-        // and need no patch.) Sorted for deterministic clause order.
-        let mut depth_acts: Vec<(usize, Lit)> =
-            self.depth_bounds.iter().map(|(&d, &a)| (d, a)).collect();
-        depth_acts.sort_unstable_by_key(|&(d, _)| d);
-        for &(_, act) in &depth_acts {
-            if enc.time == crate::config::TimeEncoding::OneHot {
-                for g in 0..self.num_gates {
-                    self.time.var_mut(g).forbid_range_if(
-                        &mut self.solver,
-                        old_t_ub..new_t_ub,
-                        Some(act),
-                    );
-                }
-            }
-            for e in 0..ne {
-                for t in old_t_ub..new_t_ub {
-                    let l = self.swap_lits[e][t];
-                    self.solver.add_clause([!act, !l]);
-                }
-            }
-        }
-        if let Some(card) = &mut self.swap_card {
-            let new_inputs: Vec<Lit> = (0..ne)
-                .flat_map(|e| self.swap_lits[e][old_t_ub..].iter().copied())
-                .collect();
-            let invalidated = card.extend(&mut self.solver, &new_inputs);
-            // Invalidated bound activators (adder-network rebuilds) are
-            // permanently retired; callers re-request their bounds.
-            for l in invalidated {
-                self.solver.add_clause([!l]);
-            }
-        }
-        self.tally
-            .credit_since(ConstraintFamily::Cardinality, &self.solver, mark);
+        });
 
         // --- Generation flip: retire the superseded window guard ----------
-        self.solver.add_clause([!old_guard]);
+        self.solver.add_clause([!self.window_guard]);
         self.solver.simplify();
-        self.window_guard = Some(new_guard);
+        self.window_guard = new_guard;
         self.t_ub = new_t_ub;
         self.extensions += 1;
         true
@@ -931,23 +656,25 @@ impl FlatModel {
         if let Some(&l) = self.depth_bounds.get(&depth) {
             return l;
         }
-        let mark = self.tally.mark(&self.solver);
-        let act = Lit::positive(CnfSink::new_var(&mut self.solver));
-        for g in 0..self.num_gates {
-            self.time
-                .var_mut(g)
-                .assert_le_if(&mut self.solver, depth - 1, Some(act));
-        }
-        for e in 0..self.swap_lits.len() {
-            for t in depth..self.t_ub {
-                let l = self.swap_lits[e][t];
+        let act = self.credit(ConstraintFamily::Cardinality, |m| {
+            let act = Lit::positive(m.solver.new_var());
+            m.depth_bound_steps(act, depth, 0..m.t_ub);
+            act
+        });
+        self.depth_bounds.insert(depth, act);
+        act
+    }
+
+    /// The depth bound under `act` over `steps`: no gate and no SWAP
+    /// finishing at a step from `depth` on.
+    fn depth_bound_steps(&mut self, act: Lit, depth: usize, steps: Range<usize>) {
+        self.time
+            .bound_if(&mut self.solver, depth, act, steps.clone());
+        for row in &self.swap_lits {
+            for &l in &row[depth.max(steps.start)..steps.end] {
                 self.solver.add_clause([!act, !l]);
             }
         }
-        self.tally
-            .credit_since(ConstraintFamily::Cardinality, &self.solver, mark);
-        self.depth_bounds.insert(depth, act);
-        act
     }
 
     /// Activation literal enforcing `Σ σ ≤ k` (Eq. 5). The cardinality
@@ -983,19 +710,14 @@ impl FlatModel {
         self.extensions
     }
 
-    /// Solves under the given assumptions (plus the active window guard on
-    /// incremental builds — without it the guarded at-least-one constraints
-    /// would let every time variable go unassigned).
+    /// Solves under the given assumptions plus the active window guard
+    /// (without it the guarded at-least-one constraints would let every
+    /// time variable go unassigned).
     pub fn solve(&mut self, assumptions: &[Lit]) -> SolveResult {
-        let result = match self.window_guard {
-            None => self.solver.solve(assumptions),
-            Some(g) => {
-                let mut with_guard = Vec::with_capacity(assumptions.len() + 1);
-                with_guard.extend_from_slice(assumptions);
-                with_guard.push(g);
-                self.solver.solve(&with_guard)
-            }
-        };
+        let mut with_guard = Vec::with_capacity(assumptions.len() + 1);
+        with_guard.extend_from_slice(assumptions);
+        with_guard.push(self.window_guard);
+        let result = self.solver.solve(&with_guard);
         // Each satisfiable bound is the new incumbent layout; steer the
         // next (tighter) solve toward it via target phases.
         if result == SolveResult::Sat {
@@ -1109,16 +831,14 @@ impl ModelSeed {
         config.encoding.hash(&mut h);
         config.swap_duration.hash(&mut h);
         config.commutation_aware.hash(&mut h);
-        config.seed_variable_order.hash(&mut h);
-        config.incremental.hash(&mut h);
         config.proof_log.hash(&mut h);
         h.finish()
     }
 
     /// Forks a model for `config` at depth window `t_ub`, or `None` when
     /// the seed cannot serve it (different instance, smaller window than
-    /// the template's, or a window growth the incremental machinery
-    /// cannot perform) — the caller then falls back to a fresh encode.
+    /// the template's, or a window growth [`FlatModel::extend_window`]
+    /// refuses) — the caller then falls back to a fresh encode.
     ///
     /// A larger window is served by forking and growing the *fork* via
     /// [`FlatModel::extend_window`].
@@ -1138,7 +858,7 @@ impl ModelSeed {
         if t_ub == base_t_ub {
             return Some(base.fork(config));
         }
-        if t_ub > base_t_ub && config.incremental {
+        if t_ub > base_t_ub {
             let mut fork = base.fork(config);
             drop(base);
             if fork.extend_window(circuit, graph, t_ub) {
@@ -1184,20 +904,6 @@ impl SnapshotSlot {
     pub fn is_empty(&self) -> bool {
         self.inner.lock().expect("snapshot lock").is_none()
     }
-}
-
-/// A literal true iff two finite-domain variables differ (bit-level XOR
-/// over the raw representation literals).
-fn fd_differs<S: CnfSink>(sink: &mut S, a: &FdVar, b: &FdVar) -> Lit {
-    let bits_a = a.raw_lits();
-    let bits_b = b.raw_lits();
-    debug_assert_eq!(bits_a.len(), bits_b.len());
-    let diffs: Vec<Lit> = bits_a
-        .iter()
-        .zip(bits_b.iter())
-        .map(|(&x, &y)| gates::xor_lit(sink, x, y))
-        .collect();
-    gates::or_all(sink, &diffs)
 }
 
 #[cfg(test)]
@@ -1336,25 +1042,6 @@ mod tests {
                 let res = baseline.extract();
                 assert_eq!(verify(&circuit, &graph, &res), Ok(()));
             }
-        }
-    }
-
-    #[test]
-    fn seeded_variable_order_preserves_answers() {
-        let mut circuit = Circuit::new(3);
-        circuit.push(Gate::two(GateKind::Cx, 0, 1));
-        circuit.push(Gate::two(GateKind::Cx, 1, 2));
-        circuit.push(Gate::two(GateKind::Cx, 0, 2));
-        let graph = line(3);
-        let mut config = SynthesisConfig::with_swap_duration(1);
-        config.seed_variable_order = true;
-        let mut seeded = FlatModel::build(&circuit, &graph, &config, 6).expect("builds");
-        config.seed_variable_order = false;
-        let mut plain = FlatModel::build(&circuit, &graph, &config, 6).expect("builds");
-        for k in 0..3usize {
-            let a = seeded.swap_bound(k, 3);
-            let b = plain.swap_bound(k, 3);
-            assert_eq!(seeded.solve(&[a]), plain.solve(&[b]), "k={k}");
         }
     }
 

@@ -138,8 +138,11 @@ pub struct SynthesisOutcome {
     /// alone after a sub-device proof, the sum of both models' after a
     /// sub-device miss.
     pub solver_stats: Stats,
-    /// Number of in-place window extensions performed on the final model
-    /// (zero when the incremental path is disabled or never triggered).
+    /// Number of in-place window extensions performed on the final model.
+    /// A depth (or TB block) window that the walk outgrows is extended on
+    /// the live model; a growth the extension refuses (a binary index
+    /// needing a wider bit-vector, the OLSQ baseline style) rebuilds the
+    /// model, and the count restarts at zero with it.
     pub extensions: usize,
     /// With [`SynthesisConfig::proof_log`] and an optimum proven by an
     /// UNSAT probe (rather than by reaching the structural bound): the
@@ -280,10 +283,11 @@ impl Olsq2Synthesizer {
         model
     }
 
-    /// Grows `model` to the depth window `t_ub` — in place via
-    /// [`FlatModel::extend_window`] when the incremental path applies
-    /// (keeping the solver's learned clauses alive), otherwise by
-    /// rebuilding from scratch.
+    /// Grows `model` to the depth window `t_ub` in place via
+    /// [`FlatModel::extend_window`], keeping the solver's learned clauses
+    /// alive, or by rebuilding from scratch where the extension refuses
+    /// (a binary time index that needs a wider bit-vector, or the OLSQ
+    /// baseline style).
     fn grow_model(
         &self,
         circuit: &Circuit,
@@ -291,20 +295,18 @@ impl Olsq2Synthesizer {
         model: &mut FlatModel,
         t_ub: usize,
     ) -> Result<(), SynthesisError> {
-        if self.config.incremental {
-            let span = self.config.recorder.span("extend");
-            span.set("t_ub", t_ub);
-            let (vars_before, clauses_before) = model.formula_size();
-            let extend_start = Instant::now();
-            if model.extend_window(circuit, graph, t_ub) {
-                let (vars, clauses) = model.formula_size();
-                span.set("extend_us", extend_start.elapsed().as_micros() as u64);
-                span.set("appended_vars", vars - vars_before);
-                span.set("appended_clauses", clauses.saturating_sub(clauses_before));
-                return Ok(());
-            }
-            span.set("result", "rebuild");
+        let span = self.config.recorder.span("extend");
+        span.set("t_ub", t_ub);
+        let (vars_before, clauses_before) = model.formula_size();
+        let extend_start = Instant::now();
+        if model.extend_window(circuit, graph, t_ub) {
+            let (vars, clauses) = model.formula_size();
+            span.set("extend_us", extend_start.elapsed().as_micros() as u64);
+            span.set("appended_vars", vars - vars_before);
+            span.set("appended_clauses", clauses.saturating_sub(clauses_before));
+            return Ok(());
         }
+        span.set("result", "rebuild");
         *model = self.build_model(circuit, graph, t_ub)?;
         Ok(())
     }

@@ -14,18 +14,19 @@
 use crate::config::{MappingEncoding, SynthesisConfig};
 use crate::model::ModelError;
 use crate::optimize::{result_str, Olsq2Synthesizer, SynthesisError, SynthesisOutcome};
-use crate::vars::{transition_step, FdVar, TimeVars};
-use olsq2_arch::CouplingGraph;
-use olsq2_circuit::{Circuit, DependencyGraph, Operands};
-use olsq2_encode::{
-    at_most_one, gates, CardinalityNetwork, CnfSink, ConstraintFamily, FamilyTally,
+use crate::vars::{
+    adjacency_steps, mapping_steps, transition_step, transitions_into, FdVar, TimeVars,
 };
+use olsq2_arch::CouplingGraph;
+use olsq2_circuit::{Circuit, DependencyGraph};
+use olsq2_encode::{CardinalityNetwork, ConstraintFamily, FamilyTally};
 use olsq2_layout::{LayoutResult, SwapOp};
 use olsq2_sat::{Lit, SolveResult, Solver};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::time::Instant;
 
-/// The transition-based model over a fixed block window.
+/// The transition-based model over a block window.
 #[derive(Debug)]
 struct TransitionModel {
     solver: Solver,
@@ -37,11 +38,10 @@ struct TransitionModel {
     blocks: usize,
     block_bounds: HashMap<usize, Lit>,
     swap_card: Option<CardinalityNetwork>,
-    num_gates: usize,
     tally: FamilyTally,
-    /// Current window-generation guard (incremental builds only); every
-    /// solve assumes it, and [`TransitionModel::extend_blocks`] retires it.
-    window_guard: Option<Lit>,
+    /// Current window-generation guard; every solve assumes it, and
+    /// [`TransitionModel::extend_blocks`] retires it.
+    window_guard: Lit,
     /// Number of in-place block-window extensions performed.
     extensions: usize,
 }
@@ -70,171 +70,56 @@ impl TransitionModel {
         let blocks = blocks.max(1);
         let mut solver = Solver::new();
         let enc = config.encoding;
-        let ne = graph.num_edges();
         let mut tally = FamilyTally::new();
-        let mut mark = tally.mark(&solver);
 
-        let new_mapping_var = |s: &mut Solver| match enc.mapping {
-            MappingEncoding::OneHot | MappingEncoding::InverseOneHot => {
-                FdVar::new_onehot(s, np, enc.amo)
-            }
-            MappingEncoding::Binary => FdVar::new_binary(s, np),
-        };
-        let mut mapping: Vec<Vec<FdVar>> = (0..nq)
-            .map(|_| (0..blocks).map(|_| new_mapping_var(&mut solver)).collect())
-            .collect();
+        // Mapping variables + injectivity per block.
+        let mark = tally.mark(&solver);
+        let mut mapping = vec![Vec::new(); nq];
+        mapping_steps(&mut solver, &mut mapping, np, enc, 0..blocks);
+        let mark = tally.credit_since(ConstraintFamily::Mapping, &solver, mark);
 
-        // Injectivity per block.
-        match enc.mapping {
-            MappingEncoding::OneHot => {
-                for b in 0..blocks {
-                    for p in 0..np {
-                        let sels: Vec<Lit> = (0..nq)
-                            .map(|q| mapping[q][b].eq_lit(&mut solver, p))
-                            .collect();
-                        at_most_one(&mut solver, &sels, enc.amo);
-                    }
-                }
-            }
-            MappingEncoding::Binary => {
-                for b in 0..blocks {
-                    for q1 in 0..nq {
-                        for q2 in (q1 + 1)..nq {
-                            let diffs: Vec<Lit> = mapping[q1][b]
-                                .raw_lits()
-                                .iter()
-                                .zip(mapping[q2][b].raw_lits())
-                                .map(|(&x, y)| gates::xor_lit(&mut solver, x, y))
-                                .collect();
-                            let diff = gates::or_all(&mut solver, &diffs);
-                            solver.add_clause([diff]);
-                        }
-                    }
-                }
-            }
-            MappingEncoding::InverseOneHot => {
-                for b in 0..blocks {
-                    let mut inv: Vec<FdVar> = (0..np)
-                        .map(|_| FdVar::new_onehot(&mut solver, nq + 1, enc.amo))
-                        .collect();
-                    for q in 0..nq {
-                        for p in 0..np {
-                            let m = mapping[q][b].eq_lit(&mut solver, p);
-                            let i = inv[p].eq_lit(&mut solver, q);
-                            solver.add_clause([!m, i]);
-                            solver.add_clause([!i, m]);
-                        }
-                    }
-                }
-            }
-        }
-
-        mark = tally.credit_since(ConstraintFamily::Mapping, &solver, mark);
-
-        // Block-index variables; dependencies are non-strict (gates may
-        // share a block).
+        // Block-index variables on a guarded window that can grow in place
+        // (see [`TransitionModel::extend_blocks`]); dependencies are
+        // non-strict (gates may share a block).
         let dag = if config.commutation_aware {
             DependencyGraph::new_with_commutation(circuit)
         } else {
             DependencyGraph::new(circuit)
         };
-        // Guarded block-index domains allow the block window to grow in
-        // place (see [`TransitionModel::extend_blocks`]).
-        let window_guard = config
-            .incremental
-            .then(|| Lit::positive(CnfSink::new_var(&mut solver)));
-        let mut time = TimeVars::new(
-            &mut solver,
-            circuit.num_gates(),
-            blocks,
-            enc.time,
-            enc.amo,
-            window_guard,
-        );
+        let mut time = TimeVars::new(circuit.num_gates(), enc.time, enc.amo);
+        let window_guard = time
+            .grow(&mut solver, blocks)
+            .expect("an empty window grows");
         for &(g, g2) in dag.dependencies() {
             time.assert_before_or_equal(&mut solver, g, g2);
         }
+        tally.credit_since(ConstraintFamily::Dependency, &solver, mark);
 
-        mark = tally.credit_since(ConstraintFamily::Dependency, &solver, mark);
-
-        // Transition SWAPs: one layer per transition, disjoint edges.
-        let swap_lits: Vec<Vec<Lit>> = (0..ne)
-            .map(|_| {
-                (0..blocks.saturating_sub(1))
-                    .map(|_| Lit::positive(CnfSink::new_var(&mut solver)))
-                    .collect()
-            })
-            .collect();
-        for e1 in 0..ne {
-            let (a1, b1) = graph.edge(e1);
-            for e2 in (e1 + 1)..ne {
-                let (a2, b2) = graph.edge(e2);
-                let shares = a1 == a2 || a1 == b2 || b1 == a2 || b1 == b2;
-                if !shares {
-                    continue;
-                }
-                for b in 0..blocks.saturating_sub(1) {
-                    solver.add_clause([!swap_lits[e1][b], !swap_lits[e2][b]]);
-                }
-            }
-        }
-
-        mark = tally.credit_since(ConstraintFamily::Swap, &solver, mark);
-
-        // Adjacency inside blocks (Eq. 1 on block mappings).
-        let mut adj_cache: HashMap<(u16, u16, usize), Lit> = HashMap::new();
-        let mut clause = Vec::new();
-        for (g, gate) in circuit.gates().iter().enumerate() {
-            if let Operands::Two(q1, q2) = gate.operands {
-                let (qa, qb) = (q1.min(q2), q1.max(q2));
-                for b in 0..blocks {
-                    let adj = match adj_cache.get(&(qa, qb, b)) {
-                        Some(&l) => l,
-                        None => {
-                            let mut pair_lits = Vec::with_capacity(2 * ne);
-                            for e in 0..ne {
-                                let (pa, pb) = graph.edge(e);
-                                for (x, y) in [(pa, pb), (pb, pa)] {
-                                    let la =
-                                        mapping[qa as usize][b].eq_lit(&mut solver, x as usize);
-                                    let lb =
-                                        mapping[qb as usize][b].eq_lit(&mut solver, y as usize);
-                                    pair_lits.push(gates::and_lit(&mut solver, la, lb));
-                                }
-                            }
-                            let l = gates::or_all(&mut solver, &pair_lits);
-                            adj_cache.insert((qa, qb, b), l);
-                            l
-                        }
-                    };
-                    clause.clear();
-                    time.var(g).push_neq(b, &mut clause);
-                    clause.push(adj);
-                    solver.add_clause(clause.iter().copied());
-                }
-            }
-        }
-
-        mark = tally.credit_since(ConstraintFamily::Scheduling, &solver, mark);
-
-        // Mapping transformation between consecutive blocks.
-        for b in 0..blocks.saturating_sub(1) {
-            let qubits = mapping.iter().map(|m| (&m[b], &m[b + 1]));
-            transition_step(&mut solver, graph, qubits, |e| swap_lits[e][b]);
-        }
-
-        tally.credit_since(ConstraintFamily::Transition, &solver, mark);
+        let mut model = TransitionModel {
+            solver,
+            mapping,
+            time,
+            swap_lits: vec![Vec::new(); graph.num_edges()],
+            blocks,
+            block_bounds: HashMap::new(),
+            swap_card: None,
+            tally,
+            window_guard,
+            extensions: 0,
+        };
+        model.emit_blocks(circuit, graph, 0..blocks);
 
         // Structure-aware seeding: same rationale as the flat model —
         // prefer the all-false polarity inside one-hot groups and on the
         // transition SWAP layer, and nudge the first decisions at block 0
         // (0.25, not full VSIDS weight — see the flat model's note on
         // bump-induced fixation).
+        let solver = &mut model.solver;
         if matches!(
             enc.mapping,
             MappingEncoding::OneHot | MappingEncoding::InverseOneHot
         ) {
-            for per_b in &mapping {
+            for per_b in &model.mapping {
                 for fd in per_b {
                     for l in fd.raw_lits() {
                         solver.set_saved_phase(l.var(), false);
@@ -245,7 +130,7 @@ impl TransitionModel {
                 }
             }
         }
-        for per_b in &swap_lits {
+        for per_b in &model.swap_lits {
             for &sl in per_b {
                 solver.set_saved_phase(sl.var(), false);
             }
@@ -256,127 +141,41 @@ impl TransitionModel {
         // over them encode cross-solve contracts, so inprocessing must
         // leave them exactly as written.
         solver.set_inprocess_floor(solver.num_vars());
-
-        Ok(TransitionModel {
-            solver,
-            mapping,
-            time,
-            swap_lits,
-            blocks,
-            block_bounds: HashMap::new(),
-            swap_card: None,
-            num_gates: circuit.num_gates(),
-            tally,
-            window_guard,
-            extensions: 0,
-        })
+        Ok(model)
     }
 
-    /// Grows the block window to `new_blocks` in place — the transition
-    /// analogue of `FlatModel::extend_window`. Appends per-block mapping
-    /// variables, transition SWAP layers, adjacency, and mapping
-    /// transformation for the new blocks onto the live solver; block-index
-    /// variables move to a new guard generation and recorded dependencies
-    /// are re-emitted for the new values. Returns `false` (caller rebuilds)
-    /// for non-incremental builds or a binary block index needing a wider
-    /// bit-vector.
-    fn extend_blocks(
-        &mut self,
-        circuit: &Circuit,
-        graph: &CouplingGraph,
-        config: &SynthesisConfig,
-        new_blocks: usize,
-    ) -> bool {
-        let Some(old_guard) = self.window_guard else {
-            return false;
-        };
-        let new_blocks = new_blocks.max(1);
-        assert!(new_blocks >= self.blocks, "block windows only grow");
-        if new_blocks == self.blocks {
-            return true;
+    /// Runs one family emitter and credits what it adds to `family`.
+    fn credit<R>(&mut self, family: ConstraintFamily, emit: impl FnOnce(&mut Self) -> R) -> R {
+        let mark = self.tally.mark(&self.solver);
+        let out = emit(self);
+        self.tally.credit_since(family, &self.solver, mark);
+        out
+    }
+
+    /// The families that follow the mapping and block-index variables,
+    /// over `blocks`, in build order: transition SWAP layers, adjacency
+    /// inside blocks (Eq. 1 on block mappings), mapping transformation.
+    fn emit_blocks(&mut self, circuit: &Circuit, graph: &CouplingGraph, blocks: Range<usize>) {
+        self.credit(ConstraintFamily::Swap, |m| {
+            m.swap_layers(graph, blocks.clone())
+        });
+        self.credit(ConstraintFamily::Scheduling, |m| {
+            let (mapping, time) = (&mut m.mapping, &m.time);
+            adjacency_steps(&mut m.solver, circuit, graph, mapping, time, blocks.clone());
+        });
+        self.credit(ConstraintFamily::Transition, |m| {
+            m.transition_layers(graph, blocks)
+        });
+    }
+
+    /// The SWAP layers on the transitions that end in `blocks`: one
+    /// variable per edge and transition, each layer on disjoint edges.
+    fn swap_layers(&mut self, graph: &CouplingGraph, blocks: Range<usize>) {
+        let layers = transitions_into(blocks);
+        for row in &mut self.swap_lits {
+            row.extend(layers.clone().map(|_| Lit::positive(self.solver.new_var())));
         }
-        let old_blocks = self.blocks;
-        let nq = self.mapping.len();
-        let np = graph.num_qubits();
         let ne = graph.num_edges();
-        let enc = config.encoding;
-
-        // --- Block-index variables: new guard generation ------------------
-        let mut mark = self.tally.mark(&self.solver);
-        let new_guard = Lit::positive(CnfSink::new_var(&mut self.solver));
-        if !self.time.extend(&mut self.solver, new_blocks, new_guard) {
-            return false; // binary width grew: caller rebuilds
-        }
-        mark = self
-            .tally
-            .credit_since(ConstraintFamily::Dependency, &self.solver, mark);
-
-        // --- Mapping variables + injectivity for the new blocks -----------
-        for q in 0..nq {
-            for _ in old_blocks..new_blocks {
-                let var = match enc.mapping {
-                    MappingEncoding::OneHot | MappingEncoding::InverseOneHot => {
-                        FdVar::new_onehot(&mut self.solver, np, enc.amo)
-                    }
-                    MappingEncoding::Binary => FdVar::new_binary(&mut self.solver, np),
-                };
-                self.mapping[q].push(var);
-            }
-        }
-        match enc.mapping {
-            MappingEncoding::OneHot => {
-                for b in old_blocks..new_blocks {
-                    for p in 0..np {
-                        let sels: Vec<Lit> = (0..nq)
-                            .map(|q| self.mapping[q][b].eq_lit(&mut self.solver, p))
-                            .collect();
-                        at_most_one(&mut self.solver, &sels, enc.amo);
-                    }
-                }
-            }
-            MappingEncoding::Binary => {
-                for b in old_blocks..new_blocks {
-                    for q1 in 0..nq {
-                        for q2 in (q1 + 1)..nq {
-                            let diffs: Vec<Lit> = self.mapping[q1][b]
-                                .raw_lits()
-                                .iter()
-                                .zip(self.mapping[q2][b].raw_lits())
-                                .map(|(&x, y)| gates::xor_lit(&mut self.solver, x, y))
-                                .collect();
-                            let diff = gates::or_all(&mut self.solver, &diffs);
-                            self.solver.add_clause([diff]);
-                        }
-                    }
-                }
-            }
-            MappingEncoding::InverseOneHot => {
-                for b in old_blocks..new_blocks {
-                    let mut inv: Vec<FdVar> = (0..np)
-                        .map(|_| FdVar::new_onehot(&mut self.solver, nq + 1, enc.amo))
-                        .collect();
-                    for q in 0..nq {
-                        for p in 0..np {
-                            let m = self.mapping[q][b].eq_lit(&mut self.solver, p);
-                            let i = inv[p].eq_lit(&mut self.solver, q);
-                            self.solver.add_clause([!m, i]);
-                            self.solver.add_clause([!i, m]);
-                        }
-                    }
-                }
-            }
-        }
-        mark = self
-            .tally
-            .credit_since(ConstraintFamily::Mapping, &self.solver, mark);
-
-        // --- New transition SWAP layers (indices old_blocks-1..new_blocks-1)
-        for e in 0..ne {
-            for _ in (old_blocks - 1)..(new_blocks - 1) {
-                let l = Lit::positive(CnfSink::new_var(&mut self.solver));
-                self.swap_lits[e].push(l);
-            }
-        }
         for e1 in 0..ne {
             let (a1, b1) = graph.edge(e1);
             for e2 in (e1 + 1)..ne {
@@ -385,105 +184,86 @@ impl TransitionModel {
                 if !shares {
                     continue;
                 }
-                for b in (old_blocks - 1)..(new_blocks - 1) {
+                for b in layers.clone() {
                     self.solver
                         .add_clause([!self.swap_lits[e1][b], !self.swap_lits[e2][b]]);
                 }
             }
         }
-        mark = self
-            .tally
-            .credit_since(ConstraintFamily::Swap, &self.solver, mark);
+    }
 
-        // --- Adjacency inside the new blocks (Eq. 1) ----------------------
-        let mut adj_cache: HashMap<(u16, u16, usize), Lit> = HashMap::new();
-        let mut clause = Vec::new();
-        for (g, gate) in circuit.gates().iter().enumerate() {
-            if let Operands::Two(q1, q2) = gate.operands {
-                let (qa, qb) = (q1.min(q2), q1.max(q2));
-                for b in old_blocks..new_blocks {
-                    let adj = match adj_cache.get(&(qa, qb, b)) {
-                        Some(&l) => l,
-                        None => {
-                            let mut pair_lits = Vec::with_capacity(2 * ne);
-                            for e in 0..ne {
-                                let (pa, pb) = graph.edge(e);
-                                for (x, y) in [(pa, pb), (pb, pa)] {
-                                    let la = self.mapping[qa as usize][b]
-                                        .eq_lit(&mut self.solver, x as usize);
-                                    let lb = self.mapping[qb as usize][b]
-                                        .eq_lit(&mut self.solver, y as usize);
-                                    pair_lits.push(gates::and_lit(&mut self.solver, la, lb));
-                                }
-                            }
-                            let l = gates::or_all(&mut self.solver, &pair_lits);
-                            adj_cache.insert((qa, qb, b), l);
-                            l
-                        }
-                    };
-                    clause.clear();
-                    self.time.var(g).push_neq(b, &mut clause);
-                    clause.push(adj);
-                    self.solver.add_clause(clause.iter().copied());
-                }
-            }
-        }
-        mark = self
-            .tally
-            .credit_since(ConstraintFamily::Scheduling, &self.solver, mark);
-
-        // --- Mapping transformation across the seam and new blocks --------
-        for b in (old_blocks - 1)..(new_blocks - 1) {
-            let qubits = self.mapping.iter().map(|m| (&m[b], &m[b + 1]));
-            let swap_lits = &self.swap_lits;
+    /// The mapping transformation across the transitions that end in
+    /// `blocks`.
+    fn transition_layers(&mut self, graph: &CouplingGraph, blocks: Range<usize>) {
+        let (mapping, swap_lits) = (&self.mapping, &self.swap_lits);
+        for b in transitions_into(blocks) {
+            let qubits = mapping.iter().map(|per_b| (&per_b[b], &per_b[b + 1]));
             transition_step(&mut self.solver, graph, qubits, |e| swap_lits[e][b]);
         }
-        mark = self
-            .tally
-            .credit_since(ConstraintFamily::Transition, &self.solver, mark);
+    }
 
-        // --- Patch cached block-bound activations -------------------------
-        // Every cached bound has k ≤ old window, so all new transition
-        // layers lie at or beyond k-1 and must be forbidden under it; new
-        // block-index values likewise (one-hot only — binary comparators
-        // cover the full width). The symmetry clauses reference only
-        // transitions below k-1, which predate the extension.
-        let mut block_acts: Vec<(usize, Lit)> =
-            self.block_bounds.iter().map(|(&k, &a)| (k, a)).collect();
-        block_acts.sort_unstable_by_key(|&(k, _)| k);
-        for &(_, act) in &block_acts {
-            if enc.time == crate::config::TimeEncoding::OneHot {
-                for g in 0..self.num_gates {
-                    self.time.var_mut(g).forbid_range_if(
-                        &mut self.solver,
-                        old_blocks..new_blocks,
-                        Some(act),
-                    );
+    /// Grows the block window to `new_blocks` in place — the transition
+    /// analogue of `FlatModel::extend_window`, through the same per-family
+    /// emitters the build runs. Block-index variables move to a new guard
+    /// generation and recorded dependencies are re-emitted for the new
+    /// values. Returns `false` (caller rebuilds) for a binary block index
+    /// needing a wider bit-vector.
+    fn extend_blocks(
+        &mut self,
+        circuit: &Circuit,
+        graph: &CouplingGraph,
+        config: &SynthesisConfig,
+        new_blocks: usize,
+    ) -> bool {
+        let new_blocks = new_blocks.max(1);
+        assert!(new_blocks >= self.blocks, "block windows only grow");
+        if new_blocks == self.blocks {
+            return true;
+        }
+        let blocks = self.blocks..new_blocks;
+        let grown = self.credit(ConstraintFamily::Dependency, |m| {
+            m.time.grow(&mut m.solver, new_blocks)
+        });
+        let Some(new_guard) = grown else {
+            return false; // binary width grew: caller rebuilds
+        };
+        self.credit(ConstraintFamily::Mapping, |m| {
+            let np = graph.num_qubits();
+            mapping_steps(
+                &mut m.solver,
+                &mut m.mapping,
+                np,
+                config.encoding,
+                blocks.clone(),
+            );
+        });
+        self.emit_blocks(circuit, graph, blocks.clone());
+        self.credit(ConstraintFamily::Cardinality, |m| {
+            // Cached bounds cover the new blocks under their own
+            // activators, in order of `k` for a deterministic clause order.
+            let mut block_acts: Vec<(usize, Lit)> =
+                m.block_bounds.iter().map(|(&k, &a)| (k, a)).collect();
+            block_acts.sort_unstable_by_key(|&(k, _)| k);
+            for (k, act) in block_acts {
+                m.block_bound_steps(act, k, blocks.clone());
+            }
+            if let Some(card) = &mut m.swap_card {
+                let first = transitions_into(blocks).start;
+                let new_inputs: Vec<Lit> = m
+                    .swap_lits
+                    .iter()
+                    .flat_map(|row| row[first..].iter().copied())
+                    .collect();
+                for l in card.extend(&mut m.solver, &new_inputs) {
+                    m.solver.add_clause([!l]);
                 }
             }
-            for e in 0..ne {
-                for b in (old_blocks - 1)..(new_blocks - 1) {
-                    let l = self.swap_lits[e][b];
-                    self.solver.add_clause([!act, !l]);
-                }
-            }
-        }
-        if let Some(card) = &mut self.swap_card {
-            let new_inputs: Vec<Lit> = (0..ne)
-                .flat_map(|e| self.swap_lits[e][(old_blocks - 1)..].iter().copied())
-                .collect();
-            let invalidated = card.extend(&mut self.solver, &new_inputs);
-            for l in invalidated {
-                self.solver.add_clause([!l]);
-            }
-        }
-        self.tally
-            .credit_since(ConstraintFamily::Cardinality, &self.solver, mark);
+        });
 
         // --- Generation flip ----------------------------------------------
-        self.solver.add_clause([!old_guard]);
+        self.solver.add_clause([!self.window_guard]);
         self.solver.simplify();
-        self.window_guard = Some(new_guard);
+        self.window_guard = new_guard;
         self.blocks = new_blocks;
         self.extensions += 1;
         true
@@ -491,15 +271,10 @@ impl TransitionModel {
 
     /// Solves under the given assumptions plus the active window guard.
     fn solve(&mut self, assumptions: &[Lit]) -> SolveResult {
-        let result = match self.window_guard {
-            None => self.solver.solve(assumptions),
-            Some(g) => {
-                let mut with_guard = Vec::with_capacity(assumptions.len() + 1);
-                with_guard.extend_from_slice(assumptions);
-                with_guard.push(g);
-                self.solver.solve(&with_guard)
-            }
-        };
+        let mut with_guard = Vec::with_capacity(assumptions.len() + 1);
+        with_guard.extend_from_slice(assumptions);
+        with_guard.push(self.window_guard);
+        let result = self.solver.solve(&with_guard);
         // Steer subsequent (tighter) solves toward the incumbent layout.
         if result == SolveResult::Sat {
             self.solver.adopt_model_targets();
@@ -518,27 +293,32 @@ impl TransitionModel {
         if let Some(&l) = self.block_bounds.get(&k) {
             return l;
         }
-        let mark = self.tally.mark(&self.solver);
-        let act = Lit::positive(CnfSink::new_var(&mut self.solver));
-        for g in 0..self.num_gates {
-            self.time
-                .var_mut(g)
-                .assert_le_if(&mut self.solver, k - 1, Some(act));
-        }
+        let act = self.credit(ConstraintFamily::Cardinality, |m| {
+            let act = Lit::positive(m.solver.new_var());
+            m.block_bound_steps(act, k, 0..m.blocks);
+            // The symmetry clauses reference only transitions below
+            // `k - 1`, which no later growth adds to.
+            for b in 0..k.saturating_sub(1) {
+                let mut clause = vec![!act];
+                clause.extend(m.swap_lits.iter().map(|row| row[b]));
+                m.solver.add_clause(clause);
+            }
+            act
+        });
+        self.block_bounds.insert(k, act);
+        act
+    }
+
+    /// The block bound under `act` over `blocks`: no gate in a block
+    /// from `k` on and no SWAP on a transition from `k - 1` on.
+    fn block_bound_steps(&mut self, act: Lit, k: usize, blocks: Range<usize>) {
+        let layers = transitions_into(blocks.clone());
+        self.time.bound_if(&mut self.solver, k, act, blocks);
         for row in &self.swap_lits {
-            for &l in row.iter().skip(k.saturating_sub(1)) {
+            for &l in &row[(k - 1).max(layers.start)..layers.end] {
                 self.solver.add_clause([!act, !l]);
             }
         }
-        for b in 0..k.saturating_sub(1) {
-            let mut clause = vec![!act];
-            clause.extend(self.swap_lits.iter().map(|row| row[b]));
-            self.solver.add_clause(clause);
-        }
-        self.tally
-            .credit_since(ConstraintFamily::Cardinality, &self.solver, mark);
-        self.block_bounds.insert(k, act);
-        act
     }
 
     fn swap_bound(&mut self, k: usize, capacity: usize, enc: olsq2_encode::CardEncoding) -> Lit {
@@ -772,9 +552,10 @@ impl TbOlsq2Synthesizer {
         Ok(model)
     }
 
-    /// Grows `model` to `blocks` — in place via
-    /// [`TransitionModel::extend_blocks`] when the incremental path applies,
-    /// otherwise by rebuilding from scratch.
+    /// Grows `model` to `blocks` in place via
+    /// [`TransitionModel::extend_blocks`], or by rebuilding from scratch
+    /// where the extension refuses (a binary block index that needs a
+    /// wider bit-vector).
     fn grow_model(
         &self,
         circuit: &Circuit,
@@ -782,23 +563,21 @@ impl TbOlsq2Synthesizer {
         model: &mut TransitionModel,
         blocks: usize,
     ) -> Result<(), ModelError> {
-        if self.config.incremental {
-            let span = self.config.recorder.span("extend");
-            span.set("blocks", blocks);
-            let vars_before = model.solver.num_vars();
-            let clauses_before = model.solver.num_clauses();
-            let extend_start = Instant::now();
-            if model.extend_blocks(circuit, graph, &self.config, blocks) {
-                span.set("extend_us", extend_start.elapsed().as_micros() as u64);
-                span.set("appended_vars", model.solver.num_vars() - vars_before);
-                span.set(
-                    "appended_clauses",
-                    model.solver.num_clauses().saturating_sub(clauses_before),
-                );
-                return Ok(());
-            }
-            span.set("result", "rebuild");
+        let span = self.config.recorder.span("extend");
+        span.set("blocks", blocks);
+        let vars_before = model.solver.num_vars();
+        let clauses_before = model.solver.num_clauses();
+        let extend_start = Instant::now();
+        if model.extend_blocks(circuit, graph, &self.config, blocks) {
+            span.set("extend_us", extend_start.elapsed().as_micros() as u64);
+            span.set("appended_vars", model.solver.num_vars() - vars_before);
+            span.set(
+                "appended_clauses",
+                model.solver.num_clauses().saturating_sub(clauses_before),
+            );
+            return Ok(());
         }
+        span.set("result", "rebuild");
         *model = self.build_model(circuit, graph, blocks)?;
         Ok(())
     }
@@ -1098,8 +877,11 @@ impl TbOlsq2Synthesizer {
 mod tests {
     use super::*;
     use olsq2_arch::{grid, line};
+    use olsq2_circuit::generators::{qaoa_circuit, tof_circuit};
     use olsq2_circuit::{Gate, GateKind};
+    use olsq2_encode::CardEncoding;
     use olsq2_layout::verify;
+    use olsq2_prng::Rng;
 
     fn triangle() -> Circuit {
         let mut c = Circuit::new(3);
@@ -1211,5 +993,90 @@ mod tests {
             })
             .sum();
         assert_eq!(out.outcome.solver_stats.conflicts, probe_conflicts);
+    }
+
+    fn random_circuit(rng: &mut Rng, nq: usize, max_gates: usize) -> Circuit {
+        let len = rng.gen_range(1usize..=max_gates);
+        let mut c = Circuit::new(nq);
+        for _ in 0..len {
+            let a = rng.gen_range(0..nq as u16);
+            let b = rng.gen_range(0..nq as u16);
+            if a != b {
+                c.push(Gate::two(GateKind::Cx, a, b));
+            }
+        }
+        if c.is_empty() {
+            c.push(Gate::two(GateKind::Cx, 0, 1));
+        }
+        c
+    }
+
+    /// Exactly `k` blocks, plus at most `swaps` SWAPs when given.
+    fn probe(model: &mut TransitionModel, k: usize, swaps: Option<usize>) -> SolveResult {
+        let mut acts = vec![model.block_bound(k)];
+        if let Some(s) = swaps {
+            // Room for every SWAP six blocks on these devices can hold.
+            acts.push(model.swap_bound(s, 16, CardEncoding::SequentialCounter));
+        }
+        model.solve(&acts)
+    }
+
+    /// Grows a model in place 2→4→6 blocks and compares it after every
+    /// step with a fresh build of the same window: every block bound, and
+    /// under each satisfiable one every SWAP bound below the larger of the
+    /// two witnessed counts (so a grown model weaker or stronger than the
+    /// fresh one shows up), with every witness verified. The block bounds
+    /// and the SWAP network the grown model built before a growth carry
+    /// across it.
+    fn assert_growth_matches_fresh_builds(label: &str, circuit: &Circuit, device: &CouplingGraph) {
+        let config = SynthesisConfig::with_swap_duration(1);
+        let mut grown = TransitionModel::build(circuit, device, &config, 2).expect("builds");
+        for blocks in [2usize, 4, 6] {
+            if blocks > grown.blocks {
+                assert!(
+                    grown.extend_blocks(circuit, device, &config, blocks),
+                    "{label}: extension to {blocks} blocks refused"
+                );
+            }
+            let mut fresh =
+                TransitionModel::build(circuit, device, &config, blocks).expect("builds");
+            for k in 1..=blocks {
+                let mut witnessed = 0;
+                for swaps in std::iter::once(None).chain((0..).map(Some)) {
+                    if swaps.is_some_and(|s| s >= witnessed) {
+                        break;
+                    }
+                    let at = format!("{label}, {blocks} blocks, bound ({k}, {swaps:?})");
+                    let verdict = probe(&mut grown, k, swaps);
+                    assert_eq!(verdict, probe(&mut fresh, k, swaps), "{at}");
+                    if verdict != SolveResult::Sat {
+                        continue;
+                    }
+                    for model in [&grown, &fresh] {
+                        let witness = model.decode(circuit);
+                        witnessed = witnessed.max(witness.swap_count());
+                        let layout = witness.lower(circuit, 1);
+                        assert_eq!(verify(circuit, device, &layout), Ok(()), "{at}");
+                    }
+                }
+            }
+        }
+        assert_eq!(grown.extensions, 2, "{label}");
+    }
+
+    /// Seeded random circuits, most of which fit in two blocks, plus two
+    /// that need blocks only a growth adds: tof-3 on a 5-qubit line and
+    /// QAOA-6 on a 2×3 grid.
+    #[test]
+    fn extended_blocks_match_a_fresh_build_at_every_bound() {
+        let mut rng = Rng::seed_from_u64(0x1AC4_0002);
+        let devices = [line(4), grid(2, 2), grid(2, 3)];
+        for round in 0..5 {
+            let circuit = random_circuit(&mut rng, 4, 6);
+            let device = &devices[rng.gen_range(0usize..3)];
+            assert_growth_matches_fresh_builds(&format!("round {round}"), &circuit, device);
+        }
+        assert_growth_matches_fresh_builds("tof-3/line5", &tof_circuit(3), &line(5));
+        assert_growth_matches_fresh_builds("qaoa-6/grid2x3", &qaoa_circuit(6, 42), &grid(2, 3));
     }
 }

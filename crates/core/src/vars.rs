@@ -1,16 +1,23 @@
-//! Finite-domain variable families over the SAT substrate.
+//! Finite-domain variable families over the SAT substrate, and the
+//! constraint families every model shares.
 //!
 //! [`FdVar`] is the bridge between the paper's SMT-level variables (mapping
 //! `π_q^t`, time `t_g`) and CNF: the same model-building code works with
 //! one-hot ("int") and binary ("bv") representations, which is how the
 //! Table I encoding ablation is expressed.
+//!
+//! The families take a step range: a model's build emits steps `0..T`, and
+//! a window growth emits `T..T'` through the same functions.
 
 // Indexed `for` loops are deliberate here: ladder constraints index adjacent positions.
 #![allow(clippy::needless_range_loop)]
-use crate::config::TimeEncoding;
+use crate::config::{EncodingConfig, MappingEncoding, TimeEncoding};
 use olsq2_arch::CouplingGraph;
-use olsq2_encode::{width_for, AmoEncoding, BitVec, CnfSink, OneHot};
+use olsq2_circuit::{Circuit, Operands};
+use olsq2_encode::{at_most_one, gates, width_for, AmoEncoding, BitVec, CnfSink, OneHot};
 use olsq2_sat::{Lit, Solver};
+use std::collections::HashMap;
+use std::ops::Range;
 
 /// A variable ranging over `0..domain`, in one of two CNF representations.
 #[derive(Debug, Clone)]
@@ -27,9 +34,17 @@ enum FdRepr {
 }
 
 impl FdVar {
+    fn with_repr(repr: FdRepr, domain: usize) -> FdVar {
+        FdVar {
+            repr,
+            domain,
+            eq_cache: vec![None; domain],
+        }
+    }
+
     /// One-hot representation with an exactly-one constraint.
     pub fn new_onehot<S: CnfSink>(sink: &mut S, domain: usize, amo: AmoEncoding) -> FdVar {
-        FdVar::new_onehot_guarded(sink, domain, amo, None)
+        FdVar::with_repr(FdRepr::OneHot(OneHot::new(sink, domain, amo)), domain)
     }
 
     /// One-hot representation whose *at-least-one* constraint is guarded
@@ -38,56 +53,40 @@ impl FdVar {
     /// This is the extendable-window form: when the domain later grows via
     /// [`FdVar::extend_domain`], the caller root-falsifies the old guard
     /// and a fresh guarded at-least-one over the enlarged selector set
-    /// takes over. With `None` the constraint is unconditional and the
-    /// variable cannot be extended.
+    /// takes over.
     pub fn new_onehot_guarded<S: CnfSink>(
         sink: &mut S,
         domain: usize,
         amo: AmoEncoding,
-        guard: Option<Lit>,
+        guard: Lit,
     ) -> FdVar {
-        let oh = match guard {
-            None => OneHot::new(sink, domain, amo),
-            Some(g) => {
-                assert!(domain > 0, "domain must be nonempty");
-                let selectors: Vec<Lit> =
-                    (0..domain).map(|_| Lit::positive(sink.new_var())).collect();
-                let mut alo = Vec::with_capacity(domain + 1);
-                alo.push(!g);
-                alo.extend_from_slice(&selectors);
-                sink.add_clause(&alo);
-                olsq2_encode::at_most_one(sink, &selectors, amo);
-                OneHot::from_selectors(selectors)
-            }
-        };
-        FdVar {
-            repr: FdRepr::OneHot(oh),
-            domain,
-            eq_cache: vec![None; domain],
-        }
+        assert!(domain > 0, "domain must be nonempty");
+        let selectors: Vec<Lit> = (0..domain).map(|_| Lit::positive(sink.new_var())).collect();
+        let mut alo = Vec::with_capacity(domain + 1);
+        alo.push(!guard);
+        alo.extend_from_slice(&selectors);
+        sink.add_clause(&alo);
+        at_most_one(sink, &selectors, amo);
+        FdVar::with_repr(FdRepr::OneHot(OneHot::from_selectors(selectors)), domain)
     }
 
     /// Binary representation; values ≥ `domain` are excluded by a
     /// comparator when `domain` is not a power of two.
     pub fn new_binary<S: CnfSink>(sink: &mut S, domain: usize) -> FdVar {
-        FdVar::new_binary_guarded(sink, domain, None)
+        FdVar::binary(sink, domain, None)
     }
 
     /// Binary representation whose domain-bound comparator is guarded by
     /// `guard` (see [`FdVar::new_onehot_guarded`] for the protocol).
-    pub fn new_binary_guarded<S: CnfSink>(
-        sink: &mut S,
-        domain: usize,
-        guard: Option<Lit>,
-    ) -> FdVar {
+    pub fn new_binary_guarded<S: CnfSink>(sink: &mut S, domain: usize, guard: Lit) -> FdVar {
+        FdVar::binary(sink, domain, Some(guard))
+    }
+
+    fn binary<S: CnfSink>(sink: &mut S, domain: usize, guard: Option<Lit>) -> FdVar {
         assert!(domain > 0);
         let bv = BitVec::new(sink, width_for(domain as u64 - 1));
         bv.assert_le_const_if(sink, domain as u64 - 1, guard);
-        FdVar {
-            repr: FdRepr::Binary(bv),
-            domain,
-            eq_cache: vec![None; domain],
-        }
+        FdVar::with_repr(FdRepr::Binary(bv), domain)
     }
 
     /// Grows the domain to `0..new_domain` in place, guarding the new
@@ -139,7 +138,7 @@ impl FdVar {
                     }
                     // Ladder/commander auxiliaries don't extend; re-emit the
                     // whole at-most-one (redundant over old pairs but sound).
-                    _ => olsq2_encode::at_most_one(sink, &selectors, amo),
+                    _ => at_most_one(sink, &selectors, amo),
                 }
                 let mut alo = Vec::with_capacity(new_domain + 1);
                 alo.push(!guard);
@@ -153,22 +152,17 @@ impl FdVar {
         true
     }
 
-    /// Asserts `guard → self ∉ lo..hi`, used to patch previously issued
-    /// bound activation literals when the domain grows past them: a cached
-    /// one-hot `≤ v` bound knows nothing about selectors allocated later,
-    /// so each extension forbids the new values under the same activator.
-    /// (Binary comparators cover the whole bit width and need no patch.)
-    pub fn forbid_range_if<S: CnfSink>(
-        &mut self,
-        sink: &mut S,
-        range: std::ops::Range<usize>,
-        guard: Option<Lit>,
-    ) {
+    /// Asserts `guard → self ∉ range`, one clause per value. A one-hot
+    /// bound issued before the domain grew knows nothing about the
+    /// selectors allocated later, so each growth forbids the new values
+    /// under the same activator. (Binary comparators cover the whole bit
+    /// width and need no patch.)
+    pub fn forbid_range_if<S: CnfSink>(&mut self, sink: &mut S, range: Range<usize>, guard: Lit) {
         assert!(range.end <= self.domain);
         let mut clause = Vec::new();
         for v in range {
             clause.clear();
-            clause.extend(guard.map(|g| !g));
+            clause.push(!guard);
             self.push_neq(v, &mut clause);
             sink.add_clause(&clause);
         }
@@ -221,20 +215,10 @@ impl FdVar {
     }
 
     /// Asserts `guard → self ≤ v`.
-    pub fn assert_le_if<S: CnfSink>(&mut self, sink: &mut S, v: usize, guard: Option<Lit>) {
+    pub fn assert_le_if<S: CnfSink>(&mut self, sink: &mut S, v: usize, guard: Lit) {
         match &self.repr {
-            FdRepr::Binary(bv) => bv.assert_le_const_if(sink, v as u64, guard),
-            FdRepr::OneHot(_) => {
-                for value in (v + 1)..self.domain {
-                    let mut clause = Vec::with_capacity(2);
-                    if let Some(g) = guard {
-                        clause.push(!g);
-                    }
-                    let eq = self.eq_lit(sink, value);
-                    clause.push(!eq);
-                    sink.add_clause(&clause);
-                }
-            }
+            FdRepr::Binary(bv) => bv.assert_le_const_if(sink, v as u64, Some(guard)),
+            FdRepr::OneHot(_) => self.forbid_range_if(sink, (v + 1)..self.domain, guard),
         }
     }
 
@@ -260,6 +244,138 @@ impl FdVar {
                 .expect("model must assign one-hot group"),
             FdRepr::Binary(bv) => {
                 bv.value_in(solver).expect("model must assign bit-vector") as usize
+            }
+        }
+    }
+}
+
+/// Appends the mapping variables `π_q^t` of `steps` to every program
+/// qubit's row of `mapping` (`mapping[q][t]`, over `np` physical qubits)
+/// and emits their injectivity, step by step: the mapping family the flat
+/// and TB models share. Variables go out qubit by qubit.
+pub fn mapping_steps<S: CnfSink>(
+    sink: &mut S,
+    mapping: &mut [Vec<FdVar>],
+    np: usize,
+    enc: EncodingConfig,
+    steps: Range<usize>,
+) {
+    for row in mapping.iter_mut() {
+        for _ in steps.clone() {
+            row.push(match enc.mapping {
+                MappingEncoding::OneHot | MappingEncoding::InverseOneHot => {
+                    FdVar::new_onehot(sink, np, enc.amo)
+                }
+                MappingEncoding::Binary => FdVar::new_binary(sink, np),
+            });
+        }
+    }
+    for t in steps {
+        assert_injective(sink, mapping, t, np, enc);
+    }
+}
+
+/// Asserts that no two program qubits share a physical qubit at step `t`
+/// of `mapping` (`mapping[q][t]`, over `np` physical qubits):
+///
+/// * one-hot: an at-most-one per physical qubit (the "int" style);
+/// * binary: per qubit pair, at least one bit of the two vectors differs;
+/// * inverse one-hot: an inverse family `π_inv(p, t)` over `Q ∪ {free}`,
+///   channeled to the mapping; injectivity follows from `π_inv` being a
+///   function (the EUF trick).
+pub fn assert_injective<S: CnfSink>(
+    sink: &mut S,
+    mapping: &mut [Vec<FdVar>],
+    t: usize,
+    np: usize,
+    enc: EncodingConfig,
+) {
+    let nq = mapping.len();
+    match enc.mapping {
+        MappingEncoding::OneHot => {
+            for p in 0..np {
+                let sels: Vec<Lit> = mapping.iter_mut().map(|m| m[t].eq_lit(sink, p)).collect();
+                at_most_one(sink, &sels, enc.amo);
+            }
+        }
+        MappingEncoding::Binary => {
+            for q1 in 0..nq {
+                for q2 in (q1 + 1)..nq {
+                    let diffs: Vec<Lit> = mapping[q1][t]
+                        .raw_lits()
+                        .iter()
+                        .zip(mapping[q2][t].raw_lits())
+                        .map(|(&x, y)| gates::xor_lit(sink, x, y))
+                        .collect();
+                    let diff = gates::or_all(sink, &diffs);
+                    sink.add_clause(&[diff]);
+                }
+            }
+        }
+        MappingEncoding::InverseOneHot => {
+            let mut inv: Vec<FdVar> = (0..np)
+                .map(|_| FdVar::new_onehot(sink, nq + 1, enc.amo))
+                .collect();
+            for q in 0..nq {
+                for p in 0..np {
+                    let m = mapping[q][t].eq_lit(sink, p);
+                    let i = inv[p].eq_lit(sink, q);
+                    sink.add_clause(&[!m, i]);
+                    sink.add_clause(&[!i, m]);
+                }
+            }
+        }
+    }
+}
+
+/// The Eq. 1 literal: true iff program qubits `qa` and `qb` sit on the two
+/// ends of one device edge, in either orientation, at step `t` of
+/// `mapping` (`mapping[q][t]`).
+pub fn adjacency_lit<S: CnfSink>(
+    sink: &mut S,
+    graph: &CouplingGraph,
+    mapping: &mut [Vec<FdVar>],
+    qa: u16,
+    qb: u16,
+    t: usize,
+) -> Lit {
+    let mut pair_lits = Vec::with_capacity(2 * graph.num_edges());
+    for e in 0..graph.num_edges() {
+        let (pa, pb) = graph.edge(e);
+        for (x, y) in [(pa, pb), (pb, pa)] {
+            let la = mapping[qa as usize][t].eq_lit(sink, x as usize);
+            let lb = mapping[qb as usize][t].eq_lit(sink, y as usize);
+            pair_lits.push(gates::and_lit(sink, la, lb));
+        }
+    }
+    gates::or_all(sink, &pair_lits)
+}
+
+/// Emits Eq. 1 over `steps`, the scheduling family the flat and TB models
+/// share: a two-qubit gate at step `t` acts on adjacent physical qubits,
+/// `(t_g == t) → adjacent(q, q', t)`. Gates go one by one, steps inner,
+/// and each qubit pair's [`adjacency_lit`] is built once per step.
+pub fn adjacency_steps<S: CnfSink>(
+    sink: &mut S,
+    circuit: &Circuit,
+    graph: &CouplingGraph,
+    mapping: &mut [Vec<FdVar>],
+    time: &TimeVars,
+    steps: Range<usize>,
+) {
+    let mut adj_cache: HashMap<(u16, u16, usize), Lit> = HashMap::new();
+    let mut clause = Vec::new();
+    for (g, gate) in circuit.gates().iter().enumerate() {
+        if let Operands::Two(q1, q2) = gate.operands {
+            let (qa, qb) = (q1.min(q2), q1.max(q2));
+            for t in steps.clone() {
+                let adj = *adj_cache
+                    .entry((qa, qb, t))
+                    .or_insert_with(|| adjacency_lit(sink, graph, mapping, qa, qb, t));
+                clause.clear();
+                time.var(g).push_neq(t, &mut clause);
+                clause.push(adj);
+                sink.add_clause(&clause);
             }
         }
     }
@@ -318,11 +434,34 @@ pub fn transition_step<'a, S: CnfSink>(
     }
 }
 
+/// The transitions into `steps`: transition `t` leads from step `t` to
+/// step `t + 1`, so the window `0..T` has transitions `0..T-1`, and a
+/// growth to `T..T'` adds `T-1..T'-1`, the first across the seam.
+pub fn transitions_into(steps: Range<usize>) -> Range<usize> {
+    steps.start.saturating_sub(1)..steps.end.saturating_sub(1)
+}
+
+/// An ordering constraint between two gates' time variables.
+#[derive(Debug, Clone, Copy)]
+enum Order {
+    /// `t_a < t_b`.
+    Before,
+    /// `t_a ≤ t_b`.
+    BeforeOrEqual,
+    /// `t_a ≠ t_b`.
+    NotEqual,
+}
+
 /// The family of gate time variables with dependency support.
 ///
 /// For one-hot time, dependencies use per-gate *prefix ladders*
 /// (`le[g][t] ↔ t_g ≤ t`), giving `O(T)` clauses per dependency; for
 /// binary time, a comparator circuit per dependency.
+///
+/// The window starts empty and opens by [`TimeVars::grow`], before any
+/// ordering is asserted. Every domain constraint (at-least-one / binary
+/// upper bound) is guarded by the window's generation literal, so every
+/// solve must assume the current one, and a growth can retire it.
 #[derive(Debug, Clone)]
 pub struct TimeVars {
     vars: Vec<FdVar>,
@@ -331,134 +470,100 @@ pub struct TimeVars {
     /// Lazily built prefix ladders (one-hot only): `ladders[g][t]` ↔ `t_g ≤ t`.
     ladders: Vec<Option<Vec<Lit>>>,
     t_ub: usize,
-    /// Whether construction was guarded (extension requires it).
-    guarded: bool,
-    /// Recorded `(earlier, later)` strict dependencies, re-emitted for the
-    /// new time steps when the window is extended (one-hot only; binary
-    /// comparators are domain-independent).
-    befores: Vec<(usize, usize)>,
-    /// Recorded relaxed dependencies (`t_earlier ≤ t_later`).
-    before_or_equals: Vec<(usize, usize)>,
-    /// Recorded disequalities (`t_a ≠ t_b`).
-    not_equals: Vec<(usize, usize)>,
+    /// Recorded one-hot orderings, re-emitted for the new steps whenever
+    /// the window grows (binary comparators are domain-independent).
+    orders: Vec<(Order, usize, usize)>,
 }
 
 impl TimeVars {
-    /// Allocates `num_gates` time variables over `0..t_ub`.
-    ///
-    /// With a `guard`, the per-variable domain constraint (at-least-one /
-    /// binary upper bound) is conditional on it, which is what makes the
-    /// window extendable later via [`TimeVars::extend`]; every solve must
-    /// then assume the current generation's guard. With `None` the
-    /// variables are unconditional and the window is fixed.
-    pub fn new<S: CnfSink>(
-        sink: &mut S,
-        num_gates: usize,
-        t_ub: usize,
-        encoding: TimeEncoding,
-        amo: AmoEncoding,
-        guard: Option<Lit>,
-    ) -> TimeVars {
-        let vars = (0..num_gates)
-            .map(|_| match encoding {
-                TimeEncoding::OneHot => FdVar::new_onehot_guarded(sink, t_ub, amo, guard),
-                TimeEncoding::Binary => FdVar::new_binary_guarded(sink, t_ub, guard),
-            })
-            .collect();
+    /// `num_gates` time variables over an empty window.
+    pub fn new(num_gates: usize, encoding: TimeEncoding, amo: AmoEncoding) -> TimeVars {
         TimeVars {
-            vars,
+            vars: Vec::with_capacity(num_gates),
             encoding,
             amo,
             ladders: vec![None; num_gates],
-            t_ub,
-            guarded: guard.is_some(),
-            befores: Vec::new(),
-            before_or_equals: Vec::new(),
-            not_equals: Vec::new(),
+            t_ub: 0,
+            orders: Vec::new(),
         }
     }
 
-    /// Extends every gate's time variable to range over `0..new_t_ub`,
-    /// appending ladder rungs and re-emitting the recorded dependency
-    /// constraints for the new time steps. The new generation's domain
-    /// constraints are guarded by `guard`; the caller root-falsifies the
-    /// previous guard. Returns `false` (leaving the family untouched) if
-    /// the family was built unguarded or the binary representation needs a
-    /// wider bit-vector — the caller must rebuild then.
-    pub fn extend<S: CnfSink>(&mut self, sink: &mut S, new_t_ub: usize, guard: Lit) -> bool {
-        assert!(new_t_ub >= self.t_ub, "windows only grow");
-        if !self.guarded {
-            return false;
-        }
-        if new_t_ub == self.t_ub {
-            return true;
-        }
+    /// Grows the window to `0..to` under a fresh generation guard, which
+    /// it returns: each variable's domain constraint over the new window
+    /// is conditional on it. Over the new steps it appends the
+    /// materialized ladders' rungs and re-emits every recorded ordering.
+    /// Once the whole model has grown, the caller root-falsifies the
+    /// previous guard. Returns `None`, leaving the family untouched, when
+    /// a binary time index would need a wider bit-vector; the caller
+    /// rebuilds then.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `to` exceeds the current window.
+    pub fn grow<S: CnfSink>(&mut self, sink: &mut S, to: usize) -> Option<Lit> {
+        let from = self.t_ub;
+        assert!(to > from, "windows only grow");
         if self.encoding == TimeEncoding::Binary
-            && width_for(new_t_ub as u64 - 1) != width_for(self.t_ub as u64 - 1)
+            && from > 0
+            && width_for(to as u64 - 1) != width_for(from as u64 - 1)
         {
-            return false;
+            return None;
         }
-        let old_t_ub = self.t_ub;
-        for v in &mut self.vars {
-            let ok = v.extend_domain(sink, new_t_ub, self.amo, guard);
-            debug_assert!(ok, "width checked above");
-        }
-        self.t_ub = new_t_ub;
-        if self.encoding == TimeEncoding::Binary {
-            // Comparator dependencies and xor disequalities range over the
-            // full bit width already; nothing to re-emit.
-            return true;
-        }
-        // Append rungs to the ladders that were already materialized (lazy
-        // ones will simply be built at the new length).
-        for g in 0..self.vars.len() {
-            if self.ladders[g].is_none() {
-                continue;
-            }
-            let mut lits = self.ladders[g].take().expect("checked above");
-            let mut prev = *lits.last().expect("ladders are nonempty");
-            for t in old_t_ub..new_t_ub {
-                let sel = self.vars[g].eq_lit(sink, t);
-                let le = Lit::positive(sink.new_var());
-                sink.add_clause(&[!prev, le]);
-                sink.add_clause(&[!sel, le]);
-                sink.add_clause(&[!le, prev, sel]);
-                lits.push(le);
-                prev = le;
-            }
-            self.ladders[g] = Some(lits);
-        }
-        // Re-emit the per-time-step dependency clauses for the new steps.
-        for i in 0..self.befores.len() {
-            let (earlier, later) = self.befores[i];
-            let ladder: Vec<Lit> = self.ladder(sink, earlier).to_vec();
-            for t in old_t_ub..new_t_ub {
-                let sel = self.vars[later].eq_lit(sink, t);
-                sink.add_clause(&[!sel, ladder[t - 1]]);
+        let guard = Lit::positive(sink.new_var());
+        let num_gates = self.ladders.len();
+        for g in 0..num_gates {
+            if from == 0 {
+                self.vars.push(match self.encoding {
+                    TimeEncoding::OneHot => FdVar::new_onehot_guarded(sink, to, self.amo, guard),
+                    TimeEncoding::Binary => FdVar::new_binary_guarded(sink, to, guard),
+                });
+            } else {
+                let grown = self.vars[g].extend_domain(sink, to, self.amo, guard);
+                debug_assert!(grown, "width checked above");
             }
         }
-        for i in 0..self.before_or_equals.len() {
-            let (earlier, later) = self.before_or_equals[i];
-            let ladder: Vec<Lit> = self.ladder(sink, earlier).to_vec();
-            for t in old_t_ub..new_t_ub {
-                let sel = self.vars[later].eq_lit(sink, t);
-                sink.add_clause(&[!sel, ladder[t]]);
+        self.t_ub = to;
+        // Comparator orderings and xor disequalities range over the full
+        // bit width already: only one-hot time has steps to fill in.
+        if self.encoding == TimeEncoding::OneHot {
+            for g in 0..num_gates {
+                if self.ladders[g].is_some() {
+                    self.rungs(sink, g, from..to);
+                }
+            }
+            for i in 0..self.orders.len() {
+                self.emit_order(sink, self.orders[i], from..to);
             }
         }
-        for i in 0..self.not_equals.len() {
-            let (a, b) = self.not_equals[i];
-            for t in old_t_ub..new_t_ub {
-                let sa = self.vars[a].eq_lit(sink, t);
-                let sb = self.vars[b].eq_lit(sink, t);
-                sink.add_clause(&[!sa, !sb]);
-            }
-        }
-        true
+        Some(guard)
     }
 
     /// The upper bound `T_UB` the variables range under.
     pub fn t_ub(&self) -> usize {
         self.t_ub
+    }
+
+    /// Asserts `act → t_g < bound` for every gate, over the window's
+    /// `steps`: one-hot time forbids each value of `steps` from `bound`
+    /// on, one clause per gate and value, so a window growth calls this
+    /// again over its new steps; binary time asserts one comparator per
+    /// gate when `steps` starts the window, which covers every later step.
+    pub fn bound_if<S: CnfSink>(
+        &mut self,
+        sink: &mut S,
+        bound: usize,
+        act: Lit,
+        steps: Range<usize>,
+    ) {
+        for var in &mut self.vars {
+            match self.encoding {
+                TimeEncoding::OneHot => {
+                    var.forbid_range_if(sink, bound.max(steps.start)..steps.end, act)
+                }
+                TimeEncoding::Binary if steps.start == 0 => var.assert_le_if(sink, bound - 1, act),
+                TimeEncoding::Binary => {}
+            }
+        }
     }
 
     /// Access to gate `g`'s variable.
@@ -476,32 +581,111 @@ impl TimeVars {
         self.vars[g].value_in(solver)
     }
 
-    fn ladder<S: CnfSink>(&mut self, sink: &mut S, g: usize) -> &[Lit] {
+    /// Appends the rungs of `steps` to gate `g`'s prefix ladder,
+    /// `le[t] ↔ t_g ≤ t`, a prefix OR of selectors.
+    fn rungs<S: CnfSink>(&mut self, sink: &mut S, g: usize, steps: Range<usize>) {
+        let mut lits = self.ladders[g].take().unwrap_or_default();
+        for t in steps {
+            let sel = self.vars[g].eq_lit(sink, t);
+            let le = Lit::positive(sink.new_var());
+            match lits.last() {
+                None => {
+                    // le0 ↔ sel0
+                    sink.add_clause(&[!le, sel]);
+                    sink.add_clause(&[le, !sel]);
+                }
+                Some(&prev) => {
+                    sink.add_clause(&[!prev, le]);
+                    sink.add_clause(&[!sel, le]);
+                    sink.add_clause(&[!le, prev, sel]);
+                }
+            }
+            lits.push(le);
+        }
+        self.ladders[g] = Some(lits);
+    }
+
+    /// Gate `g`'s prefix ladder over the whole window, built on first use.
+    fn ladder<S: CnfSink>(&mut self, sink: &mut S, g: usize) -> Vec<Lit> {
         if self.ladders[g].is_none() {
-            // le[t] ↔ t_g ≤ t, built as a prefix OR of selectors.
-            let mut lits = Vec::with_capacity(self.t_ub);
-            let mut prev: Option<Lit> = None;
-            for t in 0..self.t_ub {
-                let sel = self.vars[g].eq_lit(sink, t);
-                let le = Lit::positive(sink.new_var());
-                match prev {
-                    None => {
-                        // le0 ↔ sel0
-                        sink.add_clause(&[!le, sel]);
-                        sink.add_clause(&[le, !sel]);
-                    }
-                    Some(p) => {
-                        sink.add_clause(&[!p, le]);
-                        sink.add_clause(&[!sel, le]);
-                        sink.add_clause(&[!le, p, sel]);
+            self.rungs(sink, g, 0..self.t_ub);
+        }
+        self.ladders[g].clone().expect("just built")
+    }
+
+    /// Emits a one-hot ordering over `steps`.
+    fn emit_order<S: CnfSink>(
+        &mut self,
+        sink: &mut S,
+        (order, a, b): (Order, usize, usize),
+        steps: Range<usize>,
+    ) {
+        match order {
+            Order::Before => {
+                // sel(b, t) → le(a, t-1); sel(b, 0) impossible.
+                if steps.start == 0 {
+                    let first = self.vars[b].eq_lit(sink, 0);
+                    sink.add_clause(&[!first]);
+                }
+                let ladder = self.ladder(sink, a);
+                for t in steps.start.max(1)..steps.end {
+                    let sel = self.vars[b].eq_lit(sink, t);
+                    sink.add_clause(&[!sel, ladder[t - 1]]);
+                }
+            }
+            Order::BeforeOrEqual => {
+                let ladder = self.ladder(sink, a);
+                for t in steps {
+                    let sel = self.vars[b].eq_lit(sink, t);
+                    sink.add_clause(&[!sel, ladder[t]]);
+                }
+            }
+            Order::NotEqual => {
+                for t in steps {
+                    let sa = self.vars[a].eq_lit(sink, t);
+                    let sb = self.vars[b].eq_lit(sink, t);
+                    sink.add_clause(&[!sa, !sb]);
+                }
+            }
+        }
+    }
+
+    /// Asserts an ordering over every window: once over the current
+    /// window, and again over the new steps of each [`TimeVars::grow`]
+    /// (one-hot), or once as a comparator circuit (binary).
+    fn assert_order<S: CnfSink>(&mut self, sink: &mut S, order: Order, a: usize, b: usize) {
+        match self.encoding {
+            TimeEncoding::OneHot => {
+                self.orders.push((order, a, b));
+                self.emit_order(sink, (order, a, b), 0..self.t_ub);
+            }
+            TimeEncoding::Binary => {
+                let (va, vb) = (self.vars[a].clone(), self.vars[b].clone());
+                let (FdRepr::Binary(ba), FdRepr::Binary(bb)) = (&va.repr, &vb.repr) else {
+                    unreachable!("binary time variables are bit-vectors");
+                };
+                match order {
+                    Order::Before => ba.assert_lt(sink, bb),
+                    Order::BeforeOrEqual => ba.assert_le(sink, bb),
+                    Order::NotEqual => {
+                        // One Tseitin xor per bit: some bit differs.
+                        let diffs: Vec<Lit> = ba
+                            .bits()
+                            .iter()
+                            .zip(bb.bits())
+                            .map(|(&x, &y)| gates::xor_lit(sink, x, y))
+                            .collect();
+                        sink.add_clause(&diffs);
                     }
                 }
-                lits.push(le);
-                prev = Some(le);
             }
-            self.ladders[g] = Some(lits);
         }
-        self.ladders[g].as_ref().expect("just built")
+    }
+
+    /// Asserts the gate-dependency constraint `t_earlier < t_later`
+    /// (§II-A constraint 2).
+    pub fn assert_before<S: CnfSink>(&mut self, sink: &mut S, earlier: usize, later: usize) {
+        self.assert_order(sink, Order::Before, earlier, later);
     }
 
     /// Asserts the relaxed dependency `t_earlier ≤ t_later`, used by the
@@ -512,75 +696,14 @@ impl TimeVars {
         earlier: usize,
         later: usize,
     ) {
-        match self.encoding {
-            TimeEncoding::Binary => {
-                let (a, b) = (self.vars[earlier].clone(), self.vars[later].clone());
-                if let (FdRepr::Binary(ba), FdRepr::Binary(bb)) = (&a.repr, &b.repr) {
-                    ba.assert_le(sink, bb);
-                }
-            }
-            TimeEncoding::OneHot => {
-                self.before_or_equals.push((earlier, later));
-                let ladder: Vec<Lit> = self.ladder(sink, earlier).to_vec();
-                for t in 0..self.t_ub {
-                    let sel = self.vars[later].eq_lit(sink, t);
-                    sink.add_clause(&[!sel, ladder[t]]);
-                }
-            }
-        }
+        self.assert_order(sink, Order::BeforeOrEqual, earlier, later);
     }
 
     /// Asserts `t_a ≠ t_b`: two gates that share a program qubit can never
     /// execute in the same time step, even when commutation leaves their
     /// *order* free (used by the commutation-aware flat model).
     pub fn assert_not_equal<S: CnfSink>(&mut self, sink: &mut S, a: usize, b: usize) {
-        match self.encoding {
-            TimeEncoding::OneHot => {
-                self.not_equals.push((a, b));
-                for t in 0..self.t_ub {
-                    let sa = self.vars[a].eq_lit(sink, t);
-                    let sb = self.vars[b].eq_lit(sink, t);
-                    sink.add_clause(&[!sa, !sb]);
-                }
-            }
-            TimeEncoding::Binary => {
-                let (va, vb) = (self.vars[a].clone(), self.vars[b].clone());
-                let diffs: Vec<Lit> = va
-                    .raw_lits()
-                    .iter()
-                    .zip(vb.raw_lits())
-                    .map(|(&x, y)| {
-                        // y ↔ x ⊕ y via Tseitin, one per bit.
-                        olsq2_encode::gates::xor_lit(sink, x, y)
-                    })
-                    .collect();
-                sink.add_clause(&diffs);
-            }
-        }
-    }
-
-    /// Asserts the gate-dependency constraint `t_earlier < t_later`
-    /// (§II-A constraint 2).
-    pub fn assert_before<S: CnfSink>(&mut self, sink: &mut S, earlier: usize, later: usize) {
-        match self.encoding {
-            TimeEncoding::Binary => {
-                let (a, b) = (self.vars[earlier].clone(), self.vars[later].clone());
-                if let (FdRepr::Binary(ba), FdRepr::Binary(bb)) = (&a.repr, &b.repr) {
-                    ba.assert_lt(sink, bb);
-                }
-            }
-            TimeEncoding::OneHot => {
-                self.befores.push((earlier, later));
-                // sel(later, t) → le(earlier, t-1); sel(later, 0) impossible.
-                let first = self.vars[later].eq_lit(sink, 0);
-                sink.add_clause(&[!first]);
-                let ladder: Vec<Lit> = self.ladder(sink, earlier).to_vec();
-                for t in 1..self.t_ub {
-                    let sel = self.vars[later].eq_lit(sink, t);
-                    sink.add_clause(&[!sel, ladder[t - 1]]);
-                }
-            }
-        }
+        self.assert_order(sink, Order::NotEqual, a, b);
     }
 }
 
@@ -654,7 +777,7 @@ mod tests {
     fn le_bound_with_guard() {
         for (mut s, mut v) in both_reprs(8) {
             let g = Lit::positive(s.new_var());
-            v.assert_le_if(&mut s, 3, Some(g));
+            v.assert_le_if(&mut s, 3, g);
             let e6 = v.eq_lit(&mut s, 6);
             assert_eq!(s.solve(&[g, e6]), SolveResult::Unsat);
             assert_eq!(s.solve(&[e6]), SolveResult::Sat);
@@ -667,14 +790,15 @@ mod tests {
     fn dependencies_order_gates_exhaustively() {
         for encoding in [TimeEncoding::OneHot, TimeEncoding::Binary] {
             let mut s = Solver::new();
-            let mut tv = TimeVars::new(&mut s, 3, 4, encoding, AmoEncoding::Pairwise, None);
+            let mut tv = TimeVars::new(3, encoding, AmoEncoding::Pairwise);
+            let g = tv.grow(&mut s, 4).expect("an empty window grows");
             tv.assert_before(&mut s, 0, 1);
             tv.assert_before(&mut s, 1, 2);
             // Check every assignment triple.
             for a in 0..4 {
                 for b in 0..4 {
                     for c in 0..4 {
-                        let mut assumptions = Vec::new();
+                        let mut assumptions = vec![g];
                         for (g, val) in [(0usize, a), (1, b), (2, c)] {
                             assumptions.push(tv.var_mut(g).eq_lit(&mut s, val));
                         }
@@ -698,9 +822,9 @@ mod tests {
             let mut s = Solver::new();
             let g0 = Lit::positive(s.new_var());
             let mut v = if onehot {
-                FdVar::new_onehot_guarded(&mut s, 5, AmoEncoding::Pairwise, Some(g0))
+                FdVar::new_onehot_guarded(&mut s, 5, AmoEncoding::Pairwise, g0)
             } else {
-                FdVar::new_binary_guarded(&mut s, 5, Some(g0))
+                FdVar::new_binary_guarded(&mut s, 5, g0)
             };
             let e2 = v.eq_lit(&mut s, 2);
             assert_eq!(s.solve(&[g0, e2]), SolveResult::Sat);
@@ -723,7 +847,7 @@ mod tests {
     fn binary_extension_fails_when_width_grows() {
         let mut s = Solver::new();
         let g0 = Lit::positive(s.new_var());
-        let mut v = FdVar::new_binary_guarded(&mut s, 4, Some(g0)); // 2 bits
+        let mut v = FdVar::new_binary_guarded(&mut s, 4, g0); // 2 bits
         let g1 = Lit::positive(s.new_var());
         assert!(!v.extend_domain(&mut s, 6, AmoEncoding::Pairwise, g1)); // needs 3
         assert_eq!(v.domain(), 4);
@@ -733,15 +857,15 @@ mod tests {
     fn forbid_range_patches_stale_bound() {
         let mut s = Solver::new();
         let g0 = Lit::positive(s.new_var());
-        let mut v = FdVar::new_onehot_guarded(&mut s, 4, AmoEncoding::Pairwise, Some(g0));
+        let mut v = FdVar::new_onehot_guarded(&mut s, 4, AmoEncoding::Pairwise, g0);
         // A "≤ 2" activation issued before the extension…
         let act = Lit::positive(s.new_var());
-        v.assert_le_if(&mut s, 2, Some(act));
+        v.assert_le_if(&mut s, 2, act);
         let g1 = Lit::positive(s.new_var());
         assert!(v.extend_domain(&mut s, 6, AmoEncoding::Pairwise, g1));
         s.add_clause([!g0]);
         // …knows nothing about the new values until patched.
-        v.forbid_range_if(&mut s, 4..6, Some(act));
+        v.forbid_range_if(&mut s, 4..6, act);
         let e5 = v.eq_lit(&mut s, 5);
         assert_eq!(s.solve(&[g1, act, e5]), SolveResult::Unsat);
         assert_eq!(s.solve(&[g1, e5]), SolveResult::Sat);
@@ -754,13 +878,12 @@ mod tests {
         for encoding in [TimeEncoding::OneHot, TimeEncoding::Binary] {
             // 5 → 7 keeps binary width, so both encodings extend.
             let mut s = Solver::new();
-            let g0 = Lit::positive(s.new_var());
-            let mut tv = TimeVars::new(&mut s, 3, 5, encoding, AmoEncoding::Pairwise, Some(g0));
+            let mut tv = TimeVars::new(3, encoding, AmoEncoding::Pairwise);
+            let g0 = tv.grow(&mut s, 5).expect("an empty window grows");
             tv.assert_before(&mut s, 0, 1);
             tv.assert_before_or_equal(&mut s, 1, 2);
             tv.assert_not_equal(&mut s, 0, 2);
-            let g1 = Lit::positive(s.new_var());
-            assert!(tv.extend(&mut s, 7, g1));
+            let g1 = tv.grow(&mut s, 7).expect("same binary width");
             assert_eq!(tv.t_ub(), 7);
             s.add_clause([!g0]);
             for a in 0..7 {
@@ -783,32 +906,13 @@ mod tests {
     }
 
     #[test]
-    fn unguarded_time_vars_refuse_extension() {
+    fn binary_time_growth_refuses_a_wider_vector() {
         let mut s = Solver::new();
-        let mut tv = TimeVars::new(
-            &mut s,
-            2,
-            4,
-            TimeEncoding::OneHot,
-            AmoEncoding::Pairwise,
-            None,
-        );
-        let g = Lit::positive(s.new_var());
-        assert!(!tv.extend(&mut s, 6, g));
+        let mut tv = TimeVars::new(2, TimeEncoding::Binary, AmoEncoding::Pairwise);
+        assert!(tv.grow(&mut s, 3).is_some()); // 2 bits
+        assert!(tv.grow(&mut s, 4).is_some()); // still 2 bits
         assert_eq!(tv.t_ub(), 4);
-    }
-
-    #[test]
-    fn t_ub_accessor() {
-        let mut s = Solver::new();
-        let tv = TimeVars::new(
-            &mut s,
-            2,
-            7,
-            TimeEncoding::Binary,
-            AmoEncoding::Pairwise,
-            None,
-        );
-        assert_eq!(tv.t_ub(), 7);
+        assert!(tv.grow(&mut s, 6).is_none()); // needs 3
+        assert_eq!(tv.t_ub(), 4);
     }
 }

@@ -15,10 +15,11 @@
 // Indexed `for` loops are deliberate here: slice/edge index loops mirror the encoding.
 #![allow(clippy::needless_range_loop)]
 use crate::SabreError;
-use olsq2::vars::{transition_step, FdVar};
+use olsq2::vars::{adjacency_lit, assert_injective, transition_step, FdVar};
+use olsq2::EncodingConfig;
 use olsq2_arch::CouplingGraph;
 use olsq2_circuit::{Circuit, Operands};
-use olsq2_encode::{gates, CardEncoding, CardinalityNetwork, CnfSink};
+use olsq2_encode::{CardEncoding, CardinalityNetwork, CnfSink};
 use olsq2_layout::{LayoutResult, SwapOp};
 use olsq2_sat::{Lit, SolveResult, Solver};
 use std::time::{Duration, Instant};
@@ -95,43 +96,6 @@ fn distinct_pairs(circuit: &Circuit, gates_in: &[usize]) -> Vec<(u16, u16)> {
     pairs
 }
 
-/// Adds pairwise-difference injectivity over one mapping epoch.
-fn assert_injective(solver: &mut Solver, row: &mut [FdVar]) {
-    for q1 in 0..row.len() {
-        for q2 in (q1 + 1)..row.len() {
-            let diffs: Vec<Lit> = row[q1]
-                .raw_lits()
-                .iter()
-                .zip(row[q2].raw_lits())
-                .map(|(&x, y)| gates::xor_lit(solver, x, y))
-                .collect();
-            let d = gates::or_all(solver, &diffs);
-            solver.add_clause([d]);
-        }
-    }
-}
-
-/// Adds the adjacency disjunction for one interaction pair on one epoch.
-fn assert_pair_adjacent(
-    solver: &mut Solver,
-    row: &mut [FdVar],
-    graph: &CouplingGraph,
-    qa: u16,
-    qb: u16,
-) {
-    let mut options = Vec::with_capacity(2 * graph.num_edges());
-    for e in 0..graph.num_edges() {
-        let (pa, pb) = graph.edge(e);
-        for (x, y) in [(pa, pb), (pb, pa)] {
-            let la = row[qa as usize].eq_lit(solver, x as usize);
-            let lb = row[qb as usize].eq_lit(solver, y as usize);
-            options.push(gates::and_lit(solver, la, lb));
-        }
-    }
-    let any = gates::or_all(solver, &options);
-    solver.add_clause([any]);
-}
-
 /// Checks whether an interaction graph embeds into the device.
 fn embeds(
     nq: usize,
@@ -141,12 +105,15 @@ fn embeds(
 ) -> Result<bool, SatMapError> {
     let mut solver = Solver::new();
     solver.set_deadline(deadline);
-    let mut mapping: Vec<FdVar> = (0..nq)
-        .map(|_| FdVar::new_binary(&mut solver, graph.num_qubits()))
+    let np = graph.num_qubits();
+    let mut mapping: Vec<Vec<FdVar>> = (0..nq)
+        .map(|_| vec![FdVar::new_binary(&mut solver, np)])
         .collect();
-    assert_injective(&mut solver, &mut mapping);
+    // Bit-vector mappings with pairwise-difference injectivity.
+    assert_injective(&mut solver, &mut mapping, 0, np, EncodingConfig::bv());
     for &(qa, qb) in pairs {
-        assert_pair_adjacent(&mut solver, &mut mapping, graph, qa, qb);
+        let adjacent = adjacency_lit(&mut solver, graph, &mut mapping, qa, qb, 0);
+        solver.add_clause([adjacent]);
     }
     match solver.solve(&[]) {
         SolveResult::Sat => Ok(true),
@@ -184,15 +151,15 @@ fn solve_joint(
 
     let mut solver = Solver::new();
     solver.set_deadline(deadline);
-    let mut mapping: Vec<Vec<FdVar>> = (0..epochs)
-        .map(|_| {
-            (0..nq)
-                .map(|_| FdVar::new_binary(&mut solver, np))
-                .collect()
-        })
-        .collect();
-    for row in &mut mapping {
-        assert_injective(&mut solver, row);
+    // `mapping[q][epoch]`, allocated epoch by epoch.
+    let mut mapping: Vec<Vec<FdVar>> = vec![Vec::with_capacity(epochs); nq];
+    for _ in 0..epochs {
+        for row in &mut mapping {
+            row.push(FdVar::new_binary(&mut solver, np));
+        }
+    }
+    for ep in 0..epochs {
+        assert_injective(&mut solver, &mut mapping, ep, np, EncodingConfig::bv());
     }
     // Swap layers between consecutive epochs.
     let swap_lits: Vec<Vec<Lit>> = (0..epochs.saturating_sub(1))
@@ -215,15 +182,15 @@ fn solve_joint(
     }
     // Transformation between epochs.
     for ep in 0..epochs.saturating_sub(1) {
-        let qubits = mapping[ep].iter().zip(&mapping[ep + 1]);
+        let qubits = mapping.iter().map(|row| (&row[ep], &row[ep + 1]));
         transition_step(&mut solver, graph, qubits, |e| swap_lits[ep][e]);
     }
     // Adjacency for each slice at its epoch.
     for (i, slice) in slices.iter().enumerate() {
         let ep = slice_epoch(i);
         for (qa, qb) in distinct_pairs(circuit, slice) {
-            let row = &mut mapping[ep];
-            assert_pair_adjacent(&mut solver, row, graph, qa, qb);
+            let adjacent = adjacency_lit(&mut solver, graph, &mut mapping, qa, qb, ep);
+            solver.add_clause([adjacent]);
         }
     }
 
@@ -242,9 +209,13 @@ fn solve_joint(
             .count()
     };
     let decode = |solver: &Solver, mapping: &[Vec<FdVar>]| -> JointSolution {
-        let maps: Vec<Vec<u16>> = mapping
-            .iter()
-            .map(|row| row.iter().map(|v| v.value_in(solver) as u16).collect())
+        let maps: Vec<Vec<u16>> = (0..epochs)
+            .map(|ep| {
+                mapping
+                    .iter()
+                    .map(|row| row[ep].value_in(solver) as u16)
+                    .collect()
+            })
             .collect();
         let layers: Vec<Vec<Vec<usize>>> = (0..s.saturating_sub(1))
             .map(|t| {

@@ -92,7 +92,7 @@ fn push_config(words: &mut Vec<u64>, config: &SynthesisConfig, objective: Object
         None => u64::MAX,
         Some(k) => k as u64,
     });
-    words.push((config.seed_variable_order as u64) | ((config.commutation_aware as u64) << 1));
+    words.push(config.commutation_aware as u64);
     words.push(match objective {
         Objective::Depth => 0,
         Objective::Swaps => 1,

@@ -232,9 +232,6 @@ pub fn parse_request(line: &str) -> Result<SynthesisRequest, String> {
     if let Some(c) = value.get("commutation_aware") {
         config.commutation_aware = c.as_bool().ok_or("commutation_aware must be a bool")?;
     }
-    if let Some(inc) = value.get("incremental") {
-        config.incremental = inc.as_bool().ok_or("incremental must be a bool")?;
-    }
     let deadline = match value.get("deadline_ms") {
         None => None,
         Some(d) => Some(Duration::from_millis(
@@ -459,4 +456,26 @@ pub fn run_batch_on(
         .collect();
     let metrics = service.metrics();
     (statuses, metrics)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn retired_incremental_key_is_ignored() {
+        // Window growth has one path, so the key that once forced
+        // rebuilds is ignored like any unknown key, whatever its value.
+        let manifest = r#"{"name":"i","device":"line4","objective":"depth","swap_duration":1,"incremental":false,"circuit":{"num_qubits":3,"gates":[["cx",0,1],["cx",1,2],["cx",0,2]]}}"#;
+        let requests = parse_manifest(manifest).expect("parses");
+        let config = ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        };
+        let (statuses, _) = run_batch(requests, config);
+        let JobStatus::Done(out) = &statuses[0].2 else {
+            panic!("job did not finish: {:?}", statuses[0].2);
+        };
+        assert!(out.proven_optimal);
+    }
 }

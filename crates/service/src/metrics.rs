@@ -87,8 +87,9 @@ pub struct ServiceMetrics {
     pub p99_latency: Duration,
     /// Aggregated solver statistics.
     pub solver: SolverTotals,
-    /// In-place window extensions performed across all jobs (zero when
-    /// the incremental encoding path is disabled).
+    /// In-place window extensions performed across all jobs: each counts
+    /// a depth or block window that outgrew its job's model and was
+    /// extended instead of rebuilt.
     pub window_extensions: u64,
     /// Worker threads in the pool; zero when the snapshot came from a
     /// context that does not know the pool size.

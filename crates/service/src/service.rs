@@ -81,10 +81,6 @@ pub struct ServiceConfig {
     /// [`olsq2::SynthesisConfig`] so synthesizer iteration spans nest under
     /// the job span. The default disabled recorder records nothing.
     pub recorder: olsq2::Recorder,
-    /// Whether jobs may extend encoding windows in place
-    /// ([`olsq2::SynthesisConfig::incremental`]). `false` forces every job
-    /// onto the rebuild-from-scratch path regardless of its own config.
-    pub incremental: bool,
     /// When set, every job gets its own search flight recorder
     /// ([`olsq2::Probe`]): live rings are served over
     /// [`IntrospectionHandle::flight_jsonl`] (and the HTTP
@@ -137,7 +133,6 @@ impl Default for ServiceConfig {
             queue_capacity: 256,
             cache_capacity: 512,
             recorder: olsq2::Recorder::disabled(),
-            incremental: true,
             flight: None,
             snapshot_on_preempt: false,
         }
@@ -225,7 +220,6 @@ struct ServiceState {
     /// in-flight solves.
     running_flags: Mutex<HashMap<u64, Arc<AtomicBool>>>,
     recorder: olsq2::Recorder,
-    incremental: bool,
     flight: Option<FlightSettings>,
     /// Per-job flight rings, keyed by job id; populated only when
     /// [`ServiceConfig::flight`] is set. Rings stay readable after their
@@ -412,7 +406,6 @@ impl ServiceState {
             shutdown: AtomicBool::new(false),
             running_flags: Mutex::new(HashMap::new()),
             recorder: config.recorder,
-            incremental: config.incremental,
             flight: config.flight,
             flights: Mutex::new(HashMap::new()),
             snapshot_on_preempt: config.snapshot_on_preempt,
@@ -756,7 +749,6 @@ fn run_job(
 
     // Arm the per-job budget and reporting hooks.
     let mut config = request.config.clone();
-    config.incremental = config.incremental && state.incremental;
     config.stop_flag = Some(job.shared.cancel.clone());
     if !config.recorder.is_enabled() {
         config.recorder = state.recorder.clone();

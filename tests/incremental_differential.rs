@@ -1,12 +1,15 @@
-//! Differential tests for the zero-rebuild incremental encoding: a model
-//! extended in place across window growth must be indistinguishable — at
-//! every bound, not just the optimum — from a model freshly built at the
-//! same window, for both the flat OLSQ2 formulation and TB-OLSQ2. Every
-//! layout must pass the five-constraint verifier.
+//! Differential tests for in-place window growth: a flat model extended
+//! across window growth must be indistinguishable — at every bound, not
+//! just the optimum — from a model freshly built at the same window, and
+//! a synthesis run that outgrows its window must land on the optimum of a
+//! run whose first window already holds it. Every layout must pass the
+//! five-constraint verifier. (The TB model's counterpart is a unit test
+//! in `crates/core/src/transition.rs`.)
 
-use olsq2::{FlatModel, Olsq2Synthesizer, SynthesisConfig, TbOlsq2Synthesizer};
+use olsq2::{FlatModel, Olsq2Synthesizer, SynthesisConfig};
 use olsq2_arch::{grid, line, CouplingGraph};
-use olsq2_circuit::{Circuit, Gate, GateKind};
+use olsq2_circuit::generators::{qaoa_circuit, queko_circuit};
+use olsq2_circuit::{Circuit, DependencyGraph, Gate, GateKind};
 use olsq2_layout::verify;
 use olsq2_prng::Rng;
 use olsq2_sat::SolveResult;
@@ -31,116 +34,119 @@ fn devices() -> Vec<CouplingGraph> {
     vec![line(4), grid(2, 2), grid(2, 3)]
 }
 
-/// Model-level differential: grow one model 3→5→7→9 in place and after
-/// every growth step compare it against a fresh build at the same window —
-/// the SAT/UNSAT verdict must agree at *every* depth bound in the window,
-/// and both extracted layouts must verify. Three growth steps per round
-/// exercise guard chaining (generation N's guard falsified by N+1).
+/// Room for every SWAP count the differential probes.
+const SWAP_CAPACITY: usize = 16;
+
+/// Builds one model at `windows[0]`, grows it in place through the rest
+/// of `windows`, and after every growth compares it against a fresh build
+/// at the same window: the SAT/UNSAT verdict must agree at *every* depth
+/// bound in the window, and with `swap_bounds`, under each satisfiable
+/// one at every SWAP bound below the larger of the two witnessed counts
+/// (so a grown model weaker or stronger than the fresh one shows up);
+/// every witness must verify and respect its bounds. Bounds and the SWAP
+/// network asked for before a growth are carried across it, and chained
+/// growths exercise the guard chain (generation N's guard falsified by
+/// N+1).
+fn assert_growth_matches_fresh_builds(
+    label: &str,
+    circuit: &Circuit,
+    device: &CouplingGraph,
+    swap_duration: usize,
+    windows: &[usize],
+    swap_bounds: bool,
+) {
+    let config = SynthesisConfig::with_swap_duration(swap_duration);
+    let probe = |model: &mut FlatModel, depth: usize, swaps: Option<usize>| {
+        let mut acts = vec![model.depth_bound(depth)];
+        acts.extend(swaps.map(|s| model.swap_bound(s, SWAP_CAPACITY)));
+        model.solve(&acts)
+    };
+    let mut extended = FlatModel::build(circuit, device, &config, windows[0]).expect("builds");
+    for (step, &window) in windows[1..].iter().enumerate() {
+        assert!(
+            extended.extend_window(circuit, device, window),
+            "{label} step {step}: extension refused"
+        );
+        let mut fresh = FlatModel::build(circuit, device, &config, window).expect("fresh build");
+        for k in 1..=window {
+            let mut witnessed = 0;
+            for swaps in std::iter::once(None).chain((0..SWAP_CAPACITY).map(Some)) {
+                if swaps.is_some_and(|s| !swap_bounds || s >= witnessed) {
+                    break;
+                }
+                let at = format!("{label} step {step}, bound ({k}, {swaps:?})");
+                let verdict = probe(&mut extended, k, swaps);
+                assert_eq!(
+                    verdict,
+                    probe(&mut fresh, k, swaps),
+                    "{at}: verdicts diverged"
+                );
+                if verdict != SolveResult::Sat {
+                    continue;
+                }
+                for (side, result) in [("extended", extended.extract()), ("fresh", fresh.extract())]
+                {
+                    assert!(result.depth <= k, "{at} ({side}): depth {}", result.depth);
+                    assert!(
+                        swaps.is_none_or(|s| result.swap_count() <= s),
+                        "{at} ({side}): {} SWAPs",
+                        result.swap_count()
+                    );
+                    assert_eq!(verify(circuit, device, &result), Ok(()), "{at} ({side})");
+                    witnessed = witnessed.max(result.swap_count());
+                }
+            }
+        }
+    }
+    assert_eq!(extended.extensions(), windows.len() - 1, "{label}");
+}
+
+/// Model-level differential: random circuits grown 3→5→7→9, plus two
+/// structured rows grown from their DAG bound `T_LB` (at least 2) in two
+/// steps of `max(T_LB / 2, 2)`: a QUEKO instance (S_D 3) and a QAOA
+/// instance (S_D 1), both on a 2×3 grid. The QAOA row checks depth
+/// bounds only: refuting its SWAP bounds takes about a minute unoptimized.
 #[test]
 fn extended_flat_model_matches_fresh_build_at_every_depth() {
     let mut rng = Rng::seed_from_u64(0x1AC4_0001);
     for round in 0..6 {
         let circuit = random_circuit(&mut rng, 4, 7);
         let device = &devices()[rng.gen_range(0usize..3)];
-        let inc_cfg = SynthesisConfig::with_swap_duration(1);
-        let mut fresh_cfg = inc_cfg.clone();
-        fresh_cfg.incremental = false;
-
-        let mut extended =
-            FlatModel::build(&circuit, device, &inc_cfg, 3).expect("incremental build");
-        for (step, new_t_ub) in [5usize, 7, 9].into_iter().enumerate() {
-            assert!(
-                extended.extend_window(&circuit, device, new_t_ub),
-                "round {round} step {step}: extension refused"
-            );
-            let mut fresh =
-                FlatModel::build(&circuit, device, &fresh_cfg, new_t_ub).expect("fresh build");
-            for k in 1..=new_t_ub {
-                let ext_act = extended.depth_bound(k);
-                let fresh_act = fresh.depth_bound(k);
-                let ext_res = extended.solve(&[ext_act]);
-                let fresh_res = fresh.solve(&[fresh_act]);
-                assert_eq!(
-                    ext_res, fresh_res,
-                    "round {round} step {step}: verdict diverged at depth bound {k}"
-                );
-                if ext_res == SolveResult::Sat {
-                    for (label, result) in
-                        [("extended", extended.extract()), ("fresh", fresh.extract())]
-                    {
-                        assert!(
-                            result.depth <= k,
-                            "round {round} step {step} ({label}): depth {} > bound {k}",
-                            result.depth
-                        );
-                        assert_eq!(
-                            verify(&circuit, device, &result),
-                            Ok(()),
-                            "round {round} step {step} ({label}) at bound {k}"
-                        );
-                    }
-                }
-            }
-        }
-        assert_eq!(extended.extensions(), 3, "round {round}");
+        assert_growth_matches_fresh_builds(
+            &format!("round {round}"),
+            &circuit,
+            device,
+            1,
+            &[3, 5, 7, 9],
+            true,
+        );
     }
-}
 
-/// TB-OLSQ2 differential: block and SWAP optimization with the incremental
-/// block-window extension on must report the same block counts and SWAP
-/// counts as the rebuild-on-growth path.
-#[test]
-fn tb_incremental_and_rebuild_agree() {
-    let mut rng = Rng::seed_from_u64(0x1AC4_0002);
-    for round in 0..5 {
-        let circuit = random_circuit(&mut rng, 4, 6);
-        let device = &devices()[rng.gen_range(0usize..3)];
-        let on = SynthesisConfig::with_swap_duration(1);
-        let mut off = on.clone();
-        off.incremental = false;
-
-        let blocks_on = TbOlsq2Synthesizer::new(on.clone())
-            .optimize_blocks(&circuit, device)
-            .expect("incremental block optimization");
-        let blocks_off = TbOlsq2Synthesizer::new(off.clone())
-            .optimize_blocks(&circuit, device)
-            .expect("rebuild block optimization");
-        assert_eq!(
-            blocks_on.block_count, blocks_off.block_count,
-            "round {round}: block optimum diverged"
+    let device = grid(2, 3);
+    let queko = queko_circuit(device.num_qubits(), device.edges(), 3, 8, 42).circuit;
+    for (label, circuit, swap_duration, swap_bounds) in [
+        ("queko-3x8/grid2x3", queko, 3, true),
+        ("qaoa-6/grid2x3", qaoa_circuit(6, 42), 1, false),
+    ] {
+        let t0 = DependencyGraph::new(&circuit).longest_chain().max(2);
+        let step = (t0 / 2).max(2);
+        let windows = [t0, t0 + step, t0 + 2 * step];
+        assert_growth_matches_fresh_builds(
+            label,
+            &circuit,
+            &device,
+            swap_duration,
+            &windows,
+            swap_bounds,
         );
-        assert_eq!(blocks_off.outcome.extensions, 0, "round {round}");
-
-        let swaps_on = TbOlsq2Synthesizer::new(on)
-            .optimize_swaps(&circuit, device)
-            .expect("incremental swap optimization");
-        let swaps_off = TbOlsq2Synthesizer::new(off)
-            .optimize_swaps(&circuit, device)
-            .expect("rebuild swap optimization");
-        assert_eq!(
-            swaps_on.outcome.result.swap_count(),
-            swaps_off.outcome.result.swap_count(),
-            "round {round}: swap optimum diverged"
-        );
-        for (label, tb) in [
-            ("blocks on", &blocks_on),
-            ("blocks off", &blocks_off),
-            ("swaps on", &swaps_on),
-            ("swaps off", &swaps_off),
-        ] {
-            assert_eq!(
-                verify(&circuit, device, &tb.outcome.result),
-                Ok(()),
-                "round {round} ({label})"
-            );
-        }
     }
 }
 
 /// Synthesizer-level differential with growth forced: a tight initial
 /// window (`tub_factor = 1.0`, SWAP duration 3) makes phase-1 relaxation
-/// outgrow the window, so the incremental runs must actually extend —
-/// and still land on exactly the rebuild path's optima.
+/// outgrow the window, so these runs must actually extend — and still
+/// land on the optimum of a reference run whose first window (twice the
+/// optimum) holds every bound the walk probes, so it never grows.
 #[test]
 fn forced_window_growth_extends_and_agrees() {
     let mut rng = Rng::seed_from_u64(0x1AC4_0003);
@@ -148,31 +154,39 @@ fn forced_window_growth_extends_and_agrees() {
     for round in 0..6 {
         let circuit = random_circuit(&mut rng, 4, 8);
         let device = line(4);
-        let mut on = SynthesisConfig::with_swap_duration(3);
-        on.tub_factor = 1.0;
-        let mut off = on.clone();
-        off.incremental = false;
+        let mut tight = SynthesisConfig::with_swap_duration(3);
+        tight.tub_factor = 1.0;
+        let grown = Olsq2Synthesizer::new(tight)
+            .optimize_depth(&circuit, &device)
+            .expect("depth optimization with a tight window");
 
-        let a = Olsq2Synthesizer::new(on)
+        let t_lb = DependencyGraph::new(&circuit).longest_chain().max(1);
+        let mut roomy = SynthesisConfig::with_swap_duration(3);
+        roomy.tub_factor = 2.0 * grown.result.depth as f64 / t_lb as f64;
+        let reference = Olsq2Synthesizer::new(roomy)
             .optimize_depth(&circuit, &device)
-            .expect("incremental depth optimization");
-        let b = Olsq2Synthesizer::new(off)
-            .optimize_depth(&circuit, &device)
-            .expect("rebuild depth optimization");
-        assert!(a.proven_optimal && b.proven_optimal, "round {round}");
+            .expect("depth optimization with a roomy window");
+
+        assert!(
+            grown.proven_optimal && reference.proven_optimal,
+            "round {round}"
+        );
         assert_eq!(
-            a.result.depth, b.result.depth,
+            grown.result.depth, reference.result.depth,
             "round {round}: depth optimum diverged"
         );
-        assert_eq!(b.extensions, 0, "round {round}: rebuild path extended");
-        for (label, out) in [("incremental", &a), ("rebuild", &b)] {
+        assert_eq!(
+            reference.extensions, 0,
+            "round {round}: the reference run outgrew its first window"
+        );
+        for (label, out) in [("grown", &grown), ("reference", &reference)] {
             assert_eq!(
                 verify(&circuit, &device, &out.result),
                 Ok(()),
                 "round {round} ({label})"
             );
         }
-        total_extensions += a.extensions;
+        total_extensions += grown.extensions;
     }
     assert!(
         total_extensions >= 1,

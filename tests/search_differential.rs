@@ -287,30 +287,32 @@ fn synthesis_refutation_under_chrono_is_rup_checkable() {
     // End-to-end: a QUEKO instance bounded one step below its constructed
     // optimum is UNSAT; with proof logging on and fully chronological
     // backtracking, the layout-synthesis refutation must replay through
-    // the RUP checker. The bound enters as a unit *clause* (not an
-    // assumption) so the log closes with the empty clause.
+    // the RUP checker. Every solve assumes the model's window guard, so
+    // the proof is closed as the synthesizer seals its refutations: with
+    // core lemmas on, the failed-assumption core follows as units, then
+    // the empty clause.
     use olsq2::FlatModel;
+    use olsq2_sat::ProofStep;
     let device = grid(3, 3);
     let q = queko_circuit(device.num_qubits(), device.edges(), 4, 16, 21);
     let config = SynthesisConfig {
         swap_duration: 1,
         proof_log: true,
-        // A non-incremental build has no window guard, so the refutation
-        // needs no assumptions and the log can close with ⊥.
-        incremental: false,
         ..SynthesisConfig::default()
     };
     let mut model =
         FlatModel::build(&q.circuit, &device, &config, q.optimal_depth + 2).expect("builds");
     model.solver_mut().set_tuning(chrono_tuning());
+    model.solver_mut().set_core_lemmas(true);
     let too_tight = model.depth_bound(q.optimal_depth - 1);
-    model.solver_mut().add_clause([too_tight]);
-    assert_eq!(model.solve(&[]), SolveResult::Unsat);
-    let proof = model
-        .solver_mut()
-        .take_proof()
-        .expect("proof logging was enabled");
-    assert!(proof.claims_unsat());
+    assert_eq!(model.solve(&[too_tight]), SolveResult::Unsat);
+    let solver = model.solver_mut();
+    let core = solver.final_conflict().to_vec();
+    let mut proof = solver.take_proof().expect("proof logging was enabled");
+    for a in core {
+        proof.push(ProofStep::Original(vec![a]));
+    }
+    proof.push(ProofStep::Empty);
     assert_eq!(proof.check(), Ok(()), "synthesis refutation rejected");
 }
 
