@@ -317,9 +317,11 @@ fn synthesis_refutation_under_chrono_is_rup_checkable() {
 }
 
 /// Pins the search itself, not just its answers: the solver counts and
-/// formula size of five fixed runs, two of which grow their window. A change that only speeds up clause
-/// intake, encoding or minimization must leave every figure here as it
-/// is; a change that alters the search order on purpose updates them.
+/// formula size of seven fixed runs, four of which grow their window (two
+/// in the time walk, two in the SWAP walk). A change that only speeds up
+/// clause intake, encoding or minimization must leave every figure here
+/// as it is; a change that alters the search order on purpose updates
+/// them.
 #[test]
 fn search_counts_are_pinned() {
     use olsq2::TbOlsq2Synthesizer;
@@ -365,10 +367,10 @@ fn search_counts_are_pinned() {
         "TB qaoa-6/grid2x3"
     );
 
-    // Two runs that outgrow their first window, so the formulas a window
-    // extension appends are pinned too: a tight flat window
-    // (`tub_factor = 1.0`) and TB's SWAP phase relaxing past its block
-    // window.
+    // Two runs that outgrow their first window in the time walk, so the
+    // formulas a window extension appends are pinned too: a tight flat
+    // window (`tub_factor = 1.0`, 24→36 steps) and TB's block walk
+    // doubling its window (4→8 blocks).
     let mut tight = SynthesisConfig::with_swap_duration(3);
     tight.tub_factor = 1.0;
     let out = Olsq2Synthesizer::new(tight)
@@ -391,5 +393,46 @@ fn search_counts_are_pinned() {
         (counts(&out), out.extensions),
         ((1548, 200_635, 2361, (1516, 7109)), 1),
         "TB tof-3/line5"
+    );
+
+    // Two runs that grow their window in the SWAP walk, relaxing the
+    // time bound past it: flat 7→8 steps, TB 4→5 blocks.
+    let mut tight = SynthesisConfig::with_swap_duration(1);
+    tight.tub_factor = 1.0;
+    let out = Olsq2Synthesizer::new(tight)
+        .optimize_swaps(&qaoa_circuit(6, 2), &grid2x3)
+        .expect("solves")
+        .best;
+    assert_eq!((out.result.swap_count(), out.result.depth), (2, 7));
+    assert_eq!(
+        (counts(&out), out.extensions),
+        ((2832, 974_488, 4812, (1835, 8870)), 1),
+        "qaoa-6 seed 2/grid2x3, tub_factor 1.0"
+    );
+
+    let mut circuit = olsq2_circuit::Circuit::new(5);
+    for (a, b) in [
+        (0, 4),
+        (1, 0),
+        (0, 4),
+        (1, 2),
+        (0, 3),
+        (2, 0),
+        (4, 2),
+        (1, 0),
+        (4, 2),
+        (1, 0),
+        (1, 4),
+    ] {
+        circuit.push(olsq2_circuit::Gate::two(olsq2_circuit::GateKind::Cx, a, b));
+    }
+    let out = TbOlsq2Synthesizer::new(SynthesisConfig::with_swap_duration(1))
+        .optimize_swaps(&circuit, &line5)
+        .expect("solves");
+    assert_eq!((out.outcome.result.swap_count(), out.block_count), (4, 5));
+    assert_eq!(
+        (counts(&out.outcome), out.outcome.extensions),
+        ((1931, 223_360, 2876, (659, 2678)), 1),
+        "TB 11-CX/line5"
     );
 }
