@@ -39,6 +39,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod bounded;
 pub mod config;
 pub mod incumbent;
 pub mod model;

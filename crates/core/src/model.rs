@@ -15,16 +15,16 @@
 
 // Indexed `for` loops are deliberate here: time-step/edge index loops mirror the paper's formulation.
 #![allow(clippy::needless_range_loop)]
+use crate::bounded::{check_instance, dependency_graph, BoundedModel, ModelCore, Vocabulary};
 use crate::config::{MappingEncoding, SynthesisConfig, TimeEncoding};
 use crate::vars::{
     adjacency_steps, mapping_steps, transition_step, transitions_into, FdVar, TimeVars,
 };
 use olsq2_arch::CouplingGraph;
-use olsq2_circuit::{Circuit, DependencyGraph, Operands};
-use olsq2_encode::{gates, BatchSink, CardinalityNetwork, CnfSink, ConstraintFamily, FamilyTally};
+use olsq2_circuit::{Circuit, Operands};
+use olsq2_encode::{gates, BatchSink, CnfSink, ConstraintFamily, FamilyTally};
 use olsq2_layout::{LayoutResult, SwapOp};
 use olsq2_sat::{Lit, SolveResult, Solver};
-use std::collections::HashMap;
 use std::ops::Range;
 
 /// Errors raised while constructing a model.
@@ -82,27 +82,15 @@ pub enum ModelStyle {
 /// The built model plus handles for incremental bounding and extraction.
 #[derive(Debug)]
 pub struct FlatModel {
-    solver: Solver,
+    /// Solver, time variables, `swap_lits[e][t]` (entries below `S_D - 1`
+    /// frozen false) and the bound machinery.
+    core: ModelCore,
     /// `mapping[q][t]`.
     mapping: Vec<Vec<FdVar>>,
-    time: TimeVars,
-    /// `swap_lits[e][t]`; entries below `S_D - 1` are frozen false.
-    swap_lits: Vec<Vec<Lit>>,
-    t_ub: usize,
     sd: usize,
     style: ModelStyle,
     config: SynthesisConfig,
-    depth_bounds: HashMap<usize, Lit>,
-    swap_card: Option<CardinalityNetwork>,
     num_gates: usize,
-    tally: FamilyTally,
-    /// Current window-generation guard: the time variables' domain
-    /// constraints are conditional on it, and every solve assumes it.
-    /// Superseded guards are permanently falsified at the root by
-    /// [`FlatModel::extend_window`].
-    window_guard: Lit,
-    /// Number of in-place window extensions performed.
-    extensions: usize,
 }
 
 impl FlatModel {
@@ -133,20 +121,8 @@ impl FlatModel {
         t_ub: usize,
         style: ModelStyle,
     ) -> Result<FlatModel, ModelError> {
-        let nq = circuit.num_qubits();
-        let np = graph.num_qubits();
-        if circuit.num_gates() == 0 {
-            return Err(ModelError::EmptyCircuit);
-        }
-        if nq > np {
-            return Err(ModelError::TooManyQubits {
-                program: nq,
-                physical: np,
-            });
-        }
-        if !graph.is_connected() && nq > 1 {
-            return Err(ModelError::DisconnectedDevice);
-        }
+        check_instance(circuit, graph)?;
+        let (nq, np) = (circuit.num_qubits(), graph.num_qubits());
         let t_ub = t_ub.max(1);
         let steps = 0..t_ub;
         let mut solver = Solver::new();
@@ -170,11 +146,7 @@ impl FlatModel {
         let mark = tally.credit_since(ConstraintFamily::Mapping, &solver, mark);
 
         // --- Time variables + dependencies ---------------------------------
-        let dag = if config.commutation_aware {
-            DependencyGraph::new_with_commutation(circuit)
-        } else {
-            DependencyGraph::new(circuit)
-        };
+        let dag = dependency_graph(circuit, config);
         let mut time = TimeVars::new(circuit.num_gates(), enc.time, enc.amo);
         let window_guard = time.grow(&mut solver, t_ub).expect("an empty window grows");
         for &(g, g2) in dag.dependencies() {
@@ -208,77 +180,45 @@ impl FlatModel {
         }
         tally.credit_since(ConstraintFamily::Dependency, &solver, mark);
 
-        let mut model = FlatModel {
+        let core = ModelCore::new(
             solver,
-            mapping,
             time,
-            swap_lits: vec![Vec::new(); graph.num_edges()],
-            t_ub,
+            window_guard,
+            tally,
+            graph.num_edges(),
+            |steps| steps,
+            enc.cardinality,
+        );
+        let mut model = FlatModel {
+            core,
+            mapping,
             sd: config.swap_duration.max(1),
             style,
             config: config.clone(),
-            depth_bounds: HashMap::new(),
-            swap_card: None,
             num_gates: circuit.num_gates(),
-            tally,
-            window_guard,
-            extensions: 0,
         };
         model.emit_steps(circuit, graph, steps);
 
-        // Structure-aware seeding: in an exactly-one group all but one
-        // selector end up false, and optimal layouts use few SWAPs, so
-        // the all-false polarity starts the search inside the layout
-        // structure instead of fighting the at-most-one constraints. The
-        // t = 0 activity bump nudges the first decisions toward the
-        // initial placement. It must stay a *nudge*: at full VSIDS weight
-        // (1.0) it fixates routing-heavy searches on placement long after
-        // the conflict analysis has better candidates (qaoa-8: 3.3×
-        // slower, tof-3: 1.3× slower), while 0.25 keeps the
-        // placement-first ordering on instances it helps (qaoa-10,
-        // qft-4/5) without the fixation.
-        let solver = &mut model.solver;
-        if matches!(
-            enc.mapping,
-            MappingEncoding::OneHot | MappingEncoding::InverseOneHot
-        ) {
-            for per_t in &model.mapping {
-                for fd in per_t {
-                    for l in fd.raw_lits() {
-                        solver.set_saved_phase(l.var(), false);
-                    }
-                }
-                for l in per_t[0].raw_lits() {
-                    solver.boost_activity(l.var(), 0.25);
-                }
-            }
-        }
+        // Structure-aware seeding (see [`ModelCore::seed`]); one-hot time
+        // variables are exactly-one groups too.
         if enc.time == TimeEncoding::OneHot {
             for g in 0..model.num_gates {
-                for l in model.time.var(g).raw_lits() {
-                    solver.set_saved_phase(l.var(), false);
+                for l in model.core.time.var(g).raw_lits() {
+                    model.core.solver.set_saved_phase(l.var(), false);
                 }
             }
         }
-        for per_t in &model.swap_lits {
-            for &sl in per_t {
-                solver.set_saved_phase(sl.var(), false);
-            }
-        }
-
-        // Everything past the build is bound-machinery: activation
-        // literals, cardinality counters, window-growth variables. Clauses
-        // over them encode cross-solve contracts, so inprocessing must
-        // leave them exactly as written.
-        solver.set_inprocess_floor(solver.num_vars());
+        model.core.seed(&model.mapping, enc.mapping);
         Ok(model)
     }
 
     /// Runs one family emitter and credits what it adds to `family`.
     fn credit<R>(&mut self, family: ConstraintFamily, emit: impl FnOnce(&mut Self) -> R) -> R {
-        let mark = self.tally.mark(&self.solver);
+        let mark = self.core.tally.mark(&self.core.solver);
         let out = emit(self);
-        self.tally.credit_since(family, &self.solver, mark);
+        self.core
+            .tally
+            .credit_since(family, &self.core.solver, mark);
         out
     }
 
@@ -302,12 +242,16 @@ impl FlatModel {
     /// exclusion between overlapping windows on edges sharing a qubit.
     fn swap_steps(&mut self, graph: &CouplingGraph, steps: Range<usize>) {
         let (sd, to) = (self.sd, steps.end);
-        for row in &mut self.swap_lits {
-            row.extend(steps.clone().map(|_| Lit::positive(self.solver.new_var())));
+        for row in &mut self.core.swap_lits {
+            row.extend(
+                steps
+                    .clone()
+                    .map(|_| Lit::positive(self.core.solver.new_var())),
+            );
         }
-        for row in &self.swap_lits {
+        for row in &self.core.swap_lits {
             for &l in &row[steps.start.min(sd - 1)..to.min(sd - 1)] {
-                self.solver.add_clause([!l]);
+                self.core.solver.add_clause([!l]);
             }
         }
         let ne = graph.num_edges();
@@ -333,8 +277,10 @@ impl FlatModel {
                         if t1 < steps.start && t2 < steps.start {
                             continue;
                         }
-                        self.solver
-                            .add_clause([!self.swap_lits[e1][t1], !self.swap_lits[e2][t2]]);
+                        self.core.solver.add_clause([
+                            !self.core.swap_lits[e1][t1],
+                            !self.core.swap_lits[e2][t2],
+                        ]);
                     }
                 }
             }
@@ -352,13 +298,13 @@ impl FlatModel {
     ///   with gate times at or before it.
     fn scheduling_steps(&mut self, circuit: &Circuit, graph: &CouplingGraph, steps: Range<usize>) {
         let sd = self.sd;
-        let mut batch = BatchSink::new(&mut self.solver);
+        let mut batch = BatchSink::new(&mut self.core.solver);
         adjacency_steps(
             &mut batch,
             circuit,
             graph,
             &mut self.mapping,
-            &self.time,
+            &self.core.time,
             steps.clone(),
         );
         let mut clause = Vec::new();
@@ -372,9 +318,9 @@ impl FlatModel {
                             for p in [pa, pb] {
                                 // (t_g == t') ∧ (π_q^t == p) → ¬σ_e^t
                                 clause.clear();
-                                self.time.var(g).push_neq(t_prime, &mut clause);
+                                self.core.time.var(g).push_neq(t_prime, &mut clause);
                                 self.mapping[q as usize][t].push_neq(p as usize, &mut clause);
-                                clause.push(!self.swap_lits[e][t]);
+                                clause.push(!self.core.swap_lits[e][t]);
                                 batch.add_clause(&clause);
                             }
                         }
@@ -389,10 +335,10 @@ impl FlatModel {
     /// constraints expressed through them (the redundancy Improvement 1
     /// removes). This style never grows its window.
     fn baseline_scheduling(&mut self, circuit: &Circuit, graph: &CouplingGraph) {
-        let (np, ne, sd, t_ub) = (graph.num_qubits(), graph.num_edges(), self.sd, self.t_ub);
+        let (np, ne, sd, t_ub) = (graph.num_qubits(), graph.num_edges(), self.sd, self.t_ub());
         let enc = self.config.encoding;
-        let (mapping, time, swap_lits) = (&mut self.mapping, &self.time, &self.swap_lits);
-        let mut batch = BatchSink::new(&mut self.solver);
+        let (mapping, time, swap_lits) = (&mut self.mapping, &self.core.time, &self.core.swap_lits);
+        let mut batch = BatchSink::new(&mut self.core.solver);
         let mut space: Vec<FdVar> = Vec::with_capacity(circuit.num_gates());
         for gate in circuit.gates() {
             let domain = match gate.operands {
@@ -493,8 +439,8 @@ impl FlatModel {
     /// The mapping transformation over the transitions that end in
     /// `steps` (staged in bulk).
     fn transition_steps(&mut self, graph: &CouplingGraph, steps: Range<usize>) {
-        let (mapping, swap_lits) = (&self.mapping, &self.swap_lits);
-        let mut batch = BatchSink::new(&mut self.solver);
+        let (mapping, swap_lits) = (&self.mapping, &self.core.swap_lits);
+        let mut batch = BatchSink::new(&mut self.core.solver);
         for t in transitions_into(steps) {
             let qubits = mapping.iter().map(|m| (&m[t], &m[t + 1]));
             transition_step(&mut batch, graph, qubits, |e| swap_lits[e][t]);
@@ -524,20 +470,12 @@ impl FlatModel {
             "proof logging is decided at encode time"
         );
         FlatModel {
-            solver: self.solver.fork(),
+            core: self.core.fork(),
             mapping: self.mapping.clone(),
-            time: self.time.clone(),
-            swap_lits: self.swap_lits.clone(),
-            t_ub: self.t_ub,
             sd: self.sd,
             style: self.style,
             config: config.clone(),
-            depth_bounds: self.depth_bounds.clone(),
-            swap_card: self.swap_card.clone(),
             num_gates: self.num_gates,
-            tally: self.tally.clone(),
-            window_guard: self.window_guard,
-            extensions: self.extensions,
         }
     }
 
@@ -570,76 +508,48 @@ impl FlatModel {
             return false;
         }
         let new_t_ub = new_t_ub.max(1);
-        assert!(new_t_ub >= self.t_ub, "windows only grow");
-        if new_t_ub == self.t_ub {
+        assert!(new_t_ub >= self.t_ub(), "windows only grow");
+        if new_t_ub == self.t_ub() {
             return true;
         }
-        let steps = self.t_ub..new_t_ub;
+        let steps = self.t_ub()..new_t_ub;
         let enc = self.config.encoding;
         let grown = self.credit(ConstraintFamily::Dependency, |m| {
-            m.time.grow(&mut m.solver, new_t_ub)
+            m.core.time.grow(&mut m.core.solver, new_t_ub)
         });
         let Some(new_guard) = grown else {
             return false; // binary width grew: caller rebuilds
         };
         self.credit(ConstraintFamily::Mapping, |m| {
-            let mut batch = BatchSink::new(&mut m.solver);
+            let mut batch = BatchSink::new(&mut m.core.solver);
             let np = graph.num_qubits();
             mapping_steps(&mut batch, &mut m.mapping, np, enc, steps.clone());
         });
         self.emit_steps(circuit, graph, steps.clone());
-        self.credit(ConstraintFamily::Cardinality, |m| {
-            // Cached bounds cover the new steps under their own
-            // activators, in depth order for a deterministic clause order.
-            let mut depth_acts: Vec<(usize, Lit)> =
-                m.depth_bounds.iter().map(|(&d, &a)| (d, a)).collect();
-            depth_acts.sort_unstable_by_key(|&(d, _)| d);
-            for (depth, act) in depth_acts {
-                m.depth_bound_steps(act, depth, steps.clone());
-            }
-            if let Some(card) = &mut m.swap_card {
-                let new_inputs: Vec<Lit> = m
-                    .swap_lits
-                    .iter()
-                    .flat_map(|row| row[steps.start..].iter().copied())
-                    .collect();
-                // Invalidated bound activators (adder-network rebuilds)
-                // are permanently retired; callers re-request their bounds.
-                for l in card.extend(&mut m.solver, &new_inputs) {
-                    m.solver.add_clause([!l]);
-                }
-            }
-        });
-
-        // --- Generation flip: retire the superseded window guard ----------
-        self.solver.add_clause([!self.window_guard]);
-        self.solver.simplify();
-        self.window_guard = new_guard;
-        self.t_ub = new_t_ub;
-        self.extensions += 1;
+        self.core.finish_growth(steps, new_guard);
         true
     }
 
     /// The depth window `T_UB` the model was built for.
     pub fn t_ub(&self) -> usize {
-        self.t_ub
+        self.core.window()
     }
 
     /// Formula-size statistics `(variables, clauses)` of the built model.
     pub fn formula_size(&self) -> (usize, usize) {
-        (self.solver.num_vars(), self.solver.num_clauses())
+        self.core.formula_size()
     }
 
     /// Per-constraint-family formula-size breakdown. Bound machinery added
     /// after the build ([`FlatModel::depth_bound`], [`FlatModel::swap_bound`])
     /// is credited to [`ConstraintFamily::Cardinality`].
     pub fn breakdown(&self) -> &FamilyTally {
-        &self.tally
+        &self.core.tally
     }
 
     /// Mutable access to the underlying solver (budgets, statistics).
     pub fn solver_mut(&mut self) -> &mut Solver {
-        &mut self.solver
+        &mut self.core.solver
     }
 
     /// Activation literal enforcing depth ≤ `depth` (all `t_g ≤ depth-1`,
@@ -649,81 +559,26 @@ impl FlatModel {
     ///
     /// Panics if `depth` is 0 or exceeds `T_UB`.
     pub fn depth_bound(&mut self, depth: usize) -> Lit {
-        assert!(
-            depth >= 1 && depth <= self.t_ub,
-            "depth bound out of window"
-        );
-        if let Some(&l) = self.depth_bounds.get(&depth) {
-            return l;
-        }
-        let act = self.credit(ConstraintFamily::Cardinality, |m| {
-            let act = Lit::positive(m.solver.new_var());
-            m.depth_bound_steps(act, depth, 0..m.t_ub);
-            act
-        });
-        self.depth_bounds.insert(depth, act);
-        act
-    }
-
-    /// The depth bound under `act` over `steps`: no gate and no SWAP
-    /// finishing at a step from `depth` on.
-    fn depth_bound_steps(&mut self, act: Lit, depth: usize, steps: Range<usize>) {
-        self.time
-            .bound_if(&mut self.solver, depth, act, steps.clone());
-        for row in &self.swap_lits {
-            for &l in &row[depth.max(steps.start)..steps.end] {
-                self.solver.add_clause([!act, !l]);
-            }
-        }
+        self.core.time_bound(depth, |_, _| {})
     }
 
     /// Activation literal enforcing `Σ σ ≤ k` (Eq. 5). The cardinality
     /// network is built lazily on first use with capacity `max_bound`
     /// (later calls may use any `k ≤ max_bound` of the *first* call).
     pub fn swap_bound(&mut self, k: usize, max_bound: usize) -> Lit {
-        let mark = self.tally.mark(&self.solver);
-        if self.swap_card.is_none() {
-            let inputs: Vec<Lit> = self
-                .swap_lits
-                .iter()
-                .flat_map(|row| row.iter().copied())
-                .collect();
-            self.swap_card = Some(CardinalityNetwork::new(
-                &mut self.solver,
-                &inputs,
-                max_bound,
-                self.config.encoding.cardinality,
-            ));
-        }
-        let act = self
-            .swap_card
-            .as_mut()
-            .expect("just built")
-            .at_most(&mut self.solver, k);
-        self.tally
-            .credit_since(ConstraintFamily::Cardinality, &self.solver, mark);
-        act
+        self.core.swap_bound(k, max_bound)
     }
 
     /// Number of in-place window extensions performed on this model.
     pub fn extensions(&self) -> usize {
-        self.extensions
+        self.core.extensions()
     }
 
     /// Solves under the given assumptions plus the active window guard
     /// (without it the guarded at-least-one constraints would let every
     /// time variable go unassigned).
     pub fn solve(&mut self, assumptions: &[Lit]) -> SolveResult {
-        let mut with_guard = Vec::with_capacity(assumptions.len() + 1);
-        with_guard.extend_from_slice(assumptions);
-        with_guard.push(self.window_guard);
-        let result = self.solver.solve(&with_guard);
-        // Each satisfiable bound is the new incumbent layout; steer the
-        // next (tighter) solve toward it via target phases.
-        if result == SolveResult::Sat {
-            self.solver.adopt_model_targets();
-        }
-        result
+        self.core.solve(assumptions)
     }
 
     /// Extracts the layout result from the solver's current model.
@@ -732,18 +587,19 @@ impl FlatModel {
     ///
     /// Panics if the last `solve` was not SAT.
     pub fn extract(&self) -> LayoutResult {
+        let solver = &self.core.solver;
         let initial_mapping: Vec<u16> = self
             .mapping
             .iter()
-            .map(|per_t| per_t[0].value_in(&self.solver) as u16)
+            .map(|per_t| per_t[0].value_in(solver) as u16)
             .collect();
         let schedule: Vec<usize> = (0..self.num_gates)
-            .map(|g| self.time.value_in(&self.solver, g))
+            .map(|g| self.core.time.value_in(solver, g))
             .collect();
         let mut swaps = Vec::new();
-        for (e, row) in self.swap_lits.iter().enumerate() {
+        for (e, row) in self.core.swap_lits.iter().enumerate() {
             for (t, &l) in row.iter().enumerate() {
-                if self.solver.model_value(l) == Some(true) {
+                if solver.model_value(l) == Some(true) {
                     swaps.push(SwapOp {
                         edge: e,
                         finish_time: t,
@@ -765,6 +621,130 @@ impl FlatModel {
             depth,
             swap_duration: self.sd,
         }
+    }
+}
+
+/// Hard cap on the flat depth window, to catch unroutable instances.
+const MAX_T_UB: usize = 4096;
+
+/// The flat model's search rules (§III-B): the time bound is the depth,
+/// from the DAG's longest chain `T_LB` up, relaxed geometrically
+/// (`r = 1.3` below 100, else 1.1); the window starts at
+/// `max(⌈T_LB·tub_factor⌉, T_LB + S_D)` and grows by half, or by `S_D`
+/// for a relaxed SWAP-walk depth; the SWAP bound descends one by one
+/// from the incumbent.
+impl BoundedModel for FlatModel {
+    const NAMES: Vocabulary = Vocabulary {
+        time_walk: "optimize_depth",
+        swap_walk: "optimize_swaps",
+        feasible: "solve_feasible",
+        objective: "depth",
+        floor: "t_lb",
+        time_bound: "t_bound",
+        window: "t_ub",
+    };
+
+    fn time_floor(circuit: &Circuit, config: &SynthesisConfig) -> usize {
+        dependency_graph(circuit, config).longest_chain().max(1)
+    }
+
+    fn relax(t: usize) -> usize {
+        let r = if t < 100 { 1.3 } else { 1.1 };
+        ((t as f64 * r).ceil() as usize).max(t + 1)
+    }
+
+    fn first_window(t_lb: usize, config: &SynthesisConfig) -> usize {
+        let factor = (t_lb as f64 * config.tub_factor).ceil() as usize;
+        factor.max(t_lb + config.swap_duration).max(1)
+    }
+
+    fn widened_window(t_ub: usize, t: usize, _circuit: &Circuit) -> usize {
+        t.max((t_ub as f64 * 1.5).ceil() as usize).min(MAX_T_UB)
+    }
+
+    fn swap_floor(_depth: usize) -> usize {
+        0
+    }
+
+    fn next_swap_bound(_lo: usize, hi: usize) -> usize {
+        hi - 1
+    }
+
+    fn relaxed_window(t_ub: usize, _t: usize, config: &SynthesisConfig) -> usize {
+        (t_ub + config.swap_duration.max(1)).min(MAX_T_UB)
+    }
+
+    fn build(
+        circuit: &Circuit,
+        graph: &CouplingGraph,
+        config: &SynthesisConfig,
+        t_ub: usize,
+    ) -> Result<FlatModel, ModelError> {
+        FlatModel::build(circuit, graph, config, t_ub)
+    }
+
+    /// Forks the configured [`ModelSeed`] when it encodes this exact
+    /// instance.
+    fn seeded(
+        config: &SynthesisConfig,
+        circuit: &Circuit,
+        graph: &CouplingGraph,
+        t_ub: usize,
+    ) -> Option<FlatModel> {
+        let seed = config.model_seed.as_ref()?;
+        let instance = ModelSeed::instance_fingerprint(circuit, graph, config);
+        seed.fork_for(config, circuit, graph, instance, t_ub)
+    }
+
+    fn core(&self) -> &ModelCore {
+        &self.core
+    }
+
+    fn core_mut(&mut self) -> &mut ModelCore {
+        &mut self.core
+    }
+
+    fn time_bound(&mut self, depth: usize) -> Lit {
+        self.depth_bound(depth)
+    }
+
+    fn extend(
+        &mut self,
+        circuit: &Circuit,
+        graph: &CouplingGraph,
+        _config: &SynthesisConfig,
+        t_ub: usize,
+    ) -> bool {
+        self.extend_window(circuit, graph, t_ub)
+    }
+
+    fn decode(&self, _circuit: &Circuit, _config: &SynthesisConfig) -> (LayoutResult, usize) {
+        let result = self.extract();
+        let depth = result.depth;
+        (result, depth)
+    }
+
+    /// Snapshot-on-preempt: when a snapshot slot is configured, fork the
+    /// model onto a neutral configuration (no budgets, no stop flag, no
+    /// telemetry — those are per-run) and publish it, so a resubmission
+    /// can resume from the encoded state — clause arena, learned clauses,
+    /// phases, bound activators — instead of from scratch.
+    fn preempted(&mut self, config: &SynthesisConfig, circuit: &Circuit, graph: &CouplingGraph) {
+        let Some(slot) = &config.snapshot_slot else {
+            return;
+        };
+        let mut neutral = config.clone();
+        neutral.time_budget = None;
+        neutral.conflict_budget = None;
+        neutral.stop_flag = None;
+        neutral.incumbent = None;
+        neutral.model_seed = None;
+        neutral.snapshot_slot = None;
+        neutral.recorder = olsq2_obs::Recorder::disabled();
+        neutral.probe = olsq2_obs::Probe::disabled();
+        let template = self.fork(&neutral);
+        let instance = ModelSeed::instance_fingerprint(circuit, graph, &neutral);
+        slot.publish(ModelSeed::capture(template, instance));
     }
 }
 

@@ -1,27 +1,21 @@
-//! The optimization strategies of §III-B as one incremental bound search
-//! over one solver: depth optimization by geometric relaxation +
-//! decrement, then (for the SWAP objective) iterative descent of the SWAP
-//! bound along a two-dimensional (depth, swaps) Pareto search on the same
-//! warm model — every probe an activation-literal assumption.
+//! The optimization strategies of §III-B as one incremental bound search,
+//! written once for both models ([`BoundedModel`]). A time walk (depth
+//! for the flat model, blocks for TB) relaxes the time bound until the
+//! first SAT and descends to one past its highest refuted bound; for the
+//! SWAP objective, a SWAP walk on the same warm model then closes the
+//! SWAP bracket at each time bound and relaxes the time bound by one
+//! while that pays. Every probe is an activation-literal assumption on
+//! one solver.
 
+use crate::bounded::BoundedModel;
 use crate::config::SynthesisConfig;
-use crate::model::{FlatModel, ModelError, ModelSeed};
+use crate::model::{FlatModel, ModelError};
 use olsq2_arch::{CouplingGraph, SubGraph};
-use olsq2_circuit::{Circuit, DependencyGraph};
+use olsq2_circuit::Circuit;
 use olsq2_layout::{LayoutResult, SwapOp};
 use olsq2_obs::SpanGuard;
 use olsq2_sat::{Proof, ProofStep, SolveResult, Solver, Stats};
-use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
-
-/// Stable trace-field value for a solve result.
-pub(crate) fn result_str(r: SolveResult) -> &'static str {
-    match r {
-        SolveResult::Sat => "sat",
-        SolveResult::Unsat => "unsat",
-        SolveResult::Unknown => "unknown",
-    }
-}
 
 /// Seals the refutation of the UNSAT probe `solver` just answered: a copy
 /// of its (still recording) proof log, closed by the failed-assumption
@@ -77,6 +71,63 @@ fn lift(result: LayoutResult, ball: &SubGraph, graph: &CouplingGraph) -> LayoutR
     }
 }
 
+/// The sub-device first probe of [`Olsq2Synthesizer::optimize_depth`]:
+/// where [`sub_device`] applies, encodes the flat model on the ball with
+/// window `T_UB = T_LB` and probes `depth ≤ T_LB` once. SAT is the
+/// optimum, because `T_LB` bounds the depth on every device and a layout
+/// on an induced subgraph is a layout on the device: the walk ends there,
+/// with the layout lifted to device qubits. UNSAT refutes nothing on the
+/// device, so the walk continues there as if the probe had not run,
+/// carrying its solver statistics, unless the budget is spent. A budget
+/// cut ends the run.
+fn sub_device_probe(
+    run: &mut Run<'_>,
+    t_lb: usize,
+) -> Result<Option<Walk<FlatModel>>, SynthesisError> {
+    let Some(ball) = sub_device(run.circuit, run.graph) else {
+        return Ok(None);
+    };
+    let names = FlatModel::NAMES;
+    let size = ball.nodes().len();
+    let span = run.config.recorder.span("encode");
+    span.set("sub_device", size);
+    let mut model: FlatModel = run.encode(&span, ball.graph(), t_lb)?;
+    drop(span);
+    let span = run.iteration(
+        names.objective,
+        &[(names.time_bound, t_lb), ("sub_device", size)],
+    );
+    let res = run.probe(&span, &mut model, Some(t_lb), None);
+    drop(span);
+    match res {
+        SolveResult::Sat => {
+            let result = lift(model.extract(), &ball, run.graph);
+            debug_assert_eq!(
+                olsq2_layout::verify(run.circuit, run.graph, &result),
+                Ok(())
+            );
+            run.publish(&result);
+            Ok(Some(Walk {
+                model,
+                time: result.depth,
+                result,
+                proven: true,
+                refutation: None,
+            }))
+        }
+        SolveResult::Unsat => {
+            run.retired += model.solver_mut().stats();
+            // Never encode the full device once the budget is spent.
+            if run.cut() {
+                Err(SynthesisError::BudgetExhausted)
+            } else {
+                Ok(None)
+            }
+        }
+        SolveResult::Unknown => Err(SynthesisError::BudgetExhausted),
+    }
+}
+
 /// Errors from the synthesis drivers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SynthesisError {
@@ -115,9 +166,6 @@ impl From<ModelError> for SynthesisError {
     }
 }
 
-/// Hard cap on the depth window to catch unroutable instances.
-const MAX_T_UB: usize = 4096;
-
 /// Result of a synthesis run.
 #[derive(Debug, Clone)]
 pub struct SynthesisOutcome {
@@ -145,9 +193,13 @@ pub struct SynthesisOutcome {
     /// model, and the count restarts at zero with it.
     pub extensions: usize,
     /// With [`SynthesisConfig::proof_log`] and an optimum proven by an
-    /// UNSAT probe (rather than by reaching the structural bound): the
-    /// sealed, RUP-checkable refutation of that decisive probe. Set by
-    /// [`Olsq2Synthesizer`]; [`crate::TbOlsq2Synthesizer`] leaves it `None`.
+    /// UNSAT probe: the sealed, RUP-checkable refutation of that decisive
+    /// probe, from either synthesizer. A time walk's is the UNSAT of the
+    /// bound one below the optimum; a SWAP walk's is the UNSAT that
+    /// closed its final SWAP bracket. `None` when the optimum sits on its
+    /// floor, where there is nothing to refute: `T_LB` or one block, zero
+    /// SWAPs (flat), or `b − 1` SWAPs at `b` blocks (TB, whose SWAP
+    /// optimum there rests on the block walk's refutation).
     pub refutation: Option<Proof>,
 }
 
@@ -189,23 +241,6 @@ pub struct Olsq2Synthesizer {
     config: SynthesisConfig,
 }
 
-/// Where a bound walk stands: the warm model, its best layout, and what
-/// the walk has proven. The depth walk's end state is what
-/// [`Olsq2Synthesizer::optimize_depth`] reports and
-/// [`Olsq2Synthesizer::optimize_swaps`] carries into its SWAP phase.
-struct Walk {
-    model: FlatModel,
-    result: LayoutResult,
-    iterations: usize,
-    proven: bool,
-    /// The sealed refutation of the UNSAT probe that proved `result`
-    /// optimal (proof mode only).
-    refutation: Option<Proof>,
-    /// Statistics of the solvers the walk ran before `model`'s (the
-    /// sub-device probe's, after a miss); part of the run's totals.
-    retired: Stats,
-}
-
 impl Olsq2Synthesizer {
     /// Creates a synthesizer with the given configuration.
     pub fn new(config: SynthesisConfig) -> Olsq2Synthesizer {
@@ -217,465 +252,10 @@ impl Olsq2Synthesizer {
         &self.config
     }
 
-    fn deadline(&self) -> Option<Instant> {
-        self.config.time_budget.map(|b| Instant::now() + b)
-    }
-
-    fn initial_t_ub(&self, t_lb: usize) -> usize {
-        let factor = (t_lb as f64 * self.config.tub_factor).ceil() as usize;
-        factor.max(t_lb + self.config.swap_duration).max(1)
-    }
-
-    fn build_model(
-        &self,
-        circuit: &Circuit,
-        graph: &CouplingGraph,
-        t_ub: usize,
-    ) -> Result<FlatModel, SynthesisError> {
-        // Fork from an encoded template when one is attached and matches
-        // this exact instance; otherwise encode from scratch.
-        if let Some(seed) = &self.config.model_seed {
-            let instance = ModelSeed::instance_fingerprint(circuit, graph, &self.config);
-            if let Some(model) = seed.fork_for(&self.config, circuit, graph, instance, t_ub) {
-                let span = self.config.recorder.span("fork");
-                span.set("t_ub", t_ub);
-                return Ok(self.attach(model));
-            }
-        }
-        let span = self.config.recorder.span("encode");
-        self.encode(&span, circuit, graph, t_ub)
-    }
-
-    /// Encodes a fresh model inside the `encode` span `span`, tagging it
-    /// with the window and the per-family formula sizes.
-    fn encode(
-        &self,
-        span: &SpanGuard,
-        circuit: &Circuit,
-        graph: &CouplingGraph,
-        t_ub: usize,
-    ) -> Result<FlatModel, SynthesisError> {
-        span.set("t_ub", t_ub);
-        let model = FlatModel::build(circuit, graph, &self.config, t_ub)?;
-        if self.config.recorder.is_enabled() {
-            let (vars, clauses) = model.formula_size();
-            span.set("vars", vars);
-            span.set("clauses", clauses);
-            for (fam, c) in model.breakdown().iter() {
-                span.set(fam.vars_key(), c.vars);
-                span.set(fam.clauses_key(), c.clauses);
-            }
-        }
-        Ok(self.attach(model))
-    }
-
-    /// Wires a built or forked model to this run's telemetry. Under
-    /// [`SynthesisConfig::proof_log`] its solver also logs every
-    /// assumption core as a lemma, so any UNSAT probe can be sealed
-    /// ([`seal_refutation`]).
-    fn attach(&self, mut model: FlatModel) -> FlatModel {
-        let solver = model.solver_mut();
-        solver.set_recorder(self.config.recorder.clone());
-        solver.set_probe(self.config.probe.clone());
-        if self.config.proof_log {
-            solver.set_core_lemmas(true);
-        }
-        model
-    }
-
-    /// Grows `model` to the depth window `t_ub` in place via
-    /// [`FlatModel::extend_window`], keeping the solver's learned clauses
-    /// alive, or by rebuilding from scratch where the extension refuses
-    /// (a binary time index that needs a wider bit-vector, or the OLSQ
-    /// baseline style).
-    fn grow_model(
-        &self,
-        circuit: &Circuit,
-        graph: &CouplingGraph,
-        model: &mut FlatModel,
-        t_ub: usize,
-    ) -> Result<(), SynthesisError> {
-        let span = self.config.recorder.span("extend");
-        span.set("t_ub", t_ub);
-        let (vars_before, clauses_before) = model.formula_size();
-        let extend_start = Instant::now();
-        if model.extend_window(circuit, graph, t_ub) {
-            let (vars, clauses) = model.formula_size();
-            span.set("extend_us", extend_start.elapsed().as_micros() as u64);
-            span.set("appended_vars", vars - vars_before);
-            span.set("appended_clauses", clauses.saturating_sub(clauses_before));
-            return Ok(());
-        }
-        span.set("result", "rebuild");
-        *model = self.build_model(circuit, graph, t_ub)?;
-        Ok(())
-    }
-
-    fn dependency_graph(&self, circuit: &Circuit) -> DependencyGraph {
-        if self.config.commutation_aware {
-            DependencyGraph::new_with_commutation(circuit)
-        } else {
-            DependencyGraph::new(circuit)
-        }
-    }
-
-    fn arm_budgets(&self, model: &mut FlatModel, deadline: Option<Instant>) {
-        model.solver_mut().set_deadline(deadline);
-        model
-            .solver_mut()
-            .set_conflict_budget(self.config.conflict_budget);
-        model
-            .solver_mut()
-            .set_stop_flag(self.config.stop_flag.clone());
-    }
-
-    /// Publishes an intermediate solution to the configured incumbent
-    /// slot, so deadline-bound callers can recover the best-so-far when a
-    /// later solve is cut off.
-    fn publish_incumbent(&self, result: &LayoutResult) {
-        if let Some(slot) = &self.config.incumbent {
-            slot.publish(result);
-        }
-    }
-
-    /// Snapshot-on-preempt: when a budget cut ends a run before
-    /// optimality is proven and a snapshot slot is configured, fork the
-    /// final model onto a neutral configuration (no budgets, no stop
-    /// flag, no telemetry — those are per-run) and publish
-    /// it, so a resubmission can resume from the encoded state — clause
-    /// arena, learned clauses, phases, bound activators — instead of
-    /// from scratch.
-    fn capture_snapshot(&self, circuit: &Circuit, graph: &CouplingGraph, model: &mut FlatModel) {
-        let Some(slot) = &self.config.snapshot_slot else {
-            return;
-        };
-        let mut neutral = self.config.clone();
-        neutral.time_budget = None;
-        neutral.conflict_budget = None;
-        neutral.stop_flag = None;
-        neutral.incumbent = None;
-        neutral.model_seed = None;
-        neutral.snapshot_slot = None;
-        neutral.recorder = olsq2_obs::Recorder::disabled();
-        neutral.probe = olsq2_obs::Probe::disabled();
-        let template = model.fork(&neutral);
-        let instance = ModelSeed::instance_fingerprint(circuit, graph, &neutral);
-        slot.publish(ModelSeed::capture(template, instance));
-    }
-
-    /// Opens one `iteration` span tagged with the active objective bounds.
-    fn iteration_span(&self, objective: &str, bounds: &[(&str, usize)]) -> SpanGuard {
-        let span = self.config.recorder.span("iteration");
-        span.set("objective", objective);
-        for &(k, v) in bounds {
-            span.set(k, v);
-        }
-        span
-    }
-
-    /// Tags an `iteration` span with the solver-stat deltas of the solve
-    /// it wraps — the search-divergence signals (conflicts, restarts,
-    /// decisions per conflict) that `olsq2 trace-diff` uses to attribute
-    /// per-iteration time differences between two runs.
-    pub(crate) fn set_iteration_deltas(span: &SpanGuard, before: Stats, after: Stats) {
-        span.set("conflicts", after.conflicts - before.conflicts);
-        span.set("decisions", after.decisions - before.decisions);
-        span.set("propagations", after.propagations - before.propagations);
-        span.set("restarts", after.restarts - before.restarts);
-    }
-
-    /// One bound probe on `model`: `depth ≤ t_bound`, plus `swaps ≤ k`
-    /// (cardinality network of capacity `capacity`) when `swap_bound` is
-    /// `Some((k, capacity))`. Arms the bound's activators and the run's
-    /// budgets and solves, all inside one `iteration` span carrying the
-    /// bounds, the arm and solve times, the verdict and the solver-stat
-    /// deltas.
-    fn probe(
-        &self,
-        model: &mut FlatModel,
-        deadline: Option<Instant>,
-        t_bound: usize,
-        swap_bound: Option<(usize, usize)>,
-    ) -> SolveResult {
-        let span = match swap_bound {
-            None => self.iteration_span("depth", &[("t_bound", t_bound)]),
-            Some((k, _)) => {
-                self.iteration_span("swaps", &[("t_bound", t_bound), ("swap_bound", k)])
-            }
-        };
-        self.probe_in(&span, model, deadline, t_bound, swap_bound)
-    }
-
-    /// The body of [`Olsq2Synthesizer::probe`], timed into the already
-    /// open `iteration` span `span`.
-    fn probe_in(
-        &self,
-        span: &SpanGuard,
-        model: &mut FlatModel,
-        deadline: Option<Instant>,
-        t_bound: usize,
-        swap_bound: Option<(usize, usize)>,
-    ) -> SolveResult {
-        let encode_start = Instant::now();
-        let act_d = model.depth_bound(t_bound);
-        let acts = match swap_bound {
-            None => vec![act_d],
-            Some((k, capacity)) => vec![act_d, model.swap_bound(k, capacity)],
-        };
-        span.set("encode_us", encode_start.elapsed().as_micros() as u64);
-        self.arm_budgets(model, deadline);
-        let stats_before = model.solver_mut().stats();
-        let solve_start = Instant::now();
-        let res = model.solve(&acts);
-        span.set("solve_us", solve_start.elapsed().as_micros() as u64);
-        span.set("result", result_str(res));
-        Self::set_iteration_deltas(span, stats_before, model.solver_mut().stats());
-        res
-    }
-
-    /// Ends a run on its final walk: snapshots the model when the run was
-    /// cut before optimality was proven, and reports the walk.
-    fn finish(
-        &self,
-        circuit: &Circuit,
-        graph: &CouplingGraph,
-        start: Instant,
-        walk: Walk,
-    ) -> SynthesisOutcome {
-        let Walk {
-            mut model,
-            result,
-            iterations,
-            proven,
-            refutation,
-            retired,
-        } = walk;
-        if !proven {
-            self.capture_snapshot(circuit, graph, &mut model);
-        }
-        let mut solver_stats = retired;
-        solver_stats += model.solver_mut().stats();
-        SynthesisOutcome {
-            result,
-            proven_optimal: proven,
-            iterations,
-            elapsed: start.elapsed(),
-            formula_size: model.formula_size(),
-            solver_stats,
-            extensions: model.extensions(),
-            refutation: refutation.filter(|_| proven),
-        }
-    }
-
-    /// Builds the model and solves *once* with the full window and no
-    /// objective bound — the Fig. 1 / Table I "solving time" measurement.
-    ///
-    /// # Errors
-    ///
-    /// Propagates model errors; `Ok(None)` if the budget expired.
-    pub fn solve_feasible(
-        &self,
-        circuit: &Circuit,
-        graph: &CouplingGraph,
-        t_ub: usize,
-    ) -> Result<Option<SynthesisOutcome>, SynthesisError> {
-        let start = Instant::now();
-        let outer = self.config.recorder.span("solve_feasible");
-        outer.set("t_ub", t_ub);
-        let mut model = self.build_model(circuit, graph, t_ub)?;
-        self.arm_budgets(&mut model, self.deadline());
-        let span = self.iteration_span("feasible", &[("t_bound", t_ub)]);
-        let stats_before = model.solver_mut().stats();
-        let solve_start = Instant::now();
-        let res = model.solve(&[]);
-        span.set("solve_us", solve_start.elapsed().as_micros() as u64);
-        span.set("result", result_str(res));
-        Self::set_iteration_deltas(&span, stats_before, model.solver_mut().stats());
-        drop(span);
-        match res {
-            SolveResult::Sat => {
-                let result = model.extract();
-                self.publish_incumbent(&result);
-                Ok(Some(SynthesisOutcome {
-                    result,
-                    proven_optimal: false,
-                    iterations: 1,
-                    elapsed: start.elapsed(),
-                    formula_size: model.formula_size(),
-                    solver_stats: model.solver_mut().stats(),
-                    extensions: model.extensions(),
-                    refutation: None,
-                }))
-            }
-            SolveResult::Unsat => Err(SynthesisError::WindowExhausted),
-            SolveResult::Unknown => Ok(None),
-        }
-    }
-
-    /// The sub-device first probe of [`Olsq2Synthesizer::optimize_depth`]:
-    /// encodes the flat model on `ball` with window `T_UB = T_LB` and
-    /// probes `depth ≤ T_LB` once. SAT is the optimum, because `T_LB`
-    /// bounds the depth on every device and a layout on an induced
-    /// subgraph is a layout on the device: the walk breaks there, with
-    /// the layout lifted to device qubits. UNSAT proves nothing about the
-    /// device, so the walk continues on it, carrying this probe's solver
-    /// statistics. A budget cut ends the run.
-    fn sub_device_probe(
-        &self,
-        circuit: &Circuit,
-        graph: &CouplingGraph,
-        ball: &SubGraph,
-        deadline: Option<Instant>,
-        t_lb: usize,
-    ) -> Result<ControlFlow<Walk, Stats>, SynthesisError> {
-        let size = ball.nodes().len();
-        let span = self.config.recorder.span("encode");
-        span.set("sub_device", size);
-        let mut model = self.encode(&span, circuit, ball.graph(), t_lb)?;
-        drop(span);
-        let span = self.iteration_span("depth", &[("t_bound", t_lb), ("sub_device", size)]);
-        let res = self.probe_in(&span, &mut model, deadline, t_lb, None);
-        drop(span);
-        match res {
-            SolveResult::Sat => {
-                let result = lift(model.extract(), ball, graph);
-                debug_assert_eq!(olsq2_layout::verify(circuit, graph, &result), Ok(()));
-                self.publish_incumbent(&result);
-                Ok(ControlFlow::Break(Walk {
-                    model,
-                    result,
-                    iterations: 1,
-                    proven: true,
-                    refutation: None,
-                    retired: Stats::default(),
-                }))
-            }
-            SolveResult::Unsat => Ok(ControlFlow::Continue(model.solver_mut().stats())),
-            SolveResult::Unknown => Err(SynthesisError::BudgetExhausted),
-        }
-    }
-
-    /// Whether the run's deadline has passed or its stop flag is raised.
-    fn cut(&self, deadline: Option<Instant>) -> bool {
-        deadline.is_some_and(|d| Instant::now() >= d)
-            || self
-                .config
-                .stop_flag
-                .as_ref()
-                .is_some_and(|stop| stop.load(std::sync::atomic::Ordering::Relaxed))
-    }
-
-    /// The depth walk of §III-B-1 under one `optimize_depth` span: start
-    /// from `T_B = T_LB` and relax geometrically (`r = 1.3` below 100,
-    /// else `1.1`) until the first SAT, then decrement until UNSAT, the
-    /// structural lower bound, or the budget. Seals the decisive UNSAT
-    /// under [`SynthesisConfig::proof_log`]. With `sub_device_first`, the
-    /// walk starts with [`Olsq2Synthesizer::sub_device_probe`] where
-    /// [`sub_device`] applies and ends there on SAT; after an UNSAT it
-    /// walks the full device as usual, counting that probe too.
-    fn depth_phase(
-        &self,
-        circuit: &Circuit,
-        graph: &CouplingGraph,
-        deadline: Option<Instant>,
-        sub_device_first: bool,
-    ) -> Result<Walk, SynthesisError> {
-        let outer = self.config.recorder.span("optimize_depth");
-        let dag = self.dependency_graph(circuit);
-        let t_lb = dag.longest_chain().max(1);
-        outer.set("t_lb", t_lb);
-        let mut iterations = 0usize;
-        let mut retired = Stats::default();
-        if let Some(ball) = sub_device_first
-            .then(|| sub_device(circuit, graph))
-            .flatten()
-        {
-            iterations += 1;
-            match self.sub_device_probe(circuit, graph, &ball, deadline, t_lb)? {
-                ControlFlow::Break(walk) => {
-                    outer.set("iterations", iterations);
-                    outer.set("proven_optimal", true);
-                    return Ok(walk);
-                }
-                ControlFlow::Continue(stats) => retired = stats,
-            }
-            // Never encode the full device once the budget is spent.
-            if self.cut(deadline) {
-                return Err(SynthesisError::BudgetExhausted);
-            }
-        }
-        let mut t_ub = self.initial_t_ub(t_lb);
-        let mut model = self.build_model(circuit, graph, t_ub)?;
-
-        // Phase 1: relax until the first SAT.
-        let mut t_b = t_lb;
-        let mut current = loop {
-            if t_b > t_ub {
-                // Regenerate with a larger window (§III-B-1 last sentence).
-                t_ub = (t_b.max((t_ub as f64 * 1.5).ceil() as usize)).min(MAX_T_UB);
-                if t_b > t_ub {
-                    return Err(SynthesisError::WindowExhausted);
-                }
-                self.grow_model(circuit, graph, &mut model, t_ub)?;
-            }
-            iterations += 1;
-            match self.probe(&mut model, deadline, t_b, None) {
-                SolveResult::Sat => {
-                    let result = model.extract();
-                    self.publish_incumbent(&result);
-                    break result;
-                }
-                SolveResult::Unsat => {
-                    let r = if t_b < 100 { 1.3 } else { 1.1 };
-                    t_b = ((t_b as f64 * r).ceil() as usize).max(t_b + 1);
-                    if t_b > MAX_T_UB {
-                        return Err(SynthesisError::WindowExhausted);
-                    }
-                }
-                SolveResult::Unknown => {
-                    self.capture_snapshot(circuit, graph, &mut model);
-                    return Err(SynthesisError::BudgetExhausted);
-                }
-            }
-        };
-
-        // Phase 2: decrement until UNSAT (or the lower bound is reached).
-        let mut proven = false;
-        let mut refutation = None;
-        loop {
-            if current.depth <= t_lb {
-                proven = true;
-                break;
-            }
-            iterations += 1;
-            match self.probe(&mut model, deadline, current.depth - 1, None) {
-                SolveResult::Sat => {
-                    current = model.extract();
-                    self.publish_incumbent(&current);
-                }
-                SolveResult::Unsat => {
-                    proven = true;
-                    refutation = seal_refutation(model.solver_mut());
-                    break;
-                }
-                SolveResult::Unknown => break, // budget: keep best-so-far
-            }
-        }
-        outer.set("iterations", iterations);
-        outer.set("proven_optimal", proven);
-        Ok(Walk {
-            model,
-            result: current,
-            iterations,
-            proven,
-            refutation,
-            retired,
-        })
-    }
-
     /// Depth optimization (§III-B-1): start from `T_B = T_LB`, relax
     /// geometrically (`r = 1.3` below 100, else `1.1`) until SAT, then
-    /// decrement until UNSAT.
+    /// decrement until UNSAT or one above the highest bound the
+    /// relaxation refuted, so no bound is probed twice.
     ///
     /// When the device has more than `2·|Q|` qubits, the walk first
     /// encodes the model on the connected ball of the `2·|Q|` qubits
@@ -706,9 +286,9 @@ impl Olsq2Synthesizer {
         circuit: &Circuit,
         graph: &CouplingGraph,
     ) -> Result<SynthesisOutcome, SynthesisError> {
-        let start = Instant::now();
-        let walk = self.depth_phase(circuit, graph, self.deadline(), true)?;
-        Ok(self.finish(circuit, graph, start, walk))
+        let mut run = Run::new(&self.config, circuit, graph);
+        let walk = run.time_walk::<FlatModel>(Some(sub_device_probe))?;
+        Ok(run.finish(walk))
     }
 
     /// SWAP-count optimization (§III-B-2): obtain a depth-optimal solution
@@ -731,105 +311,462 @@ impl Olsq2Synthesizer {
         circuit: &Circuit,
         graph: &CouplingGraph,
     ) -> Result<SwapOptimizationOutcome, SynthesisError> {
-        let start = Instant::now();
-        let deadline = self.deadline();
-        let outer = self.config.recorder.span("optimize_swaps");
-        let Walk {
-            mut model,
-            result: mut current,
-            mut iterations,
-            retired,
-            ..
-        } = self.depth_phase(circuit, graph, deadline, false)?;
-        let mut current_depth = current.depth;
-        let capacity = current.swap_count().max(1);
-        let mut t_ub = model.t_ub();
-        let mut pareto = vec![(current.depth, current.swap_count())];
-        let mut proven;
-        // The seal of the last UNSAT probe; a relaxed SAT supersedes it.
-        let mut refutation = None;
-        let mut relax_rounds = 0usize;
+        let mut run = Run::new(&self.config, circuit, graph);
+        let (walk, pareto) = run.swap_walk::<FlatModel>()?;
+        Ok(SwapOptimizationOutcome {
+            best: run.finish(walk),
+            pareto,
+        })
+    }
+}
 
-        'outer: loop {
-            // Descend the SWAP bound at the current depth.
-            loop {
-                let s = current.swap_count();
-                if s == 0 {
-                    proven = true;
-                    break 'outer;
-                }
-                iterations += 1;
-                match self.probe(&mut model, deadline, current_depth, Some((s - 1, capacity))) {
-                    SolveResult::Sat => {
-                        current = model.extract();
-                        self.publish_incumbent(&current);
-                        pareto.push((current.depth.max(1), current.swap_count()));
-                    }
-                    SolveResult::Unsat => {
-                        proven = true; // optimal under this depth
-                        refutation = seal_refutation(model.solver_mut());
-                        break;
-                    }
-                    SolveResult::Unknown => {
-                        proven = false;
-                        break 'outer;
-                    }
-                }
-            }
+/// Where a walk stands: the warm model, its best layout and the time
+/// value that layout reaches (depth, or blocks used), whether the walk
+/// proved it optimal, and the sealed refutation of the probe that did
+/// (proof mode only).
+pub(crate) struct Walk<M> {
+    model: M,
+    result: LayoutResult,
+    time: usize,
+    proven: bool,
+    refutation: Option<Proof>,
+}
 
-            // Relax the depth bound and see whether fewer SWAPs fit.
-            if let Some(limit) = self.config.pareto_relax_limit {
-                if relax_rounds >= limit {
-                    break;
-                }
+impl<M> Walk<M> {
+    /// The time value the best layout reaches.
+    pub(crate) fn time(&self) -> usize {
+        self.time
+    }
+}
+
+/// Runs before a time walk's first full-window probe, inside the walk's
+/// span, given the time floor: ends the walk with its own witness, or
+/// returns `None` to hand over to the full-window walk.
+pub(crate) type FirstProbe<M> = fn(&mut Run<'_>, usize) -> Result<Option<Walk<M>>, SynthesisError>;
+
+/// The bound-search driver: one synthesis run of either model, holding
+/// the instance, its configuration and deadline, the probes run so far
+/// and the statistics of solvers it retired. It owns every span, budget,
+/// incumbent, proof seal and outcome; the model contributes only its
+/// search rules ([`BoundedModel`]).
+pub(crate) struct Run<'a> {
+    config: &'a SynthesisConfig,
+    circuit: &'a Circuit,
+    graph: &'a CouplingGraph,
+    start: Instant,
+    deadline: Option<Instant>,
+    iterations: usize,
+    retired: Stats,
+}
+
+impl<'a> Run<'a> {
+    /// Starts a run: its clock and, under a time budget, its deadline.
+    pub(crate) fn new(
+        config: &'a SynthesisConfig,
+        circuit: &'a Circuit,
+        graph: &'a CouplingGraph,
+    ) -> Run<'a> {
+        Run {
+            config,
+            circuit,
+            graph,
+            start: Instant::now(),
+            deadline: config.time_budget.map(|b| Instant::now() + b),
+            iterations: 0,
+            retired: Stats::default(),
+        }
+    }
+
+    /// Publishes an intermediate solution to the configured incumbent
+    /// slot, so deadline-bound callers can recover the best-so-far when a
+    /// later solve is cut off.
+    fn publish(&self, result: &LayoutResult) {
+        if let Some(slot) = &self.config.incumbent {
+            slot.publish(result);
+        }
+    }
+
+    /// Whether the run's deadline has passed or its stop flag is raised.
+    fn cut(&self) -> bool {
+        self.deadline.is_some_and(|d| Instant::now() >= d)
+            || self
+                .config
+                .stop_flag
+                .as_ref()
+                .is_some_and(|stop| stop.load(std::sync::atomic::Ordering::Relaxed))
+    }
+
+    /// Opens one `iteration` span tagged with the probe's objective and
+    /// bounds.
+    fn iteration(&self, objective: &str, bounds: &[(&str, usize)]) -> SpanGuard {
+        let span = self.config.recorder.span("iteration");
+        span.set("objective", objective);
+        for &(k, v) in bounds {
+            span.set(k, v);
+        }
+        span
+    }
+
+    /// Wires a built or forked model to this run's telemetry. Under
+    /// [`SynthesisConfig::proof_log`] its solver also logs every
+    /// assumption core as a lemma, so any UNSAT probe can be sealed
+    /// ([`seal_refutation`]).
+    fn attach<M: BoundedModel>(&self, mut model: M) -> M {
+        let solver = &mut model.core_mut().solver;
+        solver.set_recorder(self.config.recorder.clone());
+        solver.set_probe(self.config.probe.clone());
+        if self.config.proof_log {
+            solver.set_core_lemmas(true);
+        }
+        model
+    }
+
+    /// Encodes a fresh model on `graph` over `window` inside the `encode`
+    /// span `span`, tagging it with the window and the per-family formula
+    /// sizes.
+    fn encode<M: BoundedModel>(
+        &self,
+        span: &SpanGuard,
+        graph: &CouplingGraph,
+        window: usize,
+    ) -> Result<M, SynthesisError> {
+        span.set(M::NAMES.window, window);
+        let model = M::build(self.circuit, graph, self.config, window)?;
+        if self.config.recorder.is_enabled() {
+            let core = model.core();
+            let (vars, clauses) = core.formula_size();
+            span.set("vars", vars);
+            span.set("clauses", clauses);
+            for (fam, c) in core.tally.iter() {
+                span.set(fam.vars_key(), c.vars);
+                span.set(fam.clauses_key(), c.clauses);
             }
-            relax_rounds += 1;
-            let s = current.swap_count();
-            let new_depth = current_depth + 1;
-            if new_depth > t_ub {
-                t_ub = (t_ub + self.config.swap_duration.max(1)).min(MAX_T_UB);
-                if new_depth > t_ub {
-                    break;
+        }
+        Ok(self.attach(model))
+    }
+
+    /// A model of the run's instance over `window`: forked from the
+    /// configured template under a `fork` span where the model offers one
+    /// ([`BoundedModel::seeded`]), else encoded under an `encode` span.
+    fn build<M: BoundedModel>(&self, window: usize) -> Result<M, SynthesisError> {
+        if let Some(model) = M::seeded(self.config, self.circuit, self.graph, window) {
+            let span = self.config.recorder.span("fork");
+            span.set(M::NAMES.window, window);
+            return Ok(self.attach(model));
+        }
+        let span = self.config.recorder.span("encode");
+        self.encode(&span, self.graph, window)
+    }
+
+    /// Grows `model` to `window` in place ([`BoundedModel::extend`]),
+    /// keeping the solver's learned clauses alive, or by building anew
+    /// where the extension refuses, under one `extend` span.
+    fn grow<M: BoundedModel>(&self, model: &mut M, window: usize) -> Result<(), SynthesisError> {
+        let span = self.config.recorder.span("extend");
+        span.set(M::NAMES.window, window);
+        let (vars_before, clauses_before) = model.core().formula_size();
+        let extend_start = Instant::now();
+        if model.extend(self.circuit, self.graph, self.config, window) {
+            let (vars, clauses) = model.core().formula_size();
+            span.set("extend_us", extend_start.elapsed().as_micros() as u64);
+            span.set("appended_vars", vars - vars_before);
+            span.set("appended_clauses", clauses.saturating_sub(clauses_before));
+            return Ok(());
+        }
+        span.set("result", "rebuild");
+        *model = self.build(window)?;
+        Ok(())
+    }
+
+    /// One probe on `model`, timed into the open `iteration` span `span`:
+    /// arms the activators of time bound `t` and of SWAP bound
+    /// `swaps = (k, network capacity)` where given, in that order, then
+    /// the run's budgets, and solves under them and the window guard.
+    /// Tags the span with the arming and solve times, the verdict and the
+    /// solver-stat deltas — the search-divergence signals (conflicts,
+    /// restarts, decisions per conflict) that `olsq2 trace-diff` uses to
+    /// attribute per-iteration time differences between two runs.
+    fn probe<M: BoundedModel>(
+        &mut self,
+        span: &SpanGuard,
+        model: &mut M,
+        t: Option<usize>,
+        swaps: Option<(usize, usize)>,
+    ) -> SolveResult {
+        self.iterations += 1;
+        let arm_start = Instant::now();
+        let mut acts = Vec::with_capacity(2);
+        acts.extend(t.map(|t| model.time_bound(t)));
+        acts.extend(swaps.map(|(k, capacity)| model.core_mut().swap_bound(k, capacity)));
+        span.set("encode_us", arm_start.elapsed().as_micros() as u64);
+        let core = model.core_mut();
+        core.solver.set_deadline(self.deadline);
+        core.solver.set_conflict_budget(self.config.conflict_budget);
+        core.solver.set_stop_flag(self.config.stop_flag.clone());
+        let before = core.solver.stats();
+        let solve_start = Instant::now();
+        let result = core.solve(&acts);
+        span.set("solve_us", solve_start.elapsed().as_micros() as u64);
+        span.set(
+            "result",
+            match result {
+                SolveResult::Sat => "sat",
+                SolveResult::Unsat => "unsat",
+                SolveResult::Unknown => "unknown",
+            },
+        );
+        let after = core.solver.stats();
+        span.set("conflicts", after.conflicts - before.conflicts);
+        span.set("decisions", after.decisions - before.decisions);
+        span.set("propagations", after.propagations - before.propagations);
+        span.set("restarts", after.restarts - before.restarts);
+        result
+    }
+
+    /// A time-walk probe: time bound `t` alone.
+    fn time_probe<M: BoundedModel>(&mut self, model: &mut M, t: usize) -> SolveResult {
+        let names = M::NAMES;
+        let span = self.iteration(names.objective, &[(names.time_bound, t)]);
+        self.probe(&span, model, Some(t), None)
+    }
+
+    /// A SWAP-walk probe: time bound `t` and at most `k` SWAPs.
+    fn swap_probe<M: BoundedModel>(
+        &mut self,
+        model: &mut M,
+        t: usize,
+        k: usize,
+        capacity: usize,
+    ) -> SolveResult {
+        let span = self.iteration("swaps", &[(M::NAMES.time_bound, t), ("swap_bound", k)]);
+        self.probe(&span, model, Some(t), Some((k, capacity)))
+    }
+
+    /// Decodes `model`'s SAT witness, publishes it as the incumbent and
+    /// makes it `walk`'s best.
+    fn improve<M: BoundedModel>(&self, walk: &mut Walk<M>) {
+        (walk.result, walk.time) = walk.model.decode(self.circuit, self.config);
+        self.publish(&walk.result);
+    }
+
+    /// The time walk under one span: `first` (when given) runs before
+    /// the full-window walk and may end it.
+    pub(crate) fn time_walk<M: BoundedModel>(
+        &mut self,
+        first: Option<FirstProbe<M>>,
+    ) -> Result<Walk<M>, SynthesisError> {
+        let names = M::NAMES;
+        let outer = self.config.recorder.span(names.time_walk);
+        let floor = M::time_floor(self.circuit, self.config);
+        outer.set(names.floor, floor);
+        let walk = match first {
+            Some(first) => first(self, floor)?,
+            None => None,
+        };
+        let walk = match walk {
+            Some(walk) => walk,
+            None => self.full_time_walk(floor)?,
+        };
+        outer.set("iterations", self.iterations);
+        outer.set("proven_optimal", walk.proven);
+        Ok(walk)
+    }
+
+    /// The time walk on a model of the run's device, built at the first
+    /// window: relax from `floor` by [`BoundedModel::relax`] until the
+    /// first SAT, widening the window when a bound outgrows it, then
+    /// descend while the witness's time value is above `lo`, one past the
+    /// highest refuted bound. Under proof logging every UNSAT that raises
+    /// `lo` is sealed, and the last one is the walk's refutation.
+    fn full_time_walk<M: BoundedModel>(&mut self, floor: usize) -> Result<Walk<M>, SynthesisError> {
+        let mut model: M = self.build(M::first_window(floor, self.config))?;
+        let (mut lo, mut t, mut refutation) = (floor, floor, None);
+        loop {
+            let window = model.core().window();
+            if t > window {
+                let widened = M::widened_window(window, t, self.circuit);
+                if t > widened {
+                    return Err(SynthesisError::WindowExhausted);
                 }
-                self.grow_model(circuit, graph, &mut model, t_ub)?;
+                self.grow(&mut model, widened)?;
             }
-            iterations += 1;
-            match self.probe(&mut model, deadline, new_depth, Some((s - 1, capacity))) {
-                SolveResult::Sat => {
-                    current = model.extract();
-                    self.publish_incumbent(&current);
-                    current_depth = new_depth;
-                    pareto.push((current.depth, current.swap_count()));
-                    refutation = None;
-                }
+            match self.time_probe(&mut model, t) {
+                SolveResult::Sat => break,
                 SolveResult::Unsat => {
-                    // No reduction from relaxing: Pareto-optimal (paper's
-                    // termination condition 2).
-                    proven = true;
-                    refutation = seal_refutation(model.solver_mut());
-                    break;
+                    refutation = seal_refutation(&model.core().solver);
+                    lo = t + 1;
+                    t = M::relax(t);
                 }
                 SolveResult::Unknown => {
-                    proven = false;
+                    model.preempted(self.config, self.circuit, self.graph);
+                    return Err(SynthesisError::BudgetExhausted);
+                }
+            }
+        }
+        let (result, time) = model.decode(self.circuit, self.config);
+        self.publish(&result);
+        let mut walk = Walk {
+            model,
+            result,
+            time,
+            proven: true,
+            refutation,
+        };
+        while walk.time > lo {
+            match self.time_probe(&mut walk.model, walk.time - 1) {
+                SolveResult::Sat => self.improve(&mut walk),
+                SolveResult::Unsat => {
+                    walk.refutation = seal_refutation(&walk.model.core().solver);
+                    lo = walk.time;
+                }
+                SolveResult::Unknown => {
+                    walk.proven = false;
                     break;
                 }
             }
         }
+        Ok(walk)
+    }
 
-        outer.set("iterations", iterations);
-        outer.set("proven_optimal", proven);
-        let walk = Walk {
-            model,
-            result: current,
-            iterations,
+    /// The SWAP walk of §III-B-2 under one span, on the time walk's warm
+    /// model: at time bound `b`, first the time optimum, close the bracket
+    /// `[swap_floor(b), best)` by probing [`BoundedModel::next_swap_bound`];
+    /// then probe the relaxed bound `b + 1` for one SWAP fewer than the
+    /// best, until a probe is UNSAT, the relax limit is reached, or
+    /// `best ≤ swap_floor(b + 1)`. The walk's refutation is the UNSAT that
+    /// closed its final bracket (a relaxed UNSAT closes the bracket at
+    /// `b + 1`). Returns the walk and the `(depth, SWAPs)` of its first
+    /// layout and every witness after it.
+    pub(crate) fn swap_walk<M: BoundedModel>(
+        &mut self,
+    ) -> Result<(Walk<M>, Vec<(usize, usize)>), SynthesisError> {
+        let outer = self.config.recorder.span(M::NAMES.swap_walk);
+        let mut walk: Walk<M> = self.time_walk(None)?;
+        // The time walk's verdict concerns its own bound.
+        (walk.proven, walk.refutation) = (true, None);
+        let capacity = walk.result.swap_count().max(1);
+        let mut pareto = vec![(walk.result.depth, walk.result.swap_count())];
+        let mut b = walk.time;
+        let mut relax_rounds = 0usize;
+        'walk: loop {
+            let mut lo = M::swap_floor(b);
+            while walk.result.swap_count() > lo {
+                let k = M::next_swap_bound(lo, walk.result.swap_count());
+                match self.swap_probe(&mut walk.model, b, k, capacity) {
+                    SolveResult::Sat => {
+                        self.improve(&mut walk);
+                        pareto.push((walk.result.depth, walk.result.swap_count()));
+                    }
+                    SolveResult::Unsat => {
+                        walk.refutation = seal_refutation(&walk.model.core().solver);
+                        lo = k + 1;
+                    }
+                    SolveResult::Unknown => {
+                        walk.proven = false;
+                        break 'walk;
+                    }
+                }
+            }
+            let best = walk.result.swap_count();
+            let limit = self.config.pareto_relax_limit;
+            if best <= M::swap_floor(b + 1) || limit.is_some_and(|l| relax_rounds >= l) {
+                break;
+            }
+            relax_rounds += 1;
+            let window = walk.model.core().window();
+            if b + 1 > window {
+                let relaxed = M::relaxed_window(window, b + 1, self.config);
+                if b + 1 > relaxed {
+                    break;
+                }
+                self.grow(&mut walk.model, relaxed)?;
+            }
+            match self.swap_probe(&mut walk.model, b + 1, best - 1, capacity) {
+                SolveResult::Sat => {
+                    self.improve(&mut walk);
+                    pareto.push((walk.result.depth, walk.result.swap_count()));
+                    walk.refutation = None;
+                    b += 1;
+                }
+                SolveResult::Unsat => {
+                    walk.refutation = seal_refutation(&walk.model.core().solver);
+                    break;
+                }
+                SolveResult::Unknown => {
+                    walk.proven = false;
+                    break;
+                }
+            }
+        }
+        outer.set("iterations", self.iterations);
+        outer.set("proven_optimal", walk.proven);
+        Ok((walk, pareto))
+    }
+
+    /// Builds a model over `window` and solves it once, with no time
+    /// bound and under at most `swaps` SWAPs when given — the
+    /// feasibility measurement of Table II.
+    ///
+    /// # Errors
+    ///
+    /// Propagates model errors; `Ok(None)` if the budget expired.
+    pub(crate) fn feasible<M: BoundedModel>(
+        mut self,
+        window: usize,
+        swaps: Option<usize>,
+    ) -> Result<Option<SynthesisOutcome>, SynthesisError> {
+        let names = M::NAMES;
+        let outer = self.config.recorder.span(names.feasible);
+        outer.set(names.window, window);
+        let mut model: M = self.build(window)?;
+        let span = self.iteration("feasible", &[(names.time_bound, window)]);
+        let res = self.probe(&span, &mut model, None, swaps.map(|k| (k, k)));
+        drop(span);
+        match res {
+            SolveResult::Sat => {
+                let (result, time) = model.decode(self.circuit, self.config);
+                self.publish(&result);
+                let walk = Walk {
+                    model,
+                    result,
+                    time,
+                    proven: false,
+                    refutation: None,
+                };
+                Ok(Some(self.finish(walk)))
+            }
+            SolveResult::Unsat => Err(SynthesisError::WindowExhausted),
+            SolveResult::Unknown => Ok(None),
+        }
+    }
+
+    /// Reports a walk's end state as the run's outcome. A walk that ends
+    /// unproven first lets its model keep its encoded state for a resume
+    /// ([`BoundedModel::preempted`]).
+    pub(crate) fn finish<M: BoundedModel>(&self, walk: Walk<M>) -> SynthesisOutcome {
+        let Walk {
+            mut model,
+            result,
             proven,
             refutation,
-            retired,
-        };
-        Ok(SwapOptimizationOutcome {
-            best: self.finish(circuit, graph, start, walk),
-            pareto,
-        })
+            ..
+        } = walk;
+        if !proven {
+            model.preempted(self.config, self.circuit, self.graph);
+        }
+        let core = model.core();
+        let mut solver_stats = self.retired;
+        solver_stats += core.solver.stats();
+        SynthesisOutcome {
+            result,
+            proven_optimal: proven,
+            iterations: self.iterations,
+            elapsed: self.start.elapsed(),
+            formula_size: core.formula_size(),
+            solver_stats,
+            extensions: core.extensions(),
+            refutation: refutation.filter(|_| proven),
+        }
     }
 }
 
@@ -1039,19 +976,5 @@ mod tests {
             })
             .sum();
         assert_eq!(out.best.solver_stats.conflicts, probe_conflicts);
-    }
-
-    #[test]
-    fn feasibility_solve_reports_formula_size() {
-        let circuit = triangle();
-        let graph = line(3);
-        let synth = Olsq2Synthesizer::new(SynthesisConfig::with_swap_duration(1));
-        let out = synth
-            .solve_feasible(&circuit, &graph, 8)
-            .expect("no model error")
-            .expect("no budget");
-        assert!(out.formula_size.0 > 0);
-        assert!(out.formula_size.1 > 0);
-        assert_eq!(verify(&circuit, &graph, &out.result), Ok(()));
     }
 }

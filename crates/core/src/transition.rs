@@ -11,39 +11,28 @@
 
 // Indexed `for` loops are deliberate here: block/edge index loops mirror the paper's formulation.
 #![allow(clippy::needless_range_loop)]
-use crate::config::{MappingEncoding, SynthesisConfig};
+use crate::bounded::{check_instance, dependency_graph, BoundedModel, ModelCore, Vocabulary};
+use crate::config::SynthesisConfig;
 use crate::model::ModelError;
-use crate::optimize::{result_str, Olsq2Synthesizer, SynthesisError, SynthesisOutcome};
+use crate::optimize::{Run, SynthesisError, SynthesisOutcome};
 use crate::vars::{
     adjacency_steps, mapping_steps, transition_step, transitions_into, FdVar, TimeVars,
 };
 use olsq2_arch::CouplingGraph;
-use olsq2_circuit::{Circuit, DependencyGraph};
-use olsq2_encode::{CardinalityNetwork, ConstraintFamily, FamilyTally};
+use olsq2_circuit::Circuit;
+use olsq2_encode::{ConstraintFamily, FamilyTally};
 use olsq2_layout::{LayoutResult, SwapOp};
-use olsq2_sat::{Lit, SolveResult, Solver};
-use std::collections::HashMap;
+use olsq2_sat::{Lit, Solver};
 use std::ops::Range;
-use std::time::Instant;
 
 /// The transition-based model over a block window.
 #[derive(Debug)]
 struct TransitionModel {
-    solver: Solver,
+    /// Solver, block-index variables, `swap_lits[e][b]` for transitions
+    /// `b` in `0..blocks-1`, and the bound machinery.
+    core: ModelCore,
     /// `mapping[q][b]`.
     mapping: Vec<Vec<FdVar>>,
-    time: TimeVars,
-    /// `swap_lits[e][b]` for transitions `b` in `0..blocks-1`.
-    swap_lits: Vec<Vec<Lit>>,
-    blocks: usize,
-    block_bounds: HashMap<usize, Lit>,
-    swap_card: Option<CardinalityNetwork>,
-    tally: FamilyTally,
-    /// Current window-generation guard; every solve assumes it, and
-    /// [`TransitionModel::extend_blocks`] retires it.
-    window_guard: Lit,
-    /// Number of in-place block-window extensions performed.
-    extensions: usize,
 }
 
 impl TransitionModel {
@@ -53,22 +42,14 @@ impl TransitionModel {
         config: &SynthesisConfig,
         blocks: usize,
     ) -> Result<TransitionModel, ModelError> {
-        let nq = circuit.num_qubits();
-        let np = graph.num_qubits();
-        if circuit.num_gates() == 0 {
-            return Err(ModelError::EmptyCircuit);
-        }
-        if nq > np {
-            return Err(ModelError::TooManyQubits {
-                program: nq,
-                physical: np,
-            });
-        }
-        if !graph.is_connected() && nq > 1 {
-            return Err(ModelError::DisconnectedDevice);
-        }
+        check_instance(circuit, graph)?;
+        let (nq, np) = (circuit.num_qubits(), graph.num_qubits());
         let blocks = blocks.max(1);
         let mut solver = Solver::new();
+        if config.proof_log {
+            // Before any clause: the log must contain every original.
+            solver.enable_proof();
+        }
         let enc = config.encoding;
         let mut tally = FamilyTally::new();
 
@@ -81,11 +62,7 @@ impl TransitionModel {
         // Block-index variables on a guarded window that can grow in place
         // (see [`TransitionModel::extend_blocks`]); dependencies are
         // non-strict (gates may share a block).
-        let dag = if config.commutation_aware {
-            DependencyGraph::new_with_commutation(circuit)
-        } else {
-            DependencyGraph::new(circuit)
-        };
+        let dag = dependency_graph(circuit, config);
         let mut time = TimeVars::new(circuit.num_gates(), enc.time, enc.amo);
         let window_guard = time
             .grow(&mut solver, blocks)
@@ -95,60 +72,30 @@ impl TransitionModel {
         }
         tally.credit_since(ConstraintFamily::Dependency, &solver, mark);
 
-        let mut model = TransitionModel {
+        let core = ModelCore::new(
             solver,
-            mapping,
             time,
-            swap_lits: vec![Vec::new(); graph.num_edges()],
-            blocks,
-            block_bounds: HashMap::new(),
-            swap_card: None,
-            tally,
             window_guard,
-            extensions: 0,
-        };
+            tally,
+            graph.num_edges(),
+            transitions_into,
+            enc.cardinality,
+        );
+        let mut model = TransitionModel { core, mapping };
         model.emit_blocks(circuit, graph, 0..blocks);
-
-        // Structure-aware seeding: same rationale as the flat model —
-        // prefer the all-false polarity inside one-hot groups and on the
-        // transition SWAP layer, and nudge the first decisions at block 0
-        // (0.25, not full VSIDS weight — see the flat model's note on
-        // bump-induced fixation).
-        let solver = &mut model.solver;
-        if matches!(
-            enc.mapping,
-            MappingEncoding::OneHot | MappingEncoding::InverseOneHot
-        ) {
-            for per_b in &model.mapping {
-                for fd in per_b {
-                    for l in fd.raw_lits() {
-                        solver.set_saved_phase(l.var(), false);
-                    }
-                }
-                for l in per_b[0].raw_lits() {
-                    solver.boost_activity(l.var(), 0.25);
-                }
-            }
-        }
-        for per_b in &model.swap_lits {
-            for &sl in per_b {
-                solver.set_saved_phase(sl.var(), false);
-            }
-        }
-
-        // Everything past the build is bound-machinery: activation
-        // literals, cardinality counters, window-growth variables. Clauses
-        // over them encode cross-solve contracts, so inprocessing must
-        // leave them exactly as written.
-        solver.set_inprocess_floor(solver.num_vars());
+        // Structure-aware seeding, as for the flat model: one-hot mapping
+        // groups and the transition SWAP layers.
+        model.core.seed(&model.mapping, enc.mapping);
         Ok(model)
     }
 
     /// Runs one family emitter and credits what it adds to `family`.
     fn credit<R>(&mut self, family: ConstraintFamily, emit: impl FnOnce(&mut Self) -> R) -> R {
-        let mark = self.tally.mark(&self.solver);
+        let mark = self.core.tally.mark(&self.core.solver);
         let out = emit(self);
-        self.tally.credit_since(family, &self.solver, mark);
+        self.core
+            .tally
+            .credit_since(family, &self.core.solver, mark);
         out
     }
 
@@ -160,8 +107,15 @@ impl TransitionModel {
             m.swap_layers(graph, blocks.clone())
         });
         self.credit(ConstraintFamily::Scheduling, |m| {
-            let (mapping, time) = (&mut m.mapping, &m.time);
-            adjacency_steps(&mut m.solver, circuit, graph, mapping, time, blocks.clone());
+            let (mapping, core) = (&mut m.mapping, &mut m.core);
+            adjacency_steps(
+                &mut core.solver,
+                circuit,
+                graph,
+                mapping,
+                &core.time,
+                blocks.clone(),
+            );
         });
         self.credit(ConstraintFamily::Transition, |m| {
             m.transition_layers(graph, blocks)
@@ -172,8 +126,9 @@ impl TransitionModel {
     /// variable per edge and transition, each layer on disjoint edges.
     fn swap_layers(&mut self, graph: &CouplingGraph, blocks: Range<usize>) {
         let layers = transitions_into(blocks);
-        for row in &mut self.swap_lits {
-            row.extend(layers.clone().map(|_| Lit::positive(self.solver.new_var())));
+        let core = &mut self.core;
+        for row in &mut core.swap_lits {
+            row.extend(layers.clone().map(|_| Lit::positive(core.solver.new_var())));
         }
         let ne = graph.num_edges();
         for e1 in 0..ne {
@@ -185,8 +140,8 @@ impl TransitionModel {
                     continue;
                 }
                 for b in layers.clone() {
-                    self.solver
-                        .add_clause([!self.swap_lits[e1][b], !self.swap_lits[e2][b]]);
+                    core.solver
+                        .add_clause([!core.swap_lits[e1][b], !core.swap_lits[e2][b]]);
                 }
             }
         }
@@ -195,10 +150,11 @@ impl TransitionModel {
     /// The mapping transformation across the transitions that end in
     /// `blocks`.
     fn transition_layers(&mut self, graph: &CouplingGraph, blocks: Range<usize>) {
-        let (mapping, swap_lits) = (&self.mapping, &self.swap_lits);
+        let (mapping, core) = (&self.mapping, &mut self.core);
         for b in transitions_into(blocks) {
             let qubits = mapping.iter().map(|per_b| (&per_b[b], &per_b[b + 1]));
-            transition_step(&mut self.solver, graph, qubits, |e| swap_lits[e][b]);
+            let swap_lits = &core.swap_lits;
+            transition_step(&mut core.solver, graph, qubits, |e| swap_lits[e][b]);
         }
     }
 
@@ -216,13 +172,14 @@ impl TransitionModel {
         new_blocks: usize,
     ) -> bool {
         let new_blocks = new_blocks.max(1);
-        assert!(new_blocks >= self.blocks, "block windows only grow");
-        if new_blocks == self.blocks {
+        let old_blocks = self.core.window();
+        assert!(new_blocks >= old_blocks, "block windows only grow");
+        if new_blocks == old_blocks {
             return true;
         }
-        let blocks = self.blocks..new_blocks;
+        let blocks = old_blocks..new_blocks;
         let grown = self.credit(ConstraintFamily::Dependency, |m| {
-            m.time.grow(&mut m.solver, new_blocks)
+            m.core.time.grow(&mut m.core.solver, new_blocks)
         });
         let Some(new_guard) = grown else {
             return false; // binary width grew: caller rebuilds
@@ -230,7 +187,7 @@ impl TransitionModel {
         self.credit(ConstraintFamily::Mapping, |m| {
             let np = graph.num_qubits();
             mapping_steps(
-                &mut m.solver,
+                &mut m.core.solver,
                 &mut m.mapping,
                 np,
                 config.encoding,
@@ -238,134 +195,31 @@ impl TransitionModel {
             );
         });
         self.emit_blocks(circuit, graph, blocks.clone());
-        self.credit(ConstraintFamily::Cardinality, |m| {
-            // Cached bounds cover the new blocks under their own
-            // activators, in order of `k` for a deterministic clause order.
-            let mut block_acts: Vec<(usize, Lit)> =
-                m.block_bounds.iter().map(|(&k, &a)| (k, a)).collect();
-            block_acts.sort_unstable_by_key(|&(k, _)| k);
-            for (k, act) in block_acts {
-                m.block_bound_steps(act, k, blocks.clone());
-            }
-            if let Some(card) = &mut m.swap_card {
-                let first = transitions_into(blocks).start;
-                let new_inputs: Vec<Lit> = m
-                    .swap_lits
-                    .iter()
-                    .flat_map(|row| row[first..].iter().copied())
-                    .collect();
-                for l in card.extend(&mut m.solver, &new_inputs) {
-                    m.solver.add_clause([!l]);
-                }
-            }
-        });
-
-        // --- Generation flip ----------------------------------------------
-        self.solver.add_clause([!self.window_guard]);
-        self.solver.simplify();
-        self.window_guard = new_guard;
-        self.blocks = new_blocks;
-        self.extensions += 1;
+        self.core.finish_growth(blocks, new_guard);
         true
     }
 
-    /// Solves under the given assumptions plus the active window guard.
-    fn solve(&mut self, assumptions: &[Lit]) -> SolveResult {
-        let mut with_guard = Vec::with_capacity(assumptions.len() + 1);
-        with_guard.extend_from_slice(assumptions);
-        with_guard.push(self.window_guard);
-        let result = self.solver.solve(&with_guard);
-        // Steer subsequent (tighter) solves toward the incumbent layout.
-        if result == SolveResult::Sat {
-            self.solver.adopt_model_targets();
-        }
-        result
-    }
-
-    /// Activation literal for "exactly `k` blocks are used": all gates in
-    /// blocks `0..k`, no SWAP on transitions `k-1..`, and — the paper's
-    /// symmetry breaking behind its early termination rule — every live
-    /// transition carries at least one SWAP (a solution with an empty
-    /// transition is identical to one with fewer blocks, which the search
-    /// has already covered).
-    fn block_bound(&mut self, k: usize) -> Lit {
-        assert!(k >= 1 && k <= self.blocks);
-        if let Some(&l) = self.block_bounds.get(&k) {
-            return l;
-        }
-        let act = self.credit(ConstraintFamily::Cardinality, |m| {
-            let act = Lit::positive(m.solver.new_var());
-            m.block_bound_steps(act, k, 0..m.blocks);
-            // The symmetry clauses reference only transitions below
-            // `k - 1`, which no later growth adds to.
-            for b in 0..k.saturating_sub(1) {
-                let mut clause = vec![!act];
-                clause.extend(m.swap_lits.iter().map(|row| row[b]));
-                m.solver.add_clause(clause);
-            }
-            act
-        });
-        self.block_bounds.insert(k, act);
-        act
-    }
-
-    /// The block bound under `act` over `blocks`: no gate in a block
-    /// from `k` on and no SWAP on a transition from `k - 1` on.
-    fn block_bound_steps(&mut self, act: Lit, k: usize, blocks: Range<usize>) {
-        let layers = transitions_into(blocks.clone());
-        self.time.bound_if(&mut self.solver, k, act, blocks);
-        for row in &self.swap_lits {
-            for &l in &row[(k - 1).max(layers.start)..layers.end] {
-                self.solver.add_clause([!act, !l]);
-            }
-        }
-    }
-
-    fn swap_bound(&mut self, k: usize, capacity: usize, enc: olsq2_encode::CardEncoding) -> Lit {
-        let mark = self.tally.mark(&self.solver);
-        if self.swap_card.is_none() {
-            let inputs: Vec<Lit> = self
-                .swap_lits
-                .iter()
-                .flat_map(|row| row.iter().copied())
-                .collect();
-            self.swap_card = Some(CardinalityNetwork::new(
-                &mut self.solver,
-                &inputs,
-                capacity,
-                enc,
-            ));
-        }
-        let act = self
-            .swap_card
-            .as_mut()
-            .expect("just built")
-            .at_most(&mut self.solver, k);
-        self.tally
-            .credit_since(ConstraintFamily::Cardinality, &self.solver, mark);
-        act
-    }
-
     /// Decodes `(block mapping, per-gate block, transition swaps)`.
-    fn decode(&self, circuit: &Circuit) -> TbSolution {
-        let blocks = self.blocks;
+    fn solution(&self, circuit: &Circuit) -> TbSolution {
+        let core = &self.core;
+        let blocks = core.window();
         let mapping: Vec<Vec<u16>> = (0..blocks)
             .map(|b| {
                 self.mapping
                     .iter()
-                    .map(|per_b| per_b[b].value_in(&self.solver) as u16)
+                    .map(|per_b| per_b[b].value_in(&core.solver) as u16)
                     .collect()
             })
             .collect();
         let gate_block: Vec<usize> = (0..circuit.num_gates())
-            .map(|g| self.time.value_in(&self.solver, g))
+            .map(|g| core.time.value_in(&core.solver, g))
             .collect();
         let swaps: Vec<Vec<usize>> = (0..blocks.saturating_sub(1))
             .map(|b| {
-                self.swap_lits
+                core.swap_lits
                     .iter()
                     .enumerate()
-                    .filter(|(_, row)| self.solver.model_value(row[b]) == Some(true))
+                    .filter(|(_, row)| core.solver.model_value(row[b]) == Some(true))
                     .map(|(e, _)| e)
                     .collect()
             })
@@ -375,6 +229,103 @@ impl TransitionModel {
             gate_block,
             swaps,
         }
+    }
+}
+
+/// TB-OLSQ2's search rules (§III-D): the time bound is an exact block
+/// count, probed upward from one block on a window that starts at four
+/// blocks and doubles (up to the gate count); every solution at `b`
+/// blocks carries at least `b − 1` SWAPs, one per transition, so the
+/// SWAP bracket at `b` starts there and is halved; a relaxed block count
+/// grows the window by exactly one block.
+impl BoundedModel for TransitionModel {
+    const NAMES: Vocabulary = Vocabulary {
+        time_walk: "tb_optimize_blocks",
+        swap_walk: "tb_optimize_swaps",
+        feasible: "tb_solve_feasible",
+        objective: "blocks",
+        floor: "block_lb",
+        time_bound: "block_bound",
+        window: "blocks",
+    };
+
+    fn time_floor(_circuit: &Circuit, _config: &SynthesisConfig) -> usize {
+        1
+    }
+
+    fn relax(k: usize) -> usize {
+        k + 1
+    }
+
+    fn first_window(_floor: usize, _config: &SynthesisConfig) -> usize {
+        4
+    }
+
+    fn widened_window(blocks: usize, _k: usize, circuit: &Circuit) -> usize {
+        (blocks * 2).min(circuit.num_gates().max(4))
+    }
+
+    fn swap_floor(blocks: usize) -> usize {
+        blocks.saturating_sub(1)
+    }
+
+    fn next_swap_bound(lo: usize, hi: usize) -> usize {
+        lo + (hi - 1 - lo) / 2
+    }
+
+    fn relaxed_window(_blocks: usize, k: usize, _config: &SynthesisConfig) -> usize {
+        k
+    }
+
+    fn build(
+        circuit: &Circuit,
+        graph: &CouplingGraph,
+        config: &SynthesisConfig,
+        blocks: usize,
+    ) -> Result<TransitionModel, ModelError> {
+        TransitionModel::build(circuit, graph, config, blocks)
+    }
+
+    fn core(&self) -> &ModelCore {
+        &self.core
+    }
+
+    fn core_mut(&mut self) -> &mut ModelCore {
+        &mut self.core
+    }
+
+    /// Activation literal for "exactly `k` blocks are used": all gates in
+    /// blocks `0..k`, no SWAP on transitions `k-1..`, and — the paper's
+    /// symmetry breaking behind its early termination rule — every live
+    /// transition carries at least one SWAP (a solution with an empty
+    /// transition is identical to one with fewer blocks, which the search
+    /// has already covered).
+    fn time_bound(&mut self, k: usize) -> Lit {
+        self.core.time_bound(k, |core, act| {
+            // The symmetry clauses reference only transitions below
+            // `k - 1`, which no later growth adds to.
+            for b in 0..k.saturating_sub(1) {
+                let mut clause = vec![!act];
+                clause.extend(core.swap_lits.iter().map(|row| row[b]));
+                core.solver.add_clause(clause);
+            }
+        })
+    }
+
+    fn extend(
+        &mut self,
+        circuit: &Circuit,
+        graph: &CouplingGraph,
+        config: &SynthesisConfig,
+        blocks: usize,
+    ) -> bool {
+        self.extend_blocks(circuit, graph, config, blocks)
+    }
+
+    fn decode(&self, circuit: &Circuit, config: &SynthesisConfig) -> (LayoutResult, usize) {
+        let solution = self.solution(circuit);
+        let result = solution.lower(circuit, config.swap_duration);
+        (result, solution.used_blocks())
     }
 }
 
@@ -390,10 +341,6 @@ struct TbSolution {
 }
 
 impl TbSolution {
-    fn swap_count(&self) -> usize {
-        self.swaps.iter().map(Vec::len).sum()
-    }
-
     fn used_blocks(&self) -> usize {
         self.gate_block.iter().copied().max().unwrap_or(0) + 1
     }
@@ -470,17 +417,6 @@ pub struct TbOutcome {
     pub block_count: usize,
 }
 
-/// Where a TB walk stands: the warm model, its best witness, and whether
-/// the walk has proven it optimal. The block walk's end state is what
-/// [`TbOlsq2Synthesizer::optimize_blocks`] reports and
-/// [`TbOlsq2Synthesizer::optimize_swaps`] carries into its SWAP phase.
-struct TbWalk {
-    model: TransitionModel,
-    best: TbSolution,
-    iterations: usize,
-    proven: bool,
-}
-
 /// The TB-OLSQ2 synthesizer (transition-based, near-optimal SWAP count).
 ///
 /// # Examples
@@ -515,198 +451,9 @@ impl TbOlsq2Synthesizer {
         TbOlsq2Synthesizer { config }
     }
 
-    fn deadline(&self) -> Option<Instant> {
-        self.config.time_budget.map(|b| Instant::now() + b)
-    }
-
-    fn arm(&self, model: &mut TransitionModel, deadline: Option<Instant>) {
-        model.solver.set_deadline(deadline);
-        model
-            .solver
-            .set_conflict_budget(self.config.conflict_budget);
-        model.solver.set_stop_flag(self.config.stop_flag.clone());
-    }
-
-    /// Builds the transition model under an `encode` span carrying the
-    /// per-family formula breakdown, and installs the recorder in the
-    /// solver.
-    fn build_model(
-        &self,
-        circuit: &Circuit,
-        graph: &CouplingGraph,
-        blocks: usize,
-    ) -> Result<TransitionModel, ModelError> {
-        let span = self.config.recorder.span("encode");
-        span.set("blocks", blocks);
-        let mut model = TransitionModel::build(circuit, graph, &self.config, blocks)?;
-        if self.config.recorder.is_enabled() {
-            span.set("vars", model.solver.num_vars());
-            span.set("clauses", model.solver.num_clauses());
-            for (fam, c) in model.tally.iter() {
-                span.set(fam.vars_key(), c.vars);
-                span.set(fam.clauses_key(), c.clauses);
-            }
-        }
-        model.solver.set_recorder(self.config.recorder.clone());
-        model.solver.set_probe(self.config.probe.clone());
-        Ok(model)
-    }
-
-    /// Grows `model` to `blocks` in place via
-    /// [`TransitionModel::extend_blocks`], or by rebuilding from scratch
-    /// where the extension refuses (a binary block index that needs a
-    /// wider bit-vector).
-    fn grow_model(
-        &self,
-        circuit: &Circuit,
-        graph: &CouplingGraph,
-        model: &mut TransitionModel,
-        blocks: usize,
-    ) -> Result<(), ModelError> {
-        let span = self.config.recorder.span("extend");
-        span.set("blocks", blocks);
-        let vars_before = model.solver.num_vars();
-        let clauses_before = model.solver.num_clauses();
-        let extend_start = Instant::now();
-        if model.extend_blocks(circuit, graph, &self.config, blocks) {
-            span.set("extend_us", extend_start.elapsed().as_micros() as u64);
-            span.set("appended_vars", model.solver.num_vars() - vars_before);
-            span.set(
-                "appended_clauses",
-                model.solver.num_clauses().saturating_sub(clauses_before),
-            );
-            return Ok(());
-        }
-        span.set("result", "rebuild");
-        *model = self.build_model(circuit, graph, blocks)?;
-        Ok(())
-    }
-
-    /// Opens one `iteration` span tagged with the active bounds.
-    fn iteration_span(&self, objective: &str, bounds: &[(&str, usize)]) -> olsq2_obs::SpanGuard {
-        let span = self.config.recorder.span("iteration");
-        span.set("objective", objective);
-        for &(k, v) in bounds {
-            span.set(k, v);
-        }
-        span
-    }
-
-    /// Publishes a lowered intermediate solution to the configured
-    /// incumbent slot (see [`crate::IncumbentSlot`]).
-    fn publish_incumbent(&self, result: &olsq2_layout::LayoutResult) {
-        if let Some(slot) = &self.config.incumbent {
-            slot.publish(result);
-        }
-    }
-
-    /// One bound probe on `model`: exactly `blocks` blocks, plus
-    /// `swaps ≤ k` (cardinality network of capacity `capacity`) when
-    /// `swap_bound` is `Some((k, capacity))`. Arms the activators and the
-    /// run's budgets and solves inside one `iteration` span carrying the
-    /// bounds, the arm and solve times, the verdict and the solver-stat
-    /// deltas.
-    fn probe(
-        &self,
-        model: &mut TransitionModel,
-        deadline: Option<Instant>,
-        blocks: usize,
-        swap_bound: Option<(usize, usize)>,
-    ) -> SolveResult {
-        let span = match swap_bound {
-            None => self.iteration_span("blocks", &[("block_bound", blocks)]),
-            Some((k, _)) => {
-                self.iteration_span("swaps", &[("block_bound", blocks), ("swap_bound", k)])
-            }
-        };
-        let encode_start = Instant::now();
-        let mut acts = vec![model.block_bound(blocks)];
-        if let Some((k, capacity)) = swap_bound {
-            acts.push(model.swap_bound(k, capacity, self.config.encoding.cardinality));
-        }
-        span.set("encode_us", encode_start.elapsed().as_micros() as u64);
-        self.arm(model, deadline);
-        let stats_before = model.solver.stats();
-        let solve_start = Instant::now();
-        let res = model.solve(&acts);
-        span.set("solve_us", solve_start.elapsed().as_micros() as u64);
-        span.set("result", result_str(res));
-        Olsq2Synthesizer::set_iteration_deltas(&span, stats_before, model.solver.stats());
-        res
-    }
-
-    /// Decodes the SAT witness on `model` and publishes it as an incumbent.
-    fn take_witness(&self, circuit: &Circuit, model: &TransitionModel) -> TbSolution {
-        let sol = model.decode(circuit);
-        self.publish_incumbent(&sol.lower(circuit, self.config.swap_duration));
-        sol
-    }
-
-    /// The block walk of §III-D under one `tb_optimize_blocks` span: probe
-    /// `k = 1, 2, …` blocks until the first SAT, on a window that starts at
-    /// 4 blocks and doubles when `k` outgrows it. Every `k − 1` was refuted
-    /// first, so the witness is block-optimal.
-    fn block_walk(
-        &self,
-        circuit: &Circuit,
-        graph: &CouplingGraph,
-        deadline: Option<Instant>,
-    ) -> Result<TbWalk, SynthesisError> {
-        let outer = self.config.recorder.span("tb_optimize_blocks");
-        let mut model = self.build_model(circuit, graph, 4)?;
-        let mut iterations = 0usize;
-        let mut k = 1usize;
-        loop {
-            if k > model.blocks {
-                let window = (model.blocks * 2).min(circuit.num_gates().max(4));
-                if k > window {
-                    return Err(SynthesisError::WindowExhausted);
-                }
-                self.grow_model(circuit, graph, &mut model, window)?;
-            }
-            iterations += 1;
-            match self.probe(&mut model, deadline, k, None) {
-                SolveResult::Sat => {
-                    let best = self.take_witness(circuit, &model);
-                    outer.set("iterations", iterations);
-                    return Ok(TbWalk {
-                        model,
-                        best,
-                        iterations,
-                        proven: true,
-                    });
-                }
-                SolveResult::Unsat => k += 1,
-                SolveResult::Unknown => return Err(SynthesisError::BudgetExhausted),
-            }
-        }
-    }
-
-    /// Reports a walk's end state.
-    fn finish(&self, circuit: &Circuit, start: Instant, walk: TbWalk) -> TbOutcome {
-        let TbWalk {
-            model,
-            best,
-            iterations,
-            proven,
-        } = walk;
-        TbOutcome {
-            outcome: SynthesisOutcome {
-                result: best.lower(circuit, self.config.swap_duration),
-                proven_optimal: proven,
-                iterations,
-                elapsed: start.elapsed(),
-                formula_size: (model.solver.num_vars(), model.solver.num_clauses()),
-                solver_stats: model.solver.stats(),
-                extensions: model.extensions,
-                refutation: None,
-            },
-            block_count: best.used_blocks(),
-        }
-    }
-
     /// Minimizes the block count: start at 1 block, increase by 1 until
-    /// SAT (§III-D).
+    /// SAT (§III-D). Under [`SynthesisConfig::proof_log`], an optimum
+    /// above one block carries the sealed refutation of one block fewer.
     ///
     /// # Errors
     ///
@@ -716,21 +463,29 @@ impl TbOlsq2Synthesizer {
         circuit: &Circuit,
         graph: &CouplingGraph,
     ) -> Result<TbOutcome, SynthesisError> {
-        let start = Instant::now();
-        let walk = self.block_walk(circuit, graph, self.deadline())?;
-        Ok(self.finish(circuit, start, walk))
+        let mut run = Run::new(&self.config, circuit, graph);
+        let walk = run.time_walk::<TransitionModel>(None)?;
+        let block_count = walk.time();
+        Ok(TbOutcome {
+            outcome: run.finish(walk),
+            block_count,
+        })
     }
 
     /// SWAP-count optimization over the transition model: block-optimal
-    /// first, then iterative descent; relax the block count when the
-    /// optimum under the current count is proven; stop early when
-    /// `S = blocks - 1` (each transition needs at least one SWAP).
+    /// first, then a bracketed binary search of the SWAP count at each
+    /// block count; relax the block count when the optimum under the
+    /// current count is proven; stop early when `S ≤ blocks` (at one more
+    /// block each transition needs at least one SWAP).
     ///
     /// The SWAP phase runs on the block walk's warm model, under the same
     /// deadline: its learned clauses, saved phases and cached block
     /// activators carry over, and the window grows only when relaxation
     /// needs a block beyond it. One solver runs every probe, so
-    /// `solver_stats` covers the whole run.
+    /// `solver_stats` covers the whole run. Under
+    /// [`SynthesisConfig::proof_log`] the outcome carries the sealed
+    /// refutation of the UNSAT probe that closed the final bracket, and
+    /// none when that bracket closed on its floor of `blocks − 1` SWAPs.
     ///
     /// # Errors
     ///
@@ -740,85 +495,13 @@ impl TbOlsq2Synthesizer {
         circuit: &Circuit,
         graph: &CouplingGraph,
     ) -> Result<TbOutcome, SynthesisError> {
-        let start = Instant::now();
-        let deadline = self.deadline();
-        let outer = self.config.recorder.span("tb_optimize_swaps");
-        let mut walk = self.block_walk(circuit, graph, deadline)?;
-        let model = &mut walk.model;
-        let mut blocks = walk.best.used_blocks();
-        let mut best_count = walk.best.swap_count();
-        let capacity = best_count.max(1);
-        let mut relax_rounds = 0usize;
-
-        'outer: loop {
-            // Descend at the current block count: a bracketed binary
-            // search instead of the linear walk. Every solution at `b`
-            // blocks carries at least `b − 1` SWAPs (one per transition),
-            // so the optimum under this count lies in
-            // `[blocks − 1, best_count]`; SAT threshold queries are
-            // monotone, so halving the bracket preserves the optimum in
-            // O(log) probes, and each probe re-uses the cached
-            // `swap_bound`/`block_bound` activators — no re-encode per
-            // candidate count.
-            let mut lo = blocks.saturating_sub(1);
-            while best_count > lo {
-                let k = lo + (best_count - 1 - lo) / 2;
-                walk.iterations += 1;
-                match self.probe(model, deadline, blocks, Some((k, capacity))) {
-                    SolveResult::Sat => {
-                        // The witness may beat the probed bound: jump the
-                        // upper end straight to its achieved count.
-                        walk.best = self.take_witness(circuit, model);
-                        best_count = walk.best.swap_count();
-                    }
-                    SolveResult::Unsat => lo = k + 1,
-                    SolveResult::Unknown => {
-                        walk.proven = false;
-                        break 'outer;
-                    }
-                }
-            }
-            // Bracket closed: everything below `best_count` is refuted or
-            // structurally impossible here. Early termination (§III-D):
-            // at b+1 blocks every solution has at least b SWAPs (one per
-            // transition), so relaxing cannot beat a count of ≤ b.
-            if best_count <= blocks {
-                break;
-            }
-            if let Some(limit) = self.config.pareto_relax_limit {
-                if relax_rounds >= limit {
-                    break;
-                }
-            }
-            relax_rounds += 1;
-            // Relax the block count by one and try to do better.
-            let new_blocks = blocks + 1;
-            if new_blocks > model.blocks {
-                self.grow_model(circuit, graph, model, new_blocks)?;
-            }
-            walk.iterations += 1;
-            match self.probe(
-                model,
-                deadline,
-                new_blocks,
-                Some((best_count - 1, capacity)),
-            ) {
-                SolveResult::Sat => {
-                    walk.best = self.take_witness(circuit, model);
-                    best_count = walk.best.swap_count();
-                    blocks = new_blocks;
-                }
-                SolveResult::Unsat => break,
-                SolveResult::Unknown => {
-                    walk.proven = false;
-                    break;
-                }
-            }
-        }
-
-        outer.set("iterations", walk.iterations);
-        outer.set("proven_optimal", walk.proven);
-        Ok(self.finish(circuit, start, walk))
+        let mut run = Run::new(&self.config, circuit, graph);
+        let (walk, _) = run.swap_walk::<TransitionModel>()?;
+        let block_count = walk.time();
+        Ok(TbOutcome {
+            outcome: run.finish(walk),
+            block_count,
+        })
     }
 
     /// Builds a model with a fixed block window and solves once under the
@@ -834,42 +517,7 @@ impl TbOlsq2Synthesizer {
         blocks: usize,
         swap_bound: Option<usize>,
     ) -> Result<Option<SynthesisOutcome>, SynthesisError> {
-        let start = Instant::now();
-        let outer = self.config.recorder.span("tb_solve_feasible");
-        outer.set("blocks", blocks);
-        let mut model = self.build_model(circuit, graph, blocks)?;
-        let mut assumptions = Vec::new();
-        if let Some(k) = swap_bound {
-            assumptions.push(model.swap_bound(k, k, self.config.encoding.cardinality));
-        }
-        self.arm(&mut model, self.deadline());
-        let span = self.iteration_span("feasible", &[("block_bound", blocks)]);
-        let stats_before = model.solver.stats();
-        let solve_start = Instant::now();
-        let res = model.solve(&assumptions);
-        span.set("solve_us", solve_start.elapsed().as_micros() as u64);
-        span.set("result", result_str(res));
-        Olsq2Synthesizer::set_iteration_deltas(&span, stats_before, model.solver.stats());
-        drop(span);
-        match res {
-            SolveResult::Sat => {
-                let sol = model.decode(circuit);
-                let result = sol.lower(circuit, self.config.swap_duration);
-                self.publish_incumbent(&result);
-                Ok(Some(SynthesisOutcome {
-                    result,
-                    proven_optimal: false,
-                    iterations: 1,
-                    elapsed: start.elapsed(),
-                    formula_size: (model.solver.num_vars(), model.solver.num_clauses()),
-                    solver_stats: model.solver.stats(),
-                    extensions: model.extensions,
-                    refutation: None,
-                }))
-            }
-            SolveResult::Unsat => Err(SynthesisError::WindowExhausted),
-            SolveResult::Unknown => Ok(None),
-        }
+        Run::new(&self.config, circuit, graph).feasible::<TransitionModel>(blocks, swap_bound)
     }
 }
 
@@ -879,9 +527,9 @@ mod tests {
     use olsq2_arch::{grid, line};
     use olsq2_circuit::generators::{qaoa_circuit, tof_circuit};
     use olsq2_circuit::{Gate, GateKind};
-    use olsq2_encode::CardEncoding;
     use olsq2_layout::verify;
     use olsq2_prng::Rng;
+    use olsq2_sat::SolveResult;
 
     fn triangle() -> Circuit {
         let mut c = Circuit::new(3);
@@ -1013,12 +661,12 @@ mod tests {
 
     /// Exactly `k` blocks, plus at most `swaps` SWAPs when given.
     fn probe(model: &mut TransitionModel, k: usize, swaps: Option<usize>) -> SolveResult {
-        let mut acts = vec![model.block_bound(k)];
+        let mut acts = vec![model.time_bound(k)];
         if let Some(s) = swaps {
             // Room for every SWAP six blocks on these devices can hold.
-            acts.push(model.swap_bound(s, 16, CardEncoding::SequentialCounter));
+            acts.push(model.core.swap_bound(s, 16));
         }
-        model.solve(&acts)
+        model.core.solve(&acts)
     }
 
     /// Grows a model in place 2→4→6 blocks and compares it after every
@@ -1032,7 +680,7 @@ mod tests {
         let config = SynthesisConfig::with_swap_duration(1);
         let mut grown = TransitionModel::build(circuit, device, &config, 2).expect("builds");
         for blocks in [2usize, 4, 6] {
-            if blocks > grown.blocks {
+            if blocks > grown.core.window() {
                 assert!(
                     grown.extend_blocks(circuit, device, &config, blocks),
                     "{label}: extension to {blocks} blocks refused"
@@ -1053,15 +701,15 @@ mod tests {
                         continue;
                     }
                     for model in [&grown, &fresh] {
-                        let witness = model.decode(circuit);
-                        witnessed = witnessed.max(witness.swap_count());
+                        let witness = model.solution(circuit);
+                        witnessed = witnessed.max(witness.swaps.iter().map(Vec::len).sum());
                         let layout = witness.lower(circuit, 1);
                         assert_eq!(verify(circuit, device, &layout), Ok(()), "{at}");
                     }
                 }
             }
         }
-        assert_eq!(grown.extensions, 2, "{label}");
+        assert_eq!(grown.core.extensions(), 2, "{label}");
     }
 
     /// Seeded random circuits, most of which fit in two blocks, plus two

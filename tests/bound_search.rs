@@ -1,13 +1,14 @@
 //! The bound search end to end: `Olsq2Synthesizer` walks the depth bound
 //! and then, on the same warm model, the SWAP bound; `TbOlsq2Synthesizer`
 //! walks the block count and then, on the same warm model, the SWAP bound.
-//! Under proof logging the flat synthesizer's decisive UNSAT probe comes
-//! back as a sealed refutation the RUP checker accepts; a run of either
-//! synthesizer stopped mid-probe hands back either a verified incumbent or
-//! `BudgetExhausted`; both synthesizers' SWAP optima are pinned to known
-//! values; and `optimize_depth`'s sub-device first probe proves the DAG
-//! bound on a ball of the device, or hands over to the full-device walk
-//! with its probe counted.
+//! Under proof logging either synthesizer's decisive UNSAT probe comes
+//! back as a sealed refutation the RUP checker accepts; the depth walk
+//! never probes a bound twice; a run of either synthesizer stopped
+//! mid-probe hands back either a verified incumbent or `BudgetExhausted`;
+//! both synthesizers' SWAP optima are pinned to known values; and
+//! `optimize_depth`'s sub-device first probe proves the DAG bound on a
+//! ball of the device, or hands over to the full-device walk with its
+//! probe counted.
 
 use olsq2::{
     Olsq2Synthesizer, Recorder, SynthesisConfig, SynthesisError, SynthesisOutcome,
@@ -107,6 +108,59 @@ fn swap_refutation_is_proof_checked() {
     assert!(out.best.proven_optimal);
     assert_eq!(out.best.result.swap_count(), 0);
     assert!(out.best.refutation.is_none());
+}
+
+/// Proof mode, TB: the block walk's optimum above one block owes the
+/// sealed refutation of one block fewer, and a SWAP optimum owes the
+/// refutation that closed its final bracket, unless that bracket closed
+/// on its floor of `blocks − 1` SWAPs.
+#[test]
+fn tb_refutations_are_proof_checked() {
+    let proving_tb = |swap_duration| {
+        let mut config = SynthesisConfig::with_swap_duration(swap_duration);
+        config.proof_log = true;
+        TbOlsq2Synthesizer::new(config)
+    };
+    let out = proving_tb(1)
+        .optimize_blocks(&triangle(), &line(3))
+        .expect("synthesis");
+    assert!(out.outcome.proven_optimal);
+    assert_eq!(out.block_count, 2);
+    assert_refutation_checks("TB blocks triangle/line3", &out.outcome);
+
+    // (name, circuit, device, S_D, SWAPs, blocks, refutation owed)
+    let swap_rows = [
+        (
+            "qaoa-6/grid2x3",
+            qaoa_circuit(6, 42),
+            grid(2, 3),
+            1,
+            2,
+            2,
+            true,
+        ),
+        ("tof-3/line5", tof_circuit(3), line(5), 3, 4, 5, false),
+    ];
+    for (name, circuit, device, sd, swaps, blocks, owed) in swap_rows {
+        let out = proving_tb(sd)
+            .optimize_swaps(&circuit, &device)
+            .expect("synthesis");
+        assert!(out.outcome.proven_optimal, "{name}: optimum not proven");
+        assert_eq!(
+            (out.outcome.result.swap_count(), out.block_count),
+            (swaps, blocks),
+            "{name}"
+        );
+        assert_eq!(verify(&circuit, &device, &out.outcome.result), Ok(()));
+        if owed {
+            assert_refutation_checks(name, &out.outcome);
+        } else {
+            assert!(
+                out.outcome.refutation.is_none(),
+                "{name}: a SWAP optimum on its floor has nothing to refute"
+            );
+        }
+    }
 }
 
 /// The SWAP walks under test: flat `Olsq2Synthesizer` or TB
@@ -304,6 +358,27 @@ fn assert_spans_account_for(name: &str, out: &SynthesisOutcome, spans: &[SpanDat
         out.solver_stats.conflicts, conflicts,
         "{name}: stats add up"
     );
+}
+
+/// The depth walk's descent stops one above the highest bound its
+/// relaxation refuted, so no full-device bound is probed twice.
+#[test]
+fn depth_walk_never_reprobes_a_bound() {
+    for (name, circuit, device, sd) in depth_corpus() {
+        let (out, spans) = traced_depth(&circuit, &device, sd, false);
+        let out = out.unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert!(out.proven_optimal, "{name}: optimum not proven");
+        let bounds: Vec<u64> = named(&spans, "iteration")
+            .into_iter()
+            .filter(|s| u64_field(s, "sub_device").is_none())
+            .map(|s| u64_field(s, "t_bound").expect("iteration t_bound"))
+            .collect();
+        let mut probed = std::collections::HashSet::new();
+        assert!(
+            bounds.iter().all(|&b| probed.insert(b)),
+            "{name}: bounds probed {bounds:?}"
+        );
+    }
 }
 
 /// Depth at the DAG bound on a ball of `2·|Q|` device qubits is the
