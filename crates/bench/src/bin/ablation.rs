@@ -15,9 +15,11 @@ use olsq2_circuit::{Circuit, DependencyGraph};
 use olsq2_sat::SolveResult;
 use std::time::Instant;
 
-/// Depth optimization re-implemented with a fresh solver per bound —
-/// the same search trajectory as `Olsq2Synthesizer::optimize_depth` but no
-/// clause reuse.
+/// Depth optimization with a fresh solver per bound and no clause reuse,
+/// under `Olsq2Synthesizer::optimize_depth`'s rule: relax geometrically
+/// from `T_LB` until SAT, then descend from the witness's depth until
+/// UNSAT or one above the highest refuted bound. Fresh solvers may find
+/// other witnesses, so the bounds probed can differ from the driver's.
 fn fresh_per_bound(circuit: &Circuit, graph: &olsq2_arch::CouplingGraph, opts: &BenchOpts) -> Cell {
     let start = Instant::now();
     let deadline = start + opts.budget;
@@ -26,30 +28,37 @@ fn fresh_per_bound(circuit: &Circuit, graph: &olsq2_arch::CouplingGraph, opts: &
     let t_lb = dag.longest_chain().max(1);
     let t_ub = ((t_lb as f64 * 1.5).ceil() as usize).max(t_lb + 1);
 
-    let solve_at = |bound: usize| -> Option<SolveResult> {
+    // The verdict at `bound`, with the witness's depth when SAT.
+    let solve_at = |bound: usize| -> Option<(SolveResult, usize)> {
         let mut model = FlatModel::build(circuit, graph, &config, t_ub.max(bound)).ok()?;
         let act = model.depth_bound(bound);
         model.solver_mut().set_deadline(Some(deadline));
-        Some(model.solve(&[act]))
+        let verdict = model.solve(&[act]);
+        let depth = match verdict {
+            SolveResult::Sat => model.extract().depth,
+            _ => bound,
+        };
+        Some((verdict, depth))
     };
 
-    // Phase 1: geometric relaxation.
-    let mut t_b = t_lb;
-    loop {
+    // Relax geometrically; `lo` is one above the highest refuted bound.
+    let (mut t_b, mut lo) = (t_lb, t_lb);
+    let mut depth = loop {
         match solve_at(t_b) {
-            Some(SolveResult::Sat) => break,
-            Some(SolveResult::Unsat) => {
+            Some((SolveResult::Sat, depth)) => break depth,
+            Some((SolveResult::Unsat, _)) => {
+                lo = t_b + 1;
                 let r = if t_b < 100 { 1.3 } else { 1.1 };
                 t_b = ((t_b as f64 * r).ceil() as usize).max(t_b + 1);
             }
             _ => return Cell::Timeout,
         }
-    }
-    // Phase 2: decrement.
-    while t_b > t_lb {
-        match solve_at(t_b - 1) {
-            Some(SolveResult::Sat) => t_b -= 1,
-            Some(SolveResult::Unsat) => break,
+    };
+    // Descend from the witness's depth.
+    while depth > lo {
+        match solve_at(depth - 1) {
+            Some((SolveResult::Sat, d)) => depth = d,
+            Some((SolveResult::Unsat, _)) => break,
             _ => return Cell::Timeout,
         }
     }

@@ -16,7 +16,7 @@
 //! Quick mode: grids 3×3/4×4/5×5 × QAOA 8–12; `--full`: grids 5×5…9×9 ×
 //! QAOA 10–24 with the paper's `T_UB = 21` window.
 
-use olsq2::{EncodingConfig, FlatModel, ModelStyle, Olsq2Synthesizer, SynthesisConfig};
+use olsq2::{EncodingConfig, FlatModel, ModelStyle, SynthesisConfig};
 use olsq2_arch::grid;
 use olsq2_bench::{geomean_ratio, ratio, BenchOpts, Cell};
 use olsq2_circuit::generators::qaoa_circuit;
@@ -52,7 +52,6 @@ fn run_style(
 
 fn main() {
     let opts = BenchOpts::from_args();
-    let _ = Olsq2Synthesizer::new(SynthesisConfig::default()); // keep the public API exercised
     let (grids, sizes, t_ub): (Vec<usize>, Vec<usize>, usize) = if opts.full {
         (vec![5, 6, 7, 8, 9], vec![10, 12, 16, 20, 24], 21)
     } else {

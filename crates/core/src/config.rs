@@ -156,10 +156,11 @@ pub struct SynthesisConfig {
     /// disabled probe costs one branch per conflict.
     pub probe: olsq2_obs::Probe,
     /// Record clausal proofs on every solver this run builds (enabled
-    /// *before* the first clause, as the log requires). UNSAT iterations
-    /// can then justify themselves: [`crate::Olsq2Synthesizer`] seals
-    /// the UNSAT probe that proves its optimum into
-    /// [`crate::SynthesisOutcome::refutation`].
+    /// *before* the first clause, as the log requires), with every
+    /// assumption core logged as a lemma. UNSAT iterations can then
+    /// justify themselves: [`crate::Olsq2Synthesizer`] and
+    /// [`crate::TbOlsq2Synthesizer`] seal the UNSAT probe that proves
+    /// their optimum into [`crate::SynthesisOutcome::refutation`].
     pub proof_log: bool,
     /// An encoded-model template to fork from instead of encoding: when
     /// set, the model is forked from the seed — after verifying it

@@ -26,7 +26,7 @@
 //! the JSONL artifacts — no live process needed.
 
 use crate::flight::FlightDump;
-use crate::jsonin::JsonValue;
+use crate::json::{self, Json};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -126,32 +126,32 @@ pub fn parse_side(text: &str) -> Result<TraceSide, String> {
         if line.is_empty() || !relevant {
             continue;
         }
-        let v = JsonValue::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        match v.get("type").and_then(JsonValue::as_str) {
+        let v = json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+        match v.get("type").and_then(Json::as_str) {
             Some("meta") => {
-                let version = v.get("version").and_then(JsonValue::as_u64).unwrap_or(0);
+                let version = v.get("version").and_then(Json::as_u64).unwrap_or(0);
                 if version != 1 {
                     return Err(format!("unsupported trace version {version} (expected 1)"));
                 }
             }
-            Some("span") if v.get("name").and_then(JsonValue::as_str) == Some("iteration") => {
-                let fields = v.get("fields").cloned().unwrap_or(JsonValue::Null);
-                let u = |k: &str| fields.get(k).and_then(JsonValue::as_u64).unwrap_or(0);
+            Some("span") if v.get("name").and_then(Json::as_str) == Some("iteration") => {
+                let fields = v.get("fields").cloned().unwrap_or(Json::Null);
+                let u = |k: &str| fields.get(k).and_then(Json::as_u64).unwrap_or(0);
                 iterations.push(IterationRow {
                     objective: fields
                         .get("objective")
-                        .and_then(JsonValue::as_str)
+                        .and_then(Json::as_str)
                         .unwrap_or("?")
                         .to_string(),
-                    t_bound: fields.get("t_bound").and_then(JsonValue::as_u64),
-                    swap_bound: fields.get("swap_bound").and_then(JsonValue::as_i64),
-                    sub_device: fields.get("sub_device").and_then(JsonValue::as_u64),
-                    total_us: v.get("dur_us").and_then(JsonValue::as_u64).unwrap_or(0),
+                    t_bound: fields.get("t_bound").and_then(Json::as_u64),
+                    swap_bound: fields.get("swap_bound").and_then(Json::as_i64),
+                    sub_device: fields.get("sub_device").and_then(Json::as_u64),
+                    total_us: v.get("dur_us").and_then(Json::as_u64).unwrap_or(0),
                     encode_us: u("encode_us"),
                     solve_us: u("solve_us"),
                     result: fields
                         .get("result")
-                        .and_then(JsonValue::as_str)
+                        .and_then(Json::as_str)
                         .unwrap_or("?")
                         .to_string(),
                     conflicts: u("conflicts"),

@@ -40,7 +40,7 @@
 //! [`FlightDump::parse_jsonl`] reads the same format back (standalone or
 //! embedded in a trace file), which is what `olsq2 trace-diff` ingests.
 
-use crate::jsonin::JsonValue;
+use crate::json::{self, Json};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -476,26 +476,26 @@ impl FlightDump {
             if line.is_empty() || !line.contains("\"flight") {
                 continue;
             }
-            let v = JsonValue::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-            match v.get("type").and_then(JsonValue::as_str) {
+            let v = json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+            match v.get("type").and_then(Json::as_str) {
                 Some("flight_meta") => {
-                    dump.version = v.get("version").and_then(JsonValue::as_u64).unwrap_or(0);
+                    dump.version = v.get("version").and_then(Json::as_u64).unwrap_or(0);
                     if dump.version != FLIGHT_VERSION {
                         return Err(format!(
                             "unsupported flight version {} (expected {FLIGHT_VERSION})",
                             dump.version
                         ));
                     }
-                    dump.capacity = v.get("capacity").and_then(JsonValue::as_u64).unwrap_or(0);
-                    dump.every = v.get("every").and_then(JsonValue::as_u64).unwrap_or(0);
-                    dump.emitted = v.get("emitted").and_then(JsonValue::as_u64).unwrap_or(0);
+                    dump.capacity = v.get("capacity").and_then(Json::as_u64).unwrap_or(0);
+                    dump.every = v.get("every").and_then(Json::as_u64).unwrap_or(0);
+                    dump.emitted = v.get("emitted").and_then(Json::as_u64).unwrap_or(0);
                 }
                 Some("flight") => {
-                    let u = |k: &str| v.get(k).and_then(JsonValue::as_u64).unwrap_or(0);
-                    let f = |k: &str| v.get(k).and_then(JsonValue::as_f64).unwrap_or(0.0);
+                    let u = |k: &str| v.get(k).and_then(Json::as_u64).unwrap_or(0);
+                    let f = |k: &str| v.get(k).and_then(Json::as_f64).unwrap_or(0.0);
                     let source = v
                         .get("source")
-                        .and_then(JsonValue::as_str)
+                        .and_then(Json::as_str)
                         .and_then(SampleSource::parse)
                         .ok_or_else(|| format!("line {}: bad flight source", i + 1))?;
                     dump.samples.push((

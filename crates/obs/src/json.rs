@@ -1,5 +1,6 @@
-//! A minimal JSON reader/writer for the service's manifest and result
-//! formats.
+//! A minimal JSON reader/writer: the service's manifest and result
+//! formats, and the trace and flight-dump lines this crate writes and
+//! reads back.
 //!
 //! The workspace deliberately has no external dependencies (the solver,
 //! encoders, and heuristics are all in-repo), so the JSONL wire format is
@@ -51,6 +52,14 @@ impl Json {
             Json::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
                 Some(*n as u64)
             }
+            _ => None,
+        }
+    }
+
+    /// The value as a signed integer, if it is a whole number.
+    pub fn as_i64(&self) -> Option<i64> {
+        match self {
+            Json::Number(n) if n.fract() == 0.0 && n.abs() <= 2f64.powi(53) => Some(*n as i64),
             _ => None,
         }
     }
@@ -184,7 +193,8 @@ fn write_number(n: f64, out: &mut String) {
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
+/// Writes `s` as a JSON string literal.
+pub(crate) fn write_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -469,6 +479,33 @@ mod tests {
         assert!(parse("tru").is_err());
         assert!(parse("1 2").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn parses_trace_shaped_lines() {
+        let v = parse(
+            r#"{"type":"span","id":3,"name":"iteration","dur_us":120,
+                "fields":{"t_bound":7,"swap_bound":-1,"result":"sat","f":1.5,"ok":true,"n":null}}"#,
+        )
+        .expect("parses");
+        assert_eq!(v.get("type").and_then(Json::as_str), Some("span"));
+        assert_eq!(v.get("id").and_then(Json::as_u64), Some(3));
+        let fields = v.get("fields").expect("fields");
+        assert_eq!(fields.get("swap_bound").and_then(Json::as_i64), Some(-1));
+        assert_eq!(fields.get("swap_bound").and_then(Json::as_u64), None);
+        assert_eq!(fields.get("f").and_then(Json::as_f64), Some(1.5));
+        assert_eq!(fields.get("f").and_then(Json::as_i64), None);
+        assert_eq!(fields.get("n"), Some(&Json::Null));
+    }
+
+    #[test]
+    fn nested_arrays_and_multibyte_strings() {
+        let v = parse(r#"["π", [1, 2.5, -3], {}]"#).expect("parses");
+        let items = v.as_array().expect("array");
+        assert_eq!(items[0].as_str(), Some("π"));
+        assert_eq!(items[1].as_array().map(<[Json]>::len), Some(3));
+        assert_eq!(items[2].as_object().map(BTreeMap::len), Some(0));
+        assert!(parse("{} x").is_err());
     }
 
     #[test]

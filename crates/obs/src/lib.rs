@@ -83,7 +83,7 @@
 
 pub mod diff;
 pub mod flight;
-mod jsonin;
+pub mod json;
 mod prom;
 mod recorder;
 pub mod report;

@@ -14,6 +14,7 @@
 //! Serialization lives here so traces written by [`crate::Recorder`] and
 //! reports rendered offline (`olsq2 trace-report`) agree on one schema.
 
+use crate::json::write_string;
 use crate::recorder::FieldValue;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -177,7 +178,7 @@ impl TraceSnapshot {
                 let _ = write!(out, ",\"parent\":{parent}");
             }
             out.push_str(",\"name\":");
-            write_json_string(&span.name, &mut out);
+            write_string(&span.name, &mut out);
             let _ = write!(out, ",\"start_us\":{}", span.start_us);
             if let Some(dur) = span.dur_us {
                 let _ = write!(out, ",\"dur_us\":{dur}");
@@ -192,18 +193,18 @@ impl TraceSnapshot {
             }
             let _ = write!(out, ",\"at_us\":{}", event.at_us);
             out.push_str(",\"name\":");
-            write_json_string(&event.name, &mut out);
+            write_string(&event.name, &mut out);
             write_fields(&event.fields, &mut out);
             out.push_str("}\n");
         }
         for (name, value) in &self.counters {
             out.push_str("{\"type\":\"counter\",\"name\":");
-            write_json_string(name, &mut out);
+            write_string(name, &mut out);
             let _ = writeln!(out, ",\"value\":{value}}}");
         }
         for (name, h) in &self.histograms {
             out.push_str("{\"type\":\"hist\",\"name\":");
-            write_json_string(name, &mut out);
+            write_string(name, &mut out);
             let _ = writeln!(
                 out,
                 ",\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
@@ -232,7 +233,7 @@ fn write_fields(fields: &[(String, FieldValue)], out: &mut String) {
         if i > 0 {
             out.push(',');
         }
-        write_json_string(k, out);
+        write_string(k, out);
         out.push(':');
         write_field_value(v, out);
     }
@@ -252,26 +253,8 @@ fn write_field_value(v: &FieldValue, out: &mut String) {
         }
         FieldValue::F64(_) => out.push_str("null"),
         FieldValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        FieldValue::Str(s) => write_json_string(s, out),
+        FieldValue::Str(s) => write_string(s, out),
     }
-}
-
-fn write_json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

@@ -64,11 +64,14 @@
 
 pub mod cache;
 pub mod http;
-pub mod json;
 pub mod manifest;
 pub mod metrics;
 pub mod request;
 pub mod service;
+
+/// The JSON reader/writer of manifest and result lines, shared with the
+/// trace and flight-dump readers of `olsq2-obs`.
+pub use olsq2_obs::json;
 
 pub use cache::{CacheKey, CacheStats, CachedResult, ResultCache};
 pub use http::IntrospectionServer;
