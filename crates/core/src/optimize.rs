@@ -1,11 +1,11 @@
 //! The optimization strategies of §III-B as one incremental bound search,
-//! written once for both models ([`BoundedModel`]). A time walk (depth
-//! for the flat model, blocks for TB) relaxes the time bound until the
-//! first SAT and descends to one past its highest refuted bound; for the
-//! SWAP objective, a SWAP walk on the same warm model then closes the
-//! SWAP bracket at each time bound and relaxes the time bound by one
-//! while that pays. Every probe is an activation-literal assumption on
-//! one solver.
+//! written once for both models through the crate-private `BoundedModel`
+//! trait. A time walk (depth for the flat model, blocks for TB) relaxes
+//! the time bound until the first SAT and descends to one past its
+//! highest refuted bound; for the SWAP objective, a SWAP walk on the same
+//! warm model then closes the SWAP bracket at each time bound and relaxes
+//! the time bound by one while that pays. Every probe is an
+//! activation-literal assumption on one solver.
 
 use crate::bounded::BoundedModel;
 use crate::config::SynthesisConfig;
@@ -339,6 +339,9 @@ impl<M> Walk<M> {
     }
 }
 
+/// `(depth, SWAPs)` points of a SWAP walk, in exploration order.
+type Pareto = Vec<(usize, usize)>;
+
 /// Runs before a time walk's first full-window probe, inside the walk's
 /// span, given the time floor: ends the walk with its own witness, or
 /// returns `None` to hand over to the full-window walk.
@@ -639,7 +642,7 @@ impl<'a> Run<'a> {
     /// layout and every witness after it.
     pub(crate) fn swap_walk<M: BoundedModel>(
         &mut self,
-    ) -> Result<(Walk<M>, Vec<(usize, usize)>), SynthesisError> {
+    ) -> Result<(Walk<M>, Pareto), SynthesisError> {
         let outer = self.config.recorder.span(M::NAMES.swap_walk);
         let mut walk: Walk<M> = self.time_walk(None)?;
         // The time walk's verdict concerns its own bound.

@@ -36,59 +36,6 @@ struct TransitionModel {
 }
 
 impl TransitionModel {
-    fn build(
-        circuit: &Circuit,
-        graph: &CouplingGraph,
-        config: &SynthesisConfig,
-        blocks: usize,
-    ) -> Result<TransitionModel, ModelError> {
-        check_instance(circuit, graph)?;
-        let (nq, np) = (circuit.num_qubits(), graph.num_qubits());
-        let blocks = blocks.max(1);
-        let mut solver = Solver::new();
-        if config.proof_log {
-            // Before any clause: the log must contain every original.
-            solver.enable_proof();
-        }
-        let enc = config.encoding;
-        let mut tally = FamilyTally::new();
-
-        // Mapping variables + injectivity per block.
-        let mark = tally.mark(&solver);
-        let mut mapping = vec![Vec::new(); nq];
-        mapping_steps(&mut solver, &mut mapping, np, enc, 0..blocks);
-        let mark = tally.credit_since(ConstraintFamily::Mapping, &solver, mark);
-
-        // Block-index variables on a guarded window that can grow in place
-        // (see [`TransitionModel::extend_blocks`]); dependencies are
-        // non-strict (gates may share a block).
-        let dag = dependency_graph(circuit, config);
-        let mut time = TimeVars::new(circuit.num_gates(), enc.time, enc.amo);
-        let window_guard = time
-            .grow(&mut solver, blocks)
-            .expect("an empty window grows");
-        for &(g, g2) in dag.dependencies() {
-            time.assert_before_or_equal(&mut solver, g, g2);
-        }
-        tally.credit_since(ConstraintFamily::Dependency, &solver, mark);
-
-        let core = ModelCore::new(
-            solver,
-            time,
-            window_guard,
-            tally,
-            graph.num_edges(),
-            transitions_into,
-            enc.cardinality,
-        );
-        let mut model = TransitionModel { core, mapping };
-        model.emit_blocks(circuit, graph, 0..blocks);
-        // Structure-aware seeding, as for the flat model: one-hot mapping
-        // groups and the transition SWAP layers.
-        model.core.seed(&model.mapping, enc.mapping);
-        Ok(model)
-    }
-
     /// Runs one family emitter and credits what it adds to `family`.
     fn credit<R>(&mut self, family: ConstraintFamily, emit: impl FnOnce(&mut Self) -> R) -> R {
         let mark = self.core.tally.mark(&self.core.solver);
@@ -156,47 +103,6 @@ impl TransitionModel {
             let swap_lits = &core.swap_lits;
             transition_step(&mut core.solver, graph, qubits, |e| swap_lits[e][b]);
         }
-    }
-
-    /// Grows the block window to `new_blocks` in place — the transition
-    /// analogue of `FlatModel::extend_window`, through the same per-family
-    /// emitters the build runs. Block-index variables move to a new guard
-    /// generation and recorded dependencies are re-emitted for the new
-    /// values. Returns `false` (caller rebuilds) for a binary block index
-    /// needing a wider bit-vector.
-    fn extend_blocks(
-        &mut self,
-        circuit: &Circuit,
-        graph: &CouplingGraph,
-        config: &SynthesisConfig,
-        new_blocks: usize,
-    ) -> bool {
-        let new_blocks = new_blocks.max(1);
-        let old_blocks = self.core.window();
-        assert!(new_blocks >= old_blocks, "block windows only grow");
-        if new_blocks == old_blocks {
-            return true;
-        }
-        let blocks = old_blocks..new_blocks;
-        let grown = self.credit(ConstraintFamily::Dependency, |m| {
-            m.core.time.grow(&mut m.core.solver, new_blocks)
-        });
-        let Some(new_guard) = grown else {
-            return false; // binary width grew: caller rebuilds
-        };
-        self.credit(ConstraintFamily::Mapping, |m| {
-            let np = graph.num_qubits();
-            mapping_steps(
-                &mut m.core.solver,
-                &mut m.mapping,
-                np,
-                config.encoding,
-                blocks.clone(),
-            );
-        });
-        self.emit_blocks(circuit, graph, blocks.clone());
-        self.core.finish_growth(blocks, new_guard);
-        true
     }
 
     /// Decodes `(block mapping, per-gate block, transition swaps)`.
@@ -283,7 +189,51 @@ impl BoundedModel for TransitionModel {
         config: &SynthesisConfig,
         blocks: usize,
     ) -> Result<TransitionModel, ModelError> {
-        TransitionModel::build(circuit, graph, config, blocks)
+        check_instance(circuit, graph)?;
+        let (nq, np) = (circuit.num_qubits(), graph.num_qubits());
+        let blocks = blocks.max(1);
+        let mut solver = Solver::new();
+        if config.proof_log {
+            // Before any clause: the log must contain every original.
+            solver.enable_proof();
+        }
+        let enc = config.encoding;
+        let mut tally = FamilyTally::new();
+
+        // Mapping variables + injectivity per block.
+        let mark = tally.mark(&solver);
+        let mut mapping = vec![Vec::new(); nq];
+        mapping_steps(&mut solver, &mut mapping, np, enc, 0..blocks);
+        let mark = tally.credit_since(ConstraintFamily::Mapping, &solver, mark);
+
+        // Block-index variables on a guarded window that can grow in place
+        // (see `extend`); dependencies are
+        // non-strict (gates may share a block).
+        let dag = dependency_graph(circuit, config);
+        let mut time = TimeVars::new(circuit.num_gates(), enc.time, enc.amo);
+        let window_guard = time
+            .grow(&mut solver, blocks)
+            .expect("an empty window grows");
+        for &(g, g2) in dag.dependencies() {
+            time.assert_before_or_equal(&mut solver, g, g2);
+        }
+        tally.credit_since(ConstraintFamily::Dependency, &solver, mark);
+
+        let core = ModelCore::new(
+            solver,
+            time,
+            window_guard,
+            tally,
+            graph.num_edges(),
+            transitions_into,
+            enc.cardinality,
+        );
+        let mut model = TransitionModel { core, mapping };
+        model.emit_blocks(circuit, graph, 0..blocks);
+        // Structure-aware seeding, as for the flat model: one-hot mapping
+        // groups and the transition SWAP layers.
+        model.core.seed(&model.mapping, enc.mapping);
+        Ok(model)
     }
 
     fn core(&self) -> &ModelCore {
@@ -312,14 +262,45 @@ impl BoundedModel for TransitionModel {
         })
     }
 
+    /// Grows the block window to `new_blocks` in place — the transition
+    /// analogue of `FlatModel::extend_window`, through the same per-family
+    /// emitters the build runs. Block-index variables move to a new guard
+    /// generation and recorded dependencies are re-emitted for the new
+    /// values. Returns `false` (caller rebuilds) for a binary block index
+    /// needing a wider bit-vector.
     fn extend(
         &mut self,
         circuit: &Circuit,
         graph: &CouplingGraph,
         config: &SynthesisConfig,
-        blocks: usize,
+        new_blocks: usize,
     ) -> bool {
-        self.extend_blocks(circuit, graph, config, blocks)
+        let new_blocks = new_blocks.max(1);
+        let old_blocks = self.core.window();
+        assert!(new_blocks >= old_blocks, "block windows only grow");
+        if new_blocks == old_blocks {
+            return true;
+        }
+        let blocks = old_blocks..new_blocks;
+        let grown = self.credit(ConstraintFamily::Dependency, |m| {
+            m.core.time.grow(&mut m.core.solver, new_blocks)
+        });
+        let Some(new_guard) = grown else {
+            return false; // binary width grew: caller rebuilds
+        };
+        self.credit(ConstraintFamily::Mapping, |m| {
+            let np = graph.num_qubits();
+            mapping_steps(
+                &mut m.core.solver,
+                &mut m.mapping,
+                np,
+                config.encoding,
+                blocks.clone(),
+            );
+        });
+        self.emit_blocks(circuit, graph, blocks.clone());
+        self.core.finish_growth(blocks, new_guard);
+        true
     }
 
     fn decode(&self, circuit: &Circuit, config: &SynthesisConfig) -> (LayoutResult, usize) {
@@ -682,7 +663,7 @@ mod tests {
         for blocks in [2usize, 4, 6] {
             if blocks > grown.core.window() {
                 assert!(
-                    grown.extend_blocks(circuit, device, &config, blocks),
+                    grown.extend(circuit, device, &config, blocks),
                     "{label}: extension to {blocks} blocks refused"
                 );
             }
