@@ -8,7 +8,7 @@
 //!       [--flight-out flight.jsonl] [--flight-every N] [--flight-capacity N]
 //!
 //! olsq2 serve-batch --manifest <file|-> [--output <file|->]
-//!       [--workers N] [--queue N] [--cache N] [--snapshot-on-preempt]
+//!       [--workers N] [--queue N] [--cache N]
 //!       [--trace-out trace.jsonl] [--prom-out metrics.prom] [--prom-every SECS]
 //!       [--http ADDR] [--flight-dir DIR] [--flight-every N] [--flight-capacity N]
 //!       [--report]
@@ -56,10 +56,6 @@
 //! including synthesis failure and panic — so the last moments of a
 //! dying search are always recoverable.
 //!
-//! In `serve-batch`, `--snapshot-on-preempt` lets deadline-cut jobs stash
-//! an O(memcpy) solver snapshot so an identical resubmission resumes from
-//! it.
-//!
 //! `trace-diff` aligns two saved traces by their (objective, bound)
 //! iteration schedule and attributes every per-iteration time delta to
 //! encode time, solve throughput, or search divergence — the offline
@@ -105,7 +101,7 @@ fn usage() -> ! {
           [--trace-out trace.jsonl] [--report] \\
           [--flight-out flight.jsonl] [--flight-every N] [--flight-capacity N]
        olsq2 serve-batch --manifest <file|-> [--output <file|->] \\
-          [--workers N] [--queue N] [--cache N] [--snapshot-on-preempt] \\
+          [--workers N] [--queue N] [--cache N] \\
           [--trace-out trace.jsonl] [--prom-out metrics.prom] [--prom-every SECS] \\
           [--http ADDR] [--flight-dir DIR] [--flight-every N] [--flight-capacity N] \\
           [--report]
@@ -157,7 +153,6 @@ fn serve_batch(args: impl Iterator<Item = String>) {
             "--workers" => config.workers = val(&mut args).parse().unwrap_or_else(|_| usage()),
             "--queue" => config.queue_capacity = val(&mut args).parse().unwrap_or_else(|_| usage()),
             "--cache" => config.cache_capacity = val(&mut args).parse().unwrap_or_else(|_| usage()),
-            "--snapshot-on-preempt" => config.snapshot_on_preempt = true,
             "--trace-out" => trace_out = Some(val(&mut args)),
             "--prom-out" => prom_out = Some(val(&mut args)),
             "--prom-every" => {

@@ -71,16 +71,6 @@ pub(crate) trait BoundedModel: Sized {
         config: &SynthesisConfig,
         window: usize,
     ) -> Result<Self, ModelError>;
-    /// A model forked from an encoded template instead of built, where
-    /// the configuration carries one for this instance.
-    fn seeded(
-        _config: &SynthesisConfig,
-        _circuit: &Circuit,
-        _graph: &CouplingGraph,
-        _window: usize,
-    ) -> Option<Self> {
-        None
-    }
     /// The shared bound machinery.
     fn core(&self) -> &ModelCore;
     /// Mutable access to the shared bound machinery.
@@ -100,10 +90,6 @@ pub(crate) trait BoundedModel: Sized {
     /// The layout of the last SAT solve, and the time value it reaches
     /// (its depth, or the blocks it uses).
     fn decode(&self, circuit: &Circuit, config: &SynthesisConfig) -> (LayoutResult, usize);
-    /// Called when a run ends without a proven optimum: the model may
-    /// publish its encoded state for a later resume.
-    fn preempted(&mut self, _config: &SynthesisConfig, _circuit: &Circuit, _graph: &CouplingGraph) {
-    }
 }
 
 /// What both models keep for incremental bound search: the solver, the
@@ -183,22 +169,6 @@ impl ModelCore {
             swap_card: None,
             window_guard,
             extensions: 0,
-        }
-    }
-
-    /// A copy of this core on a forked solver ([`Solver::fork`]).
-    pub(crate) fn fork(&mut self) -> ModelCore {
-        ModelCore {
-            solver: self.solver.fork(),
-            time: self.time.clone(),
-            swap_lits: self.swap_lits.clone(),
-            tally: self.tally.clone(),
-            layers: self.layers,
-            cardinality: self.cardinality,
-            time_bounds: self.time_bounds.clone(),
-            swap_card: self.swap_card.clone(),
-            window_guard: self.window_guard,
-            extensions: self.extensions,
         }
     }
 

@@ -162,17 +162,6 @@ pub struct SynthesisConfig {
     /// [`crate::TbOlsq2Synthesizer`] seal the UNSAT probe that proves
     /// their optimum into [`crate::SynthesisOutcome::refutation`].
     pub proof_log: bool,
-    /// An encoded-model template to fork from instead of encoding: when
-    /// set, the model is forked from the seed — after verifying it
-    /// matches this exact instance — and only the per-run knobs are
-    /// re-applied.
-    /// Installed by the service's snapshot-on-preempt resume path.
-    pub model_seed: Option<crate::ModelSeed>,
-    /// Where to publish the encoded state when the budget expires
-    /// mid-descent: a degraded (preempted) run forks its final model into
-    /// this slot, and a later resume attaches it as [`Self::model_seed`].
-    /// `None` (the default) skips the capture entirely.
-    pub snapshot_slot: Option<crate::SnapshotSlot>,
 }
 
 impl Default for SynthesisConfig {
@@ -190,8 +179,6 @@ impl Default for SynthesisConfig {
             recorder: olsq2_obs::Recorder::disabled(),
             probe: olsq2_obs::Probe::disabled(),
             proof_log: false,
-            model_seed: None,
-            snapshot_slot: None,
         }
     }
 }

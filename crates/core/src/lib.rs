@@ -48,10 +48,10 @@ pub mod transition;
 pub mod vars;
 
 pub use config::{EncodingConfig, MappingEncoding, SynthesisConfig, TimeEncoding};
+pub use incumbent::IncumbentSlot;
+pub use model::{FlatModel, ModelError, ModelStyle};
 // Re-exported so downstream users can enable tracing without naming the
 // obs crate explicitly.
-pub use incumbent::IncumbentSlot;
-pub use model::{FlatModel, ModelError, ModelSeed, ModelStyle, SnapshotSlot};
 pub use olsq2_obs::{Probe, Recorder};
 pub use optimize::{Olsq2Synthesizer, SwapOptimizationOutcome, SynthesisError, SynthesisOutcome};
 pub use transition::{TbOlsq2Synthesizer, TbOutcome};

@@ -16,7 +16,7 @@
 // Indexed `for` loops are deliberate here: time-step/edge index loops mirror the paper's formulation.
 #![allow(clippy::needless_range_loop)]
 use crate::bounded::{check_instance, dependency_graph, BoundedModel, ModelCore, Vocabulary};
-use crate::config::{MappingEncoding, SynthesisConfig, TimeEncoding};
+use crate::config::{EncodingConfig, MappingEncoding, SynthesisConfig, TimeEncoding};
 use crate::vars::{
     adjacency_steps, mapping_steps, transition_step, transitions_into, FdVar, TimeVars,
 };
@@ -89,7 +89,7 @@ pub struct FlatModel {
     mapping: Vec<Vec<FdVar>>,
     sd: usize,
     style: ModelStyle,
-    config: SynthesisConfig,
+    encoding: EncodingConfig,
     num_gates: usize,
 }
 
@@ -194,7 +194,7 @@ impl FlatModel {
             mapping,
             sd: config.swap_duration.max(1),
             style,
-            config: config.clone(),
+            encoding: enc,
             num_gates: circuit.num_gates(),
         };
         model.emit_steps(circuit, graph, steps);
@@ -336,7 +336,7 @@ impl FlatModel {
     /// removes). This style never grows its window.
     fn baseline_scheduling(&mut self, circuit: &Circuit, graph: &CouplingGraph) {
         let (np, ne, sd, t_ub) = (graph.num_qubits(), graph.num_edges(), self.sd, self.t_ub());
-        let enc = self.config.encoding;
+        let enc = self.encoding;
         let (mapping, time, swap_lits) = (&mut self.mapping, &self.core.time, &self.core.swap_lits);
         let mut batch = BatchSink::new(&mut self.core.solver);
         let mut space: Vec<FdVar> = Vec::with_capacity(circuit.num_gates());
@@ -447,38 +447,6 @@ impl FlatModel {
         }
     }
 
-    /// Forks this model without re-encoding: the underlying solver state
-    /// is snapshotted via [`Solver::fork`] (O(memcpy) — clause arena,
-    /// watch lists, root trail, phases, activities, proof prefix), the
-    /// encoding handles (variable maps, bound activators, cardinality
-    /// network, window guard) are cloned, and the fork runs under
-    /// `config` from then on.
-    ///
-    /// `config` must agree with the base model on everything that shapes
-    /// the formula (encoding, swap duration, style, proof logging);
-    /// callers that cannot guarantee that should fall back to a fresh
-    /// build.
-    pub fn fork(&mut self, config: &SynthesisConfig) -> FlatModel {
-        debug_assert_eq!(config.encoding, self.config.encoding);
-        debug_assert_eq!(
-            config.swap_duration.max(1),
-            self.sd,
-            "fork must keep the base swap duration"
-        );
-        debug_assert_eq!(
-            config.proof_log, self.config.proof_log,
-            "proof logging is decided at encode time"
-        );
-        FlatModel {
-            core: self.core.fork(),
-            mapping: self.mapping.clone(),
-            sd: self.sd,
-            style: self.style,
-            config: config.clone(),
-            num_gates: self.num_gates,
-        }
-    }
-
     /// Grows the depth window to `new_t_ub` **in place**: appends the new
     /// time steps' variables and constraint families onto the live solver,
     /// through the same per-family emitters the build runs over `0..T_UB`,
@@ -513,7 +481,7 @@ impl FlatModel {
             return true;
         }
         let steps = self.t_ub()..new_t_ub;
-        let enc = self.config.encoding;
+        let enc = self.encoding;
         let grown = self.credit(ConstraintFamily::Dependency, |m| {
             m.core.time.grow(&mut m.core.solver, new_t_ub)
         });
@@ -683,19 +651,6 @@ impl BoundedModel for FlatModel {
         FlatModel::build(circuit, graph, config, t_ub)
     }
 
-    /// Forks the configured [`ModelSeed`] when it encodes this exact
-    /// instance.
-    fn seeded(
-        config: &SynthesisConfig,
-        circuit: &Circuit,
-        graph: &CouplingGraph,
-        t_ub: usize,
-    ) -> Option<FlatModel> {
-        let seed = config.model_seed.as_ref()?;
-        let instance = ModelSeed::instance_fingerprint(circuit, graph, config);
-        seed.fork_for(config, circuit, graph, instance, t_ub)
-    }
-
     fn core(&self) -> &ModelCore {
         &self.core
     }
@@ -723,173 +678,11 @@ impl BoundedModel for FlatModel {
         let depth = result.depth;
         (result, depth)
     }
-
-    /// Snapshot-on-preempt: when a snapshot slot is configured, fork the
-    /// model onto a neutral configuration (no budgets, no stop flag, no
-    /// telemetry — those are per-run) and publish it, so a resubmission
-    /// can resume from the encoded state — clause arena, learned clauses,
-    /// phases, bound activators — instead of from scratch.
-    fn preempted(&mut self, config: &SynthesisConfig, circuit: &Circuit, graph: &CouplingGraph) {
-        let Some(slot) = &config.snapshot_slot else {
-            return;
-        };
-        let mut neutral = config.clone();
-        neutral.time_budget = None;
-        neutral.conflict_budget = None;
-        neutral.stop_flag = None;
-        neutral.incumbent = None;
-        neutral.model_seed = None;
-        neutral.snapshot_slot = None;
-        neutral.recorder = olsq2_obs::Recorder::disabled();
-        neutral.probe = olsq2_obs::Probe::disabled();
-        let template = self.fork(&neutral);
-        let instance = ModelSeed::instance_fingerprint(circuit, graph, &neutral);
-        slot.publish(ModelSeed::capture(template, instance));
-    }
-}
-
-/// A shareable encoded-model template for O(memcpy) resumes.
-///
-/// Wraps one built [`FlatModel`] behind a mutex so a later run (the
-/// service's snapshot-on-preempt resume) can fork it instead of
-/// encoding again. The seed remembers the exact instance it
-/// encodes — a structural fingerprint of the circuit, the device, and
-/// every formula-shaping config field — and [`ModelSeed::fork_for`]
-/// refuses to fork for anything else, so a stale or mismatched seed
-/// degrades to a fresh build instead of an unsound fork.
-#[derive(Debug, Clone)]
-pub struct ModelSeed {
-    inner: std::sync::Arc<std::sync::Mutex<FlatModel>>,
-    instance: u64,
-}
-
-impl ModelSeed {
-    /// Wraps a built model as a seed for the given instance fingerprint
-    /// (from [`ModelSeed::instance_fingerprint`] on the same inputs).
-    pub fn capture(model: FlatModel, instance: u64) -> ModelSeed {
-        ModelSeed {
-            inner: std::sync::Arc::new(std::sync::Mutex::new(model)),
-            instance,
-        }
-    }
-
-    /// The instance fingerprint this seed was captured for.
-    pub fn instance(&self) -> u64 {
-        self.instance
-    }
-
-    /// Structural fingerprint of one synthesis instance: the exact gate
-    /// list (kinds, parameters, operands — **not** relabeling-invariant:
-    /// a fork replays the base's variable numbering, so only the
-    /// bit-identical instance may consume it), the device edge list, and
-    /// every config field that shapes the formula or the solver's
-    /// pre-search state. Run-scoped handles (budgets, telemetry) are
-    /// deliberately excluded — they are re-applied per fork.
-    pub fn instance_fingerprint(
-        circuit: &Circuit,
-        graph: &CouplingGraph,
-        config: &SynthesisConfig,
-    ) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        "olsq2.instance".hash(&mut h);
-        circuit.num_qubits().hash(&mut h);
-        for gate in circuit.gates() {
-            gate.kind.name().hash(&mut h);
-            for p in gate.kind.params() {
-                p.to_bits().hash(&mut h);
-            }
-            match gate.operands {
-                Operands::One(q) => (1u8, q, 0u16).hash(&mut h),
-                Operands::Two(a, b) => (2u8, a, b).hash(&mut h),
-            }
-        }
-        graph.num_qubits().hash(&mut h);
-        for &(a, b) in graph.edges() {
-            (a, b).hash(&mut h);
-        }
-        config.encoding.hash(&mut h);
-        config.swap_duration.hash(&mut h);
-        config.commutation_aware.hash(&mut h);
-        config.proof_log.hash(&mut h);
-        h.finish()
-    }
-
-    /// Forks a model for `config` at depth window `t_ub`, or `None` when
-    /// the seed cannot serve it (different instance, smaller window than
-    /// the template's, or a window growth [`FlatModel::extend_window`]
-    /// refuses) — the caller then falls back to a fresh encode.
-    ///
-    /// A larger window is served by forking and growing the *fork* via
-    /// [`FlatModel::extend_window`].
-    pub fn fork_for(
-        &self,
-        config: &SynthesisConfig,
-        circuit: &Circuit,
-        graph: &CouplingGraph,
-        instance: u64,
-        t_ub: usize,
-    ) -> Option<FlatModel> {
-        if instance != self.instance {
-            return None;
-        }
-        let mut base = self.inner.lock().ok()?;
-        let base_t_ub = base.t_ub();
-        if t_ub == base_t_ub {
-            return Some(base.fork(config));
-        }
-        if t_ub > base_t_ub {
-            let mut fork = base.fork(config);
-            drop(base);
-            if fork.extend_window(circuit, graph, t_ub) {
-                return Some(fork);
-            }
-        }
-        None
-    }
-}
-
-/// A handle a preemptible run publishes its encoded state into when the
-/// budget expires mid-descent (see `snapshot_slot` on
-/// [`SynthesisConfig`]): the service's snapshot-on-preempt hook reads it
-/// back and reattaches it as the `model_seed` of the resume run, which
-/// then forks instead of re-encoding.
-#[derive(Debug, Clone, Default)]
-pub struct SnapshotSlot {
-    inner: std::sync::Arc<std::sync::Mutex<Option<ModelSeed>>>,
-}
-
-impl SnapshotSlot {
-    /// Creates an empty slot.
-    pub fn new() -> SnapshotSlot {
-        SnapshotSlot::default()
-    }
-
-    /// Publishes a snapshot (replacing any previous one).
-    pub fn publish(&self, seed: ModelSeed) {
-        *self.inner.lock().expect("snapshot lock") = Some(seed);
-    }
-
-    /// A handle to the current snapshot, if one was published.
-    pub fn peek(&self) -> Option<ModelSeed> {
-        self.inner.lock().expect("snapshot lock").clone()
-    }
-
-    /// Removes and returns the current snapshot.
-    pub fn take(&self) -> Option<ModelSeed> {
-        self.inner.lock().expect("snapshot lock").take()
-    }
-
-    /// Whether nothing has been published yet.
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().expect("snapshot lock").is_none()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::EncodingConfig;
     use olsq2_arch::line;
     use olsq2_circuit::{Gate, GateKind};
     use olsq2_layout::verify;

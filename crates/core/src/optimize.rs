@@ -410,23 +410,12 @@ impl<'a> Run<'a> {
         span
     }
 
-    /// Wires a built or forked model to this run's telemetry. Under
+    /// Encodes a fresh model on `graph` over `window` inside the `encode`
+    /// span `span`, tagging it with the window and the per-family formula
+    /// sizes, and wires it to this run's telemetry. Under
     /// [`SynthesisConfig::proof_log`] its solver also logs every
     /// assumption core as a lemma, so any UNSAT probe can be sealed
     /// ([`seal_refutation`]).
-    fn attach<M: BoundedModel>(&self, mut model: M) -> M {
-        let solver = &mut model.core_mut().solver;
-        solver.set_recorder(self.config.recorder.clone());
-        solver.set_probe(self.config.probe.clone());
-        if self.config.proof_log {
-            solver.set_core_lemmas(true);
-        }
-        model
-    }
-
-    /// Encodes a fresh model on `graph` over `window` inside the `encode`
-    /// span `span`, tagging it with the window and the per-family formula
-    /// sizes.
     fn encode<M: BoundedModel>(
         &self,
         span: &SpanGuard,
@@ -434,7 +423,7 @@ impl<'a> Run<'a> {
         window: usize,
     ) -> Result<M, SynthesisError> {
         span.set(M::NAMES.window, window);
-        let model = M::build(self.circuit, graph, self.config, window)?;
+        let mut model = M::build(self.circuit, graph, self.config, window)?;
         if self.config.recorder.is_enabled() {
             let core = model.core();
             let (vars, clauses) = core.formula_size();
@@ -445,18 +434,18 @@ impl<'a> Run<'a> {
                 span.set(fam.clauses_key(), c.clauses);
             }
         }
-        Ok(self.attach(model))
+        let solver = &mut model.core_mut().solver;
+        solver.set_recorder(self.config.recorder.clone());
+        solver.set_probe(self.config.probe.clone());
+        if self.config.proof_log {
+            solver.set_core_lemmas(true);
+        }
+        Ok(model)
     }
 
-    /// A model of the run's instance over `window`: forked from the
-    /// configured template under a `fork` span where the model offers one
-    /// ([`BoundedModel::seeded`]), else encoded under an `encode` span.
+    /// A model of the run's instance over `window`, encoded under an
+    /// `encode` span.
     fn build<M: BoundedModel>(&self, window: usize) -> Result<M, SynthesisError> {
-        if let Some(model) = M::seeded(self.config, self.circuit, self.graph, window) {
-            let span = self.config.recorder.span("fork");
-            span.set(M::NAMES.window, window);
-            return Ok(self.attach(model));
-        }
         let span = self.config.recorder.span("encode");
         self.encode(&span, self.graph, window)
     }
@@ -600,10 +589,7 @@ impl<'a> Run<'a> {
                     lo = t + 1;
                     t = M::relax(t);
                 }
-                SolveResult::Unknown => {
-                    model.preempted(self.config, self.circuit, self.graph);
-                    return Err(SynthesisError::BudgetExhausted);
-                }
+                SolveResult::Unknown => return Err(SynthesisError::BudgetExhausted),
             }
         }
         let (result, time) = model.decode(self.circuit, self.config);
@@ -743,20 +729,15 @@ impl<'a> Run<'a> {
         }
     }
 
-    /// Reports a walk's end state as the run's outcome. A walk that ends
-    /// unproven first lets its model keep its encoded state for a resume
-    /// ([`BoundedModel::preempted`]).
+    /// Reports a walk's end state as the run's outcome.
     pub(crate) fn finish<M: BoundedModel>(&self, walk: Walk<M>) -> SynthesisOutcome {
         let Walk {
-            mut model,
+            model,
             result,
             proven,
             refutation,
             ..
         } = walk;
-        if !proven {
-            model.preempted(self.config, self.circuit, self.graph);
-        }
         let core = model.core();
         let mut solver_stats = self.retired;
         solver_stats += core.solver.stats();

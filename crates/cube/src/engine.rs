@@ -621,19 +621,6 @@ impl SatCubeSolver {
     pub fn solver(&self) -> &Solver {
         &self.solver
     }
-
-    /// An O(memcpy) copy of this worker via [`Solver::fork`]: the child
-    /// shares the formula, learned clauses, phases, and activities, but
-    /// starts with fresh statistics and budgets. Standing assumptions and
-    /// split hints carry over, so a worker pool can be spawned from one
-    /// encoded worker instead of `n` rebuilds.
-    pub fn fork(&mut self) -> SatCubeSolver {
-        SatCubeSolver {
-            solver: self.solver.fork(),
-            base: self.base.clone(),
-            hints: self.hints.clone(),
-        }
-    }
 }
 
 impl CubeSolvable for SatCubeSolver {
@@ -791,46 +778,6 @@ mod tests {
         // The stitched proof refutes formula ∧ base.
         let proof = unsat_run.proof.expect("proof");
         proof.check().expect("checkable");
-    }
-
-    #[test]
-    fn forked_cohort_matches_fresh_build_verdicts() {
-        let (nv, clauses, _) = pigeonhole(3);
-        let cfg = CubeConfig {
-            workers: 2,
-            depth: 2,
-            prove: true,
-            ..Default::default()
-        };
-        // Encode once; every pooled worker is a fork of the template.
-        let template = Mutex::new(SatCubeSolver::new(nv, &clauses, true));
-        let run = solve_cubes(
-            |_| template.lock().expect("template poisoned").fork(),
-            &cfg,
-            &Recorder::disabled(),
-        );
-        assert_eq!(run.result, SolveResult::Unsat);
-        let proof = run.proof.expect("stitched proof from forked workers");
-        assert!(proof.claims_unsat());
-        proof
-            .check()
-            .expect("forked workers' stitched proof is RUP-checkable");
-
-        // A SAT instance through forks still yields a witness model.
-        let sat_clauses = vec![vec![lit(0), lit(1)], vec![!lit(0), lit(1)]];
-        let sat_template = Mutex::new(SatCubeSolver::new(2, &sat_clauses, false));
-        let sat_run = solve_cubes(
-            |_| sat_template.lock().expect("template poisoned").fork(),
-            &CubeConfig {
-                workers: 2,
-                depth: 1,
-                ..Default::default()
-            },
-            &Recorder::disabled(),
-        );
-        assert_eq!(sat_run.result, SolveResult::Sat);
-        let w = sat_run.witness().expect("witness");
-        assert_eq!(w.solver().model_value(lit(1)), Some(true));
     }
 
     #[test]

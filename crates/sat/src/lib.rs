@@ -22,7 +22,6 @@
 //! * incremental solving under assumptions with final-conflict extraction
 //! * conflict-count and wall-clock budgets ([`SolveResult::Unknown`]) and
 //!   a cooperative stop flag
-//! * a compacting O(memcpy) [`Solver::fork`] of the root state
 //!
 //! ## Example
 //!

@@ -339,7 +339,7 @@ pub struct Solver {
     clauses: Vec<ClauseRef>,
     /// The last `unwatched` entries of `clauses` are allocated but not yet
     /// watched; `attach_pending` watches them in bulk at the next entry
-    /// point that can propagate or copy watch lists.
+    /// point that can propagate.
     unwatched: usize,
     learnts: Vec<ClauseRef>,
     watches: WatchLists<Watcher>,
@@ -621,120 +621,6 @@ impl Solver {
         self.next_rephase = self.stats.conflicts + tuning.rephase_interval;
     }
 
-    /// Forks a compacting, O(memcpy) snapshot of the root solver state.
-    ///
-    /// The child inherits everything the parent *knows*: the clause
-    /// arena (after a [`Solver::simplify`] pass and compaction, so dead
-    /// clauses cost the child nothing), all watch lists, the root trail
-    /// at its propagation fixpoint, learnt clauses with their tiers and
-    /// activities, saved / best / target phases, VSIDS activities and
-    /// heap order, the proof log (the child's future derivations extend
-    /// a valid prefix, so its proofs check independently), and the
-    /// tuning.
-    ///
-    /// The child sheds everything *transient or externally owned*:
-    /// statistics, restart/reduce/inprocessing schedules, LBD averages,
-    /// conflict budgets, deadlines, the cooperative stop flag and
-    /// telemetry handles (recorder, probe). The caller re-arms those.
-    ///
-    /// Cost: one allocation + memcpy per field — no re-encode, no
-    /// re-propagation, no per-clause work.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the solver is not at decision level 0. Through the
-    /// public API it always is between [`Solver::solve`] calls.
-    pub fn fork(&mut self) -> Solver {
-        assert_eq!(self.decision_level(), 0, "fork snapshots root state only");
-        self.attach_pending();
-        if self.ok {
-            // Reach the root fixpoint (incremental additions may have
-            // left `qhead` behind), retire
-            // root-satisfied clauses, and compact the arena so the child
-            // copies no dead bytes.
-            if self.qhead < self.trail.len() && self.propagate().is_some() {
-                self.ok = false;
-                self.log_proof(|| ProofStep::Empty);
-            } else {
-                self.simplify();
-                if self.db.wasted_ratio() > 0.0 {
-                    self.garbage_collect();
-                }
-            }
-        }
-        // Compact the watch pools so the child copies no orphaned slots;
-        // after this each scheme clones as two straight memcpys.
-        if self.watches.wasted() > 0 {
-            self.watches.sweep(|_| true);
-        }
-        if self.bin_watches.wasted() > 0 {
-            self.bin_watches.sweep(|_| true);
-        }
-        if self.tern_watches.wasted() > 0 {
-            self.tern_watches.sweep(|_| true);
-        }
-        let tuning = self.tuning;
-        Solver {
-            db: self.db.clone(),
-            clauses: self.clauses.clone(),
-            unwatched: 0,
-            learnts: self.learnts.clone(),
-            watches: self.watches.clone(),
-            bin_watches: self.bin_watches.clone(),
-            tern_watches: self.tern_watches.clone(),
-            vals: self.vals.clone(),
-            vardata: self.vardata.clone(),
-            trail: self.trail.clone(),
-            trail_lim: Vec::new(),
-            qhead: self.qhead,
-            phase: self.phase.clone(),
-            activity: self.activity.clone(),
-            var_inc: self.var_inc,
-            cla_inc: self.cla_inc,
-            order: self.order.clone(),
-            ok: self.ok,
-            model: Vec::new(),
-            final_conflict: Vec::new(),
-            stats: Stats::default(),
-            conflict_budget: None,
-            deadline: None,
-            stop: None,
-            next_reduce: 2000,
-            reduce_inc: 300,
-            simp_trail_len: self.simp_trail_len,
-            proof: self.proof.clone(),
-            recorder: Recorder::disabled(),
-            probe: Probe::disabled(),
-            lbd_ema_fast: 0.0,
-            lbd_ema_slow: 0.0,
-            tuning,
-            inprocess_floor: self.inprocess_floor,
-            assumption_frozen: Vec::new(),
-            save_phases: true,
-            core_lemmas: self.core_lemmas,
-            next_vivify: tuning.vivify_interval,
-            viv_cursor: [0, 0],
-            next_rephase: tuning.rephase_interval,
-            best_trail_len: 0,
-            best_phase: self.best_phase.clone(),
-            target_phase: self.target_phase.clone(),
-            rephase_flip: false,
-            lbd_sum: 0.0,
-            trail_depth_sum: 0.0,
-            avg_conflicts: 0,
-            restart_hold: 0,
-            cancel_buf: Vec::new(),
-            pending_strengthen: self.pending_strengthen.clone(),
-            lit_set: StampSet::default(),
-            level_set: StampSet::default(),
-            seen: Vec::new(),
-            analyze_toclear: Vec::new(),
-            analyze_stack: Vec::new(),
-            add_buf: Vec::new(),
-            add_buf2: Vec::new(),
-        }
-    }
-
     /// Sets the saved phase of `var` directly (structure-aware seeding:
     /// the model builders know which polarity dominates an at-most-one
     /// group before any conflict does).
@@ -930,8 +816,8 @@ impl Solver {
     ///
     /// Tautologies are silently dropped; duplicate and root-false literals
     /// are removed. A clause of two or more literals is stored but not
-    /// watched yet: the next `solve`, `simplify`, `fork` or `lookahead`
-    /// watches every pending clause in one pass, in addition order. A
+    /// watched yet: the next `solve`, `simplify` or `lookahead` watches
+    /// every pending clause in one pass, in addition order. A
     /// unit clause watches the pending clauses first, then propagates at
     /// the root level, so clauses added after it are simplified against
     /// everything it implies.
@@ -1087,9 +973,8 @@ impl Solver {
     /// order, so each list ends exactly as one `attach` per clause would
     /// leave it. Counting first moves each list at most once per call
     /// instead of on every doubling. Called at each entry
-    /// point that can propagate or copy watch lists (`solve`, `simplify`,
-    /// `fork`, `lookahead`, and a root unit's addition); `propagate`
-    /// itself never checks.
+    /// point that can propagate (`solve`, `simplify`, `lookahead`, and a
+    /// root unit's addition); `propagate` itself never checks.
     fn attach_pending(&mut self) {
         if self.unwatched == 0 {
             return;
@@ -3534,7 +3419,7 @@ mod tests {
     }
 
     #[test]
-    fn fork_lookahead_and_simplify_see_unwatched_clauses() {
+    fn lookahead_and_simplify_see_unwatched_clauses() {
         let setup = || {
             let mut s = Solver::new();
             let v = lits(&mut s, 3);
@@ -3543,11 +3428,6 @@ mod tests {
             assert_eq!(s.unwatched, 2);
             (s, v)
         };
-        let (mut s, v) = setup();
-        let mut child = s.fork();
-        assert_eq!(child.solve(&[v[0], !v[2]]), SolveResult::Unsat);
-        assert_eq!(s.solve(&[v[0], !v[2]]), SolveResult::Unsat);
-
         let (mut s, v) = setup();
         assert_eq!(s.lookahead(&[v[0]]), Some(2));
 

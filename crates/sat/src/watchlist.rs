@@ -1,8 +1,7 @@
 //! Slab-backed watch lists: every per-literal list lives in one shared
-//! pool, so cloning the whole structure for [`crate::Solver::fork`] is two
-//! `memcpy`s instead of one heap allocation per literal. A formula with
-//! tens of thousands of variables otherwise pays ~2·vars mallocs per fork,
-//! which dominates the snapshot cost.
+//! pool, one allocation for the whole structure instead of one per
+//! literal. A formula with tens of thousands of variables otherwise pays
+//! ~2·vars mallocs as it is built.
 //!
 //! Layout: `heads[code]` names a `(start, len, cap)` window into `pool`.
 //! A push that overflows its window relocates the list to the pool tail
@@ -29,7 +28,7 @@ struct ListHead {
 }
 
 /// Flat watch-list collection over a copyable watcher type.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct WatchLists<T: Copy> {
     pool: Vec<T>,
     heads: Vec<ListHead>,
@@ -204,9 +203,9 @@ impl<T: Copy> WatchLists<T> {
     /// remapping), rebuilding the pool with zero wasted slots. Lists keep
     /// their relative order; capacities snap to the surviving lengths, so
     /// the next push per list relocates once — sweeps are rare (garbage
-    /// collection, `simplify` after stale ternary deletions, pre-fork
-    /// compaction) and the compact pool is what makes the fork clone
-    /// cheap.
+    /// collection after `reduce_db` or `simplify` deletes enough clauses)
+    /// and leave no orphaned slot between the lists the propagation loop
+    /// streams.
     pub(crate) fn sweep(&mut self, mut f: impl FnMut(&mut T) -> bool) {
         let live = self.pool.len() - self.wasted;
         let mut new_pool = Vec::with_capacity(live);
@@ -227,11 +226,6 @@ impl<T: Copy> WatchLists<T> {
         }
         self.pool = new_pool;
         self.wasted = 0;
-    }
-
-    /// Orphaned pool slots awaiting a sweep.
-    pub(crate) fn wasted(&self) -> usize {
-        self.wasted
     }
 
     /// Detaches the pool for a scan that needs a local slice (so the
@@ -273,7 +267,7 @@ mod tests {
         assert_eq!(collect(&w, 0), (0..10).collect::<Vec<_>>());
         assert_eq!(collect(&w, 1), vec![777]);
         assert_eq!(collect(&w, 2), (100..110).collect::<Vec<_>>());
-        assert!(w.wasted() > 0);
+        assert!(w.wasted > 0);
     }
 
     #[test]
@@ -291,13 +285,13 @@ mod tests {
             bulk.announce(code);
         }
         bulk.make_room(0);
-        let (pool, wasted) = (bulk.pool.len(), bulk.wasted());
+        let (pool, wasted) = (bulk.pool.len(), bulk.wasted);
         for &(code, w) in &stream {
             bulk.push(code, w);
             eager.push(code, w);
         }
         assert_eq!(
-            (bulk.pool.len(), bulk.wasted()),
+            (bulk.pool.len(), bulk.wasted),
             (pool, wasted),
             "fill moved a list"
         );
@@ -306,7 +300,7 @@ mod tests {
         }
         // Lists 0 and 3 had no window and get exact ones (3 and 1 slots);
         // list 1 outgrows its first window (2 slots, wasted) and doubles.
-        assert_eq!((bulk.pool.len(), bulk.wasted()), (2 + 3 + 1 + 4, 2));
+        assert_eq!((bulk.pool.len(), bulk.wasted), (2 + 3 + 1 + 4, 2));
     }
 
     #[test]
@@ -320,7 +314,7 @@ mod tests {
         }
         assert_eq!(collect(&w, 0), (0..1000).collect::<Vec<_>>());
         // Capacities 1, 2, 4, …, 1024: the abandoned windows sum to 1023.
-        assert_eq!(w.wasted(), 1023);
+        assert_eq!(w.wasted, 1023);
     }
 
     #[test]
@@ -354,7 +348,7 @@ mod tests {
             *v *= 10;
             *v % 20 == 0
         });
-        assert_eq!(w.wasted(), 0);
+        assert_eq!(w.wasted, 0);
         assert_eq!(collect(&w, 0), vec![0, 20, 40, 60]);
         assert_eq!(collect(&w, 1), vec![500, 520, 540, 560]);
         // Post-sweep pushes still work (each list relocates once).

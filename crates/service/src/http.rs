@@ -15,14 +15,22 @@
 //!
 //! Scrapes are rare (seconds apart) and responses are small, so requests
 //! are served inline on the accept thread; a stuck client is bounded by a
-//! per-connection read timeout rather than by a thread pool.
+//! per-connection read timeout rather than by a thread pool. The request
+//! head (request line plus headers) is read through a fixed cap of 8 KiB,
+//! so a client streaming bytes without a newline or without an end of
+//! headers holds a bounded buffer, and is answered `431` once it reaches
+//! the cap.
 
 use crate::service::IntrospectionHandle;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// The most bytes a request's head, its request line and headers through
+/// the blank line, may take.
+const HEAD_CAP: usize = 8 * 1024;
 
 /// A running introspection listener; see the module docs for the routes.
 ///
@@ -105,17 +113,21 @@ fn accept_loop(listener: &TcpListener, handle: &IntrospectionHandle, stop: &Atom
 fn serve_connection(stream: TcpStream, handle: &IntrospectionHandle) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(2)))?;
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
-    let mut reader = BufReader::new(stream);
+    let mut head = BufReader::new(stream).take(HEAD_CAP as u64);
     let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
+    head.read_line(&mut request_line)?;
     // Drain the headers; none of them influence the routes served here.
-    loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 || header.trim_end().is_empty() {
-            break;
-        }
+    let mut header = String::new();
+    let mut ended = false;
+    while !ended && head.read_line(&mut header)? > 0 {
+        ended = header.trim_end().is_empty();
+        header.clear();
     }
-    let mut stream = reader.into_inner();
+    let capped = !ended && head.limit() == 0;
+    let mut stream = head.into_inner().into_inner();
+    if capped {
+        return respond(&mut stream, 431, "text/plain", "request head too large\n");
+    }
     let mut parts = request_line.split_whitespace();
     let (method, path) = match (parts.next(), parts.next()) {
         (Some(m), Some(p)) => (m, p),
@@ -153,6 +165,7 @@ fn respond(
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        431 => "Request Header Fields Too Large",
         _ => "Error",
     };
     write!(
@@ -255,5 +268,39 @@ mod tests {
         let mut response = String::new();
         stream.read_to_string(&mut response).expect("read");
         assert!(response.starts_with("HTTP/1.1 405"), "{response}");
+    }
+
+    #[test]
+    fn request_head_is_cut_at_the_cap() {
+        let service = SynthesisService::start(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
+        let server =
+            IntrospectionServer::start("127.0.0.1:0", service.introspection()).expect("bind");
+        let addr = server.local_addr();
+        // A valid request line, then header lines that fill the cap
+        // without the blank line.
+        let mut headers = String::from("GET /healthz HTTP/1.1\r\n");
+        while HEAD_CAP - headers.len() > 128 {
+            headers.push_str(&format!("X-Pad: {}\r\n", "a".repeat(55)));
+        }
+        let room = HEAD_CAP - headers.len();
+        headers.push_str(&format!("X-Pad: {}\r\n", "a".repeat(room - 9)));
+        // Exactly the cap's worth each, so the server leaves nothing
+        // unread and its close cannot reset the connection.
+        for head in [vec![b'a'; HEAD_CAP], headers.into_bytes()] {
+            assert_eq!(head.len(), HEAD_CAP);
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("read timeout");
+            stream.write_all(&head).expect("write head");
+            let mut response = String::new();
+            stream.read_to_string(&mut response).expect("read response");
+            assert!(response.starts_with("HTTP/1.1 431"), "{response:?}");
+            let health = get(addr, "/healthz");
+            assert!(health.starts_with("HTTP/1.1 200"), "{health}");
+        }
     }
 }

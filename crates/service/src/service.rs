@@ -52,9 +52,7 @@ use crate::metrics::{MetricsCollector, ServiceMetrics};
 use crate::request::{
     JobHandle, JobOutput, JobShared, JobStatus, Objective, Priority, SynthesisRequest,
 };
-use olsq2::{
-    IncumbentSlot, ModelSeed, Olsq2Synthesizer, SnapshotSlot, SynthesisError, TbOlsq2Synthesizer,
-};
+use olsq2::{IncumbentSlot, Olsq2Synthesizer, SynthesisError, TbOlsq2Synthesizer};
 use olsq2_layout::LayoutResult;
 use olsq2_sat::Stats;
 use std::collections::{BTreeMap, HashMap};
@@ -87,16 +85,6 @@ pub struct ServiceConfig {
     /// `/flight/<job-id>` route), and jobs that end degraded, cancelled,
     /// failed, or panicked dump their ring to [`FlightSettings::dir`].
     pub flight: Option<FlightSettings>,
-    /// Opt-in warm restarts for preempted jobs. When `true`, a job cut
-    /// short by its deadline or conflict budget publishes an O(memcpy)
-    /// snapshot of its solver ([`olsq2::ModelSeed`], captured at the last
-    /// root settle) into a per-service store keyed by the *exact*
-    /// instance fingerprint — deliberately not the relabeling-invariant
-    /// cache key, since a fork replays the template's variable numbering
-    /// verbatim. A resubmission of the same instance forks the snapshot
-    /// instead of re-encoding, resuming with all learned clauses and
-    /// phase/activity state intact. Default `false`.
-    pub snapshot_on_preempt: bool,
 }
 
 /// Per-job flight-recorder sizing for a service (see
@@ -134,7 +122,6 @@ impl Default for ServiceConfig {
             cache_capacity: 512,
             recorder: olsq2::Recorder::disabled(),
             flight: None,
-            snapshot_on_preempt: false,
         }
     }
 }
@@ -225,17 +212,7 @@ struct ServiceState {
     /// [`ServiceConfig::flight`] is set. Rings stay readable after their
     /// job completes (the service instance bounds their lifetime).
     flights: Mutex<HashMap<u64, olsq2::Probe>>,
-    snapshot_on_preempt: bool,
-    /// Solver snapshots of preempted jobs, keyed by the exact instance
-    /// fingerprint ([`ModelSeed::instance_fingerprint`]), bounded by
-    /// [`SNAPSHOT_CAPACITY`]. A resubmitted instance forks its entry
-    /// instead of re-encoding; a proven-optimal completion retires it.
-    snapshots: Mutex<HashMap<u64, ModelSeed>>,
 }
-
-/// Entry cap of the preemption-snapshot store; an arbitrary entry is
-/// evicted when a new instance arrives at capacity.
-const SNAPSHOT_CAPACITY: usize = 32;
 
 /// A synthesis service instance owning its worker pool.
 ///
@@ -408,8 +385,6 @@ impl ServiceState {
             recorder: config.recorder,
             flight: config.flight,
             flights: Mutex::new(HashMap::new()),
-            snapshot_on_preempt: config.snapshot_on_preempt,
-            snapshots: Mutex::new(HashMap::new()),
         }
     }
 
@@ -763,43 +738,6 @@ fn run_job(
         (a, b) => a.or(b),
     };
 
-    // Snapshot-on-preempt: resume this instance from a prior preempted
-    // run's solver fork if one is stored, and arm a slot so this run can
-    // publish its own snapshot if it too gets cut short. Keyed by the
-    // exact instance fingerprint, not the relabeling-invariant cache key
-    // — forks replay the template's variable numbering verbatim.
-    let snapshot_key = state
-        .snapshot_on_preempt
-        .then(|| ModelSeed::instance_fingerprint(&request.circuit, &request.device, &config));
-    let snapshot_slot = snapshot_key.map(|key| {
-        let stored = lock(&state.snapshots).get(&key).cloned();
-        if let Some(seed) = stored {
-            span.set("snapshot_resume", true);
-            config.model_seed = Some(seed);
-        }
-        let slot = SnapshotSlot::new();
-        config.snapshot_slot = Some(slot.clone());
-        slot
-    });
-    let stash_snapshot = |retire: bool| {
-        let (Some(slot), Some(key)) = (&snapshot_slot, snapshot_key) else {
-            return;
-        };
-        let mut store = lock(&state.snapshots);
-        if retire {
-            store.remove(&key);
-            return;
-        }
-        if let Some(seed) = slot.take() {
-            if store.len() >= SNAPSHOT_CAPACITY && !store.contains_key(&key) {
-                if let Some(evict) = store.keys().next().copied() {
-                    store.remove(&evict);
-                }
-            }
-            store.insert(key, seed);
-        }
-    };
-
     let solved = solve(request, config);
     #[cfg(test)]
     let solved = tests::inject_fault(&request.name, solved);
@@ -808,10 +746,6 @@ fn run_job(
 
     match solved {
         Ok((result, proven_optimal, stats, extensions)) => {
-            // A proven-optimal completion retires the instance's stored
-            // snapshot; a degraded one publishes the fresher state the
-            // budget hooks captured at the last root settle.
-            stash_snapshot(proven_optimal);
             state.metrics.on_extensions(extensions as u64);
             // `proven_optimal == false` on an Ok outcome means the budget
             // machinery (deadline, conflict budget, or cancel) cut the
@@ -855,7 +789,6 @@ fn run_job(
             (JobStatus::Done(Box::new(output)), answer)
         }
         Err(SynthesisError::BudgetExhausted) => {
-            stash_snapshot(false);
             if job.shared.cancel.load(Ordering::Relaxed) {
                 state.metrics.on_cancel_running(tenant);
                 span.set("status", "cancelled");

@@ -415,57 +415,6 @@ fn deadline_killed_job_dumps_an_ingestible_flight_recording() {
 }
 
 #[test]
-fn snapshot_on_preempt_resumes_resubmissions_from_a_fork() {
-    let rec = olsq2::Recorder::new();
-    let mut service = SynthesisService::start(ServiceConfig {
-        workers: 1,
-        queue_capacity: 4,
-        cache_capacity: 8,
-        recorder: rec.clone(),
-        snapshot_on_preempt: true,
-        ..ServiceConfig::default()
-    });
-    // Same shape as deadline_degrades_to_best_so_far: the SWAP descent
-    // cannot finish inside the deadline, so the job ends degraded — and,
-    // with snapshot_on_preempt, publishes a solver snapshot.
-    let circuit = qaoa_circuit(8, 4);
-    let mut req = SynthesisRequest::new("qaoa", circuit.clone(), grid(3, 3), Objective::Swaps);
-    req.config.swap_duration = 1;
-    req.deadline = Some(Duration::from_secs(4));
-    match service.submit(req).expect("queue has room").wait() {
-        JobStatus::Done(out) => {
-            assert!(out.degraded, "deadline must degrade, not complete");
-            assert_eq!(verify(&circuit, &grid(3, 3), &out.result), Ok(()));
-        }
-        other => panic!("expected degraded Done, got {other:?}"),
-    }
-    // A resubmission of the same instance forks the stored snapshot
-    // instead of re-encoding, and the resumed run is still valid.
-    let mut req2 =
-        SynthesisRequest::new("qaoa-resume", circuit.clone(), grid(3, 3), Objective::Swaps);
-    req2.config.swap_duration = 1;
-    req2.deadline = Some(Duration::from_secs(4));
-    match service.submit(req2).expect("queue has room").wait() {
-        JobStatus::Done(out) => {
-            assert_eq!(verify(&circuit, &grid(3, 3), &out.result), Ok(()));
-        }
-        other => panic!("expected Done, got {other:?}"),
-    }
-    let snap = rec.snapshot();
-    assert!(
-        snap.spans
-            .iter()
-            .any(|s| s.name == "job" && s.fields.iter().any(|(k, _)| k == "snapshot_resume")),
-        "second job must be tagged as resuming from the stored snapshot"
-    );
-    assert!(
-        snap.spans.iter().any(|s| s.name == "fork"),
-        "the resumed job must fork the snapshot, not re-encode"
-    );
-    service.shutdown();
-}
-
-#[test]
 fn twin_admitted_while_its_original_is_in_flight_runs_no_second_solve() {
     // Both workers are held by blockers until the original and its
     // relabeled twin are admitted, so the original is queued and the twin
